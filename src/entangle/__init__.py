@@ -12,14 +12,8 @@ from .experiments import (
     SweepRecord,
     SweepResult,
     SweepSpec,
-    evaluate_point,
     default_baseline,
     run_sweep,
-    sweep_detuning,
-    sweep_g_minus,
-    sweep_kappa_grid,
-    sweep_temp_kappa_b,
-    sweep_theta,
 )
 from .gaussian import (
     GaussianState,
@@ -57,7 +51,6 @@ __all__ = [
     "build_drift",
     "drive_for_target_g_minus",
     "errors",
-    "evaluate_point",
     "hybridize",
     "log_negativity",
     "min_physicality_eig",
@@ -70,11 +63,6 @@ __all__ = [
     "solve_lyapunov",
     "stability",
     "steady_state_amplitudes",
-    "sweep_detuning",
-    "sweep_g_minus",
-    "sweep_kappa_grid",
-    "sweep_temp_kappa_b",
-    "sweep_theta",
     "symplectic_eigenvalues",
     "thermal_occupation",
 ]

@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-sweeps":
-        for kind in experiments.SWEEP_KINDS:
+        for kind in experiments.SWEEPS:
             print(kind)
         return 0
 

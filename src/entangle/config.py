@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from . import experiments
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .model import TWO_PI
 
 _FREQ_FACTORS = {"": 1.0, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9,
@@ -247,19 +247,11 @@ _PARAM_KEYS = {
     "g0": ("g0_hz", _positive(_freq)),
 }
 
-_SWEEP_KEYS = {
-    "kind": ("kind", None),  # validated against SWEEP_KINDS below
-    "param": ("param", None),
-    "count": ("count", _integer),
-    "count2": ("count2", _integer),
-    "scale": ("scale", _scale_name),
-    "scale2": ("scale2", _scale_name),
-    # start/stop converters depend on the sweep kind; handled separately
-    "start": ("start", None),
-    "stop": ("stop", None),
-    "start2": ("start2", None),
-    "stop2": ("stop2", None),
-}
+#: keys of one sweep axis (the second axis adds a "2"); start and stop
+#: take the units of the axis line they sweep
+_AXIS_KEYS = {"start": None, "stop": None, "count": _integer,
+              "scale": _scale_name}
+_SWEEP_KEYS = {"kind", "param", *_AXIS_KEYS, *(key + "2" for key in _AXIS_KEYS)}
 
 _OUTPUT_KEYS = {
     "dir": ("directory", None),
@@ -267,23 +259,18 @@ _OUTPUT_KEYS = {
     "precision": ("precision", _integer),
 }
 
-#: converter class of each sweep axis, per kind: (axis1, axis2)
-_AXIS_UNITS = {
-    "point": (None, None),
-    "theta": (_theta, None),
-    "detuning": (_freq, None),
-    "g_minus": (_non_negative(_freq), None),
-    "kappa_grid": (_positive(_freq), _positive(_freq)),
-    "temp_kappa_b": (_non_negative(_temperature), _positive(_freq)),
-}
+#: axis endpoint converter per column: the [params] converter of the
+#: parameter the axis sweeps
+_COLUMN_CONVERTERS = dict(_PARAM_KEYS.values())
 
 
-def _generic_axis_converter(param):
-    if param == "theta":
-        return _theta
-    if param == "temperature":
-        return _non_negative(_temperature)
-    return _non_negative(_freq)
+def _axis_converter(line):
+    # the detuning axis |Delta| is no [params] entry, just a frequency
+    return _COLUMN_CONVERTERS.get(line.column, _freq)
+
+
+def _axis_lines(kind, param):
+    return experiments.SweepSpec(kind, param=param).sweep_kind().axes
 
 
 def parse_config(text, overrides=()) -> RunConfig:
@@ -335,44 +322,29 @@ def _build_config(entries):
     def take(section, key):
         return entries.pop((section, key), None)
 
-    # sweep kind first: it fixes the units of the axis endpoints
+    # sweep kind first: it fixes the axes and the units of their endpoints
     kind_entry = take("sweep", "kind")
-    kind = kind_entry[0] if kind_entry else "theta"
-    if kind not in experiments.SWEEP_KINDS:
-        raise ConfigError(
-            f"unknown sweep kind {kind!r}; choose from {experiments.SWEEP_KINDS}",
-            kind_entry[1] if kind_entry else None)
-
     param_entry = take("sweep", "param")
+    kind = kind_entry[0] if kind_entry else "theta"
     param = param_entry[0] if param_entry else None
-    if kind == "generic":
-        if param is None:
-            raise ConfigError("generic sweeps need 'param' in [sweep]")
-        if param not in experiments.GENERIC_PARAMS:
-            raise ConfigError(
-                f"cannot sweep {param!r}; choose from "
-                f"{sorted(experiments.GENERIC_PARAMS)}", param_entry[1])
-        axis_units = (_generic_axis_converter(param), None)
-    elif param is not None:
-        raise ConfigError("'param' is only valid for generic sweeps",
-                          param_entry[1])
-    else:
-        axis_units = _AXIS_UNITS[kind]
+    try:
+        axis_lines = _axis_lines(kind, param)
+    except ParameterError as exc:
+        entry = param_entry if kind in experiments.SWEEPS else kind_entry
+        raise ConfigError(str(exc), entry[1] if entry else None) from None
 
     sweep_values = {"kind": kind, "param": param}
-    for key in ("count", "count2", "scale", "scale2"):
-        entry = take("sweep", key)
-        if entry is not None:
-            field_name, convert = _SWEEP_KEYS[key]
-            sweep_values[field_name] = convert(entry[0], entry[1])
-    for key, conv in (("start", axis_units[0]), ("stop", axis_units[0]),
-                      ("start2", axis_units[1]), ("stop2", axis_units[1])):
-        entry = take("sweep", key)
-        if entry is not None:
-            if conv is None:
+    for index, suffix in enumerate(("", "2")):
+        for key, convert in _AXIS_KEYS.items():
+            entry = take("sweep", key + suffix)
+            if entry is None:
+                continue
+            if index >= len(axis_lines):
                 raise ConfigError(
-                    f"{key!r} does not apply to a {kind!r} sweep", entry[1])
-            sweep_values[key] = conv(entry[0], entry[1])
+                    f"{key + suffix!r} does not apply to a {kind!r} sweep", entry[1])
+            if convert is None:
+                convert = _axis_converter(axis_lines[index])
+            sweep_values[key + suffix] = convert(entry[0], entry[1])
     sweep = SweepBlock(**sweep_values)
 
     param_values = {}
@@ -435,18 +407,13 @@ def echo_config(cfg: RunConfig) -> str:
     lines.append(f"kind = {s.kind}")
     if s.param is not None:
         lines.append(f"param = {s.param}")
-    axis_suffix = _axis_echo_suffix(s.kind, s.param)
-    for key, value, suffix in (("start", s.start, axis_suffix[0]),
-                               ("stop", s.stop, axis_suffix[0]),
-                               ("count", s.count, ""),
-                               ("scale", s.scale, ""),
-                               ("start2", s.start2, axis_suffix[1]),
-                               ("stop2", s.stop2, axis_suffix[1]),
-                               ("count2", s.count2, ""),
-                               ("scale2", s.scale2, "")):
-        if value is not None:
-            rendered = value if isinstance(value, (str, int)) else repr(value)
-            lines.append(f"{key} = {rendered}{suffix}")
+    for line, suffix in zip(_axis_lines(s.kind, s.param), ("", "2")):
+        for key in _AXIS_KEYS:
+            value = getattr(s, key + suffix)
+            if value is not None:
+                unit = f" {line.unit}" if key in ("start", "stop") else ""
+                rendered = value if isinstance(value, (str, int)) else repr(value)
+                lines.append(f"{key}{suffix} = {rendered}{unit}")
 
     lines.append("")
     lines.append("[output]")
@@ -456,15 +423,3 @@ def echo_config(cfg: RunConfig) -> str:
         lines.append(f"precision = {o.precision}")
     lines.append("")
     return "\n".join(lines)
-
-
-def _axis_echo_suffix(kind, param):
-    if kind == "theta" or (kind == "generic" and param == "theta"):
-        return (" pi", "")
-    if kind == "temp_kappa_b":
-        return (" mK", " Hz")
-    if kind == "generic" and param == "temperature":
-        return (" mK", "")
-    if kind == "point":
-        return ("", "")
-    return (" Hz", " Hz")

@@ -128,7 +128,7 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
         )
 
     cov = _stage("Lyapunov solve", gaussian.solve_lyapunov, drift, diffusion)
-    state = gaussian.GaussianState(cov, stable=True, max_re_eig=max_re_eig)
+    state = gaussian.GaussianState(cov)
     e_n = {
         pair: gaussian.log_negativity(gaussian.reduce_two_mode(cov, pair))
         for pair in gaussian.PAIR_CHOICES

@@ -1,10 +1,11 @@
 """Named, reproducible parameter sweeps over the entanglement pipeline.
 
-Each sweep is a pure map over its grid: every grid point is evaluated
-independently through :func:`entangle.dynamics.run_pipeline`, instability
-is recorded as data (not an error), and the emitted records are
-independent of evaluation order and worker count.  Set the environment
-variable ``ENTANGLE_THREADS`` to evaluate grid points concurrently.
+Every sweep kind is one :class:`SweepKind` entry of :data:`SWEEPS`: its
+axes (CSV column, :class:`Baseline` field, reporting unit), its default
+grid, an optional point map and an optional summary hook.
+:func:`run_sweep` evaluates every grid point independently through
+:meth:`Baseline.evaluate`, in grid order; instability is recorded as
+data (not an error), and the records do not depend on evaluation order.
 
 Axis values and record diagnostics use reporting units: ordinary
 frequency (Hz) for rates, couplings and detunings, millikelvin for
@@ -15,9 +16,9 @@ parameter set itself is angular (rad/s), matching the model layer.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +34,6 @@ from .model import (
 #: records with E_N below this (or unstable) count as disentangled when
 #: extracting robustness thresholds; absorbs the separability clamp
 EN_THRESHOLD = 1e-4
-
-SWEEP_KINDS = ("point", "theta", "detuning", "g_minus", "kappa_grid",
-               "temp_kappa_b", "generic")
 
 
 @dataclass(frozen=True)
@@ -62,23 +60,6 @@ class SweepAxis:
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Which sweep to run and on what grid (None axes take defaults)."""
-
-    kind: str = "theta"
-    axis: SweepAxis | None = None
-    axis2: SweepAxis | None = None
-    param: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
-            raise ParameterError(
-                f"unknown sweep kind {self.kind!r}; choose from {SWEEP_KINDS}")
-        if self.kind == "generic" and self.param is None:
-            raise ParameterError("generic sweeps need a param name")
 
 
 @dataclass(frozen=True)
@@ -166,6 +147,22 @@ class SweepRecord:
     delta_plus: float
     delta_minus: float
 
+    @classmethod
+    def from_result(cls, axis, result: PipelineResult) -> SweepRecord:
+        return cls(
+            axis=tuple(float(a) for a in axis),
+            e_n_pp=result.e_n_pp,
+            e_n_mb=result.e_n_mb,
+            e_n_pb=result.e_n_pb,
+            stable=result.stable,
+            max_re_eig=result.max_re_eig,
+            abs_g_plus=abs(result.couplings.g_plus) / TWO_PI,
+            abs_g_minus=abs(result.couplings.g_minus) / TWO_PI,
+            theta=result.basis.theta,
+            delta_plus=result.basis.delta_plus / TWO_PI,
+            delta_minus=result.basis.delta_minus / TWO_PI,
+        )
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -185,104 +182,72 @@ class SweepResult:
         return best
 
 
-# -- default grids ----------------------------------------------------------
+# -- sweep registry ---------------------------------------------------------
 
-THETA_AXIS = SweepAxis(0.26, 0.49, 200)            # theta / pi
-DETUNING_AXIS = SweepAxis(6e6, 14e6, 33)           # |Delta| / 2pi, Hz
-G_MINUS_AXIS = SweepAxis(0.0, 6e6, 200)            # |G_-| / 2pi, Hz
-KAPPA_AXIS = SweepAxis(1e5, 1e7, 60, "log")        # kappa_{a,c} / 2pi, Hz
-TEMPERATURE_AXIS = SweepAxis(1.0, 500.0, 60)       # mK
-KAPPA_B_AXIS = SweepAxis(1e2, 1e6, 60, "log")      # kappa_b / 2pi, Hz
+#: reporting unit -> factor to the baseline's angular/SI unit
+UNIT_FACTORS = {"pi": math.pi, "Hz": TWO_PI, "mK": 1e-3}
 
-#: generic sweepable parameters: config name -> (axis column, baseline
-#: field, reporting-unit -> internal-unit conversion)
+
+class AxisLine(NamedTuple):
+    """What one sweep axis varies: CSV column, baseline field, unit.
+
+    The column of a swept parameter is also its field name in the
+    config's parameter block.
+    """
+
+    column: str
+    field: str | None
+    unit: str
+
+
+#: generic sweepable parameters: config name -> axis line
 GENERIC_PARAMS = {
-    "theta": ("theta_pi", "theta", lambda v: v * math.pi),
-    "omega_a": ("omega_a_hz", "omega_a", lambda v: v * TWO_PI),
-    "omega_b": ("omega_b_hz", "omega_b", lambda v: v * TWO_PI),
-    "kappa_a": ("kappa_a_hz", "kappa_a", lambda v: v * TWO_PI),
-    "kappa_c": ("kappa_c_hz", "kappa_c", lambda v: v * TWO_PI),
-    "kappa_b": ("kappa_b_hz", "kappa_b", lambda v: v * TWO_PI),
-    "temperature": ("temperature_mk", "temperature", lambda v: v * 1e-3),
-    "g_minus": ("g_minus_hz", "target_g_minus", lambda v: v * TWO_PI),
+    "theta": AxisLine("theta_pi", "theta", "pi"),
+    "omega_a": AxisLine("omega_a_hz", "omega_a", "Hz"),
+    "omega_b": AxisLine("omega_b_hz", "omega_b", "Hz"),
+    "kappa_a": AxisLine("kappa_a_hz", "kappa_a", "Hz"),
+    "kappa_c": AxisLine("kappa_c_hz", "kappa_c", "Hz"),
+    "kappa_b": AxisLine("kappa_b_hz", "kappa_b", "Hz"),
+    "temperature": AxisLine("temperature_mk", "temperature", "mK"),
+    "g_minus": AxisLine("g_minus_hz", "target_g_minus", "Hz"),
 }
 
 
-def _worker_count():
-    raw = os.environ.get("ENTANGLE_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+@dataclass(frozen=True)
+class SweepKind:
+    """One sweep kind: its axes, default grid and hooks.
 
-
-def _map_points(fn, items):
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _record(axis, result: PipelineResult) -> SweepRecord:
-    return SweepRecord(
-        axis=tuple(float(a) for a in axis),
-        e_n_pp=result.e_n_pp,
-        e_n_mb=result.e_n_mb,
-        e_n_pb=result.e_n_pb,
-        stable=result.stable,
-        max_re_eig=result.max_re_eig,
-        abs_g_plus=abs(result.couplings.g_plus) / TWO_PI,
-        abs_g_minus=abs(result.couplings.g_minus) / TWO_PI,
-        theta=result.basis.theta,
-        delta_plus=result.basis.delta_plus / TWO_PI,
-        delta_minus=result.basis.delta_minus / TWO_PI,
-    )
-
-
-def _argmax_summary(result_records, axis_names):
-    best = None
-    for rec in result_records:
-        if rec.e_n_pp is not None and (best is None or rec.e_n_pp > best.e_n_pp):
-            best = rec
-    if best is None:
-        return None
-    out = dict(zip(axis_names, best.axis))
-    out["e_n_pp"] = best.e_n_pp
-    return out
-
-
-def evaluate_point(base: Baseline) -> SweepResult:
-    """Single evaluation of the baseline itself."""
-    rec = _record((), base.evaluate())
-    return SweepResult("point", (), (rec,), {})
-
-
-def sweep_theta(base: Baseline, axis: SweepAxis | None = None) -> SweepResult:
-    """E_N versus mixing angle at fixed sideband-matched splitting.
-
-    For every theta the pair (g, omega_c) is re-derived so the polariton
-    splitting stays at 2 omega_b and the drive sits midway, giving
-    delta_plus = -delta_minus = omega_b across the whole sweep.
+    ``defaults`` holds one default axis per axis line (None where the
+    axis must be given).  ``point_map(base, axes)`` returns the function
+    from one grid point (a tuple of axis values) to
+    :meth:`Baseline.evaluate` overrides; without it each axis value
+    times its unit factor overrides its line's field.
+    ``summary(base, axes, records)`` returns extra summary entries.
     """
-    axis = axis or THETA_AXIS
-    values = axis.values()
-    results = _map_points(lambda t: base.evaluate(theta=t * math.pi), values)
-    records = tuple(_record((v,), r) for v, r in zip(values, results))
-    names = ("theta_pi",)
-    return SweepResult("theta", names, records,
-                       {"argmax": _argmax_summary(records, names)})
+
+    axes: tuple[AxisLine, ...] = ()
+    defaults: tuple[SweepAxis | None, ...] = ()
+    point_map: Callable | None = None
+    summary: Callable | None = None
+
+    def overrides(self, base: Baseline, axes):
+        """The map from a grid point of ``axes`` to evaluate overrides."""
+        if self.point_map is not None:
+            return self.point_map(base, axes)
+        lines = self.axes
+        return lambda point: {line.field: v * UNIT_FACTORS[line.unit]
+                              for line, v in zip(lines, point)}
 
 
-def sweep_detuning(base: Baseline, axis: SweepAxis | None = None) -> SweepResult:
-    """E_N versus the symmetric polariton-drive detuning |Delta|.
+def _detuning_map(base, axes):
+    """|Delta|/2pi -> overrides for the symmetric polariton-drive detuning.
 
-    ``g`` is frozen at the baseline-theta solution while ``omega_c``
-    varies; the drive follows ``omega_0 = (omega_a + omega_c) / 2`` so
-    the detunings stay symmetric.  The axis is |Delta|/2pi in Hz and
-    cannot go below g/2pi (half the minimum splitting).
+    ``g`` is frozen at the baseline-geometry solution while ``omega_c``
+    varies on the baseline's side of ``omega_a``; the drive follows
+    ``omega_0 = (omega_a + omega_c) / 2`` so the detunings stay
+    symmetric.  |Delta| cannot go below g/2pi (half the minimum
+    splitting).
     """
-    axis = axis or DETUNING_AXIS
     if base.g is not None and base.omega_c is not None:
         g_fixed = base.g
         theta_ref = 0.5 * math.atan2(2.0 * g_fixed,
@@ -291,108 +256,46 @@ def sweep_detuning(base: Baseline, axis: SweepAxis | None = None) -> SweepResult
         g_fixed, _ = solve_g_omega_c_from_theta(base.theta, base.omega_a,
                                                 base.omega_b)
         theta_ref = base.theta
-    if TWO_PI * axis.start < g_fixed:
+    if TWO_PI * axes[0].start < g_fixed:
         raise ParameterError(
             f"detuning axis starts below the splitting floor g/2pi = "
             f"{g_fixed / TWO_PI:.6g} Hz")
-    # keep omega_c on the same side of omega_a as the baseline geometry
     side = -1.0 if theta_ref >= 0.25 * math.pi else 1.0
 
-    def point(delta_hz):
-        delta = TWO_PI * delta_hz
+    def overrides(point):
+        delta = TWO_PI * point[0]
         gap = math.sqrt(max(delta * delta - g_fixed * g_fixed, 0.0))
-        omega_c = base.omega_a - side * 2.0 * gap
-        return base.evaluate(g=g_fixed, omega_c=omega_c, omega_0=None)
-
-    values = axis.values()
-    results = _map_points(point, values)
-    records = tuple(_record((v,), r) for v, r in zip(values, results))
-    names = ("delta_abs_hz",)
-    return SweepResult("detuning", names, records,
-                       {"argmax": _argmax_summary(records, names)})
+        return {"g": g_fixed, "omega_c": base.omega_a - side * 2.0 * gap,
+                "omega_0": None}
+    return overrides
 
 
-def sweep_g_minus(base: Baseline, axis: SweepAxis | None = None) -> SweepResult:
-    """E_N versus the pinned coupling |G_-| at fixed geometry."""
-    axis = axis or G_MINUS_AXIS
-    values = axis.values()
-    results = _map_points(
-        lambda v: base.evaluate(target_g_minus=TWO_PI * v), values)
-    records = tuple(_record((v,), r) for v, r in zip(values, results))
-    names = ("g_minus_hz",)
-    summary = {"argmax": _argmax_summary(records, names)}
-    unstable = [v for v, r in zip(values, records) if not r.stable]
-    summary["first_unstable_g_minus_hz"] = float(min(unstable)) if unstable else None
-    return SweepResult("g_minus", names, records, summary)
+def _first_unstable(base, axes, records):
+    unstable = [rec.axis[0] for rec in records if not rec.stable]
+    return {"first_unstable_g_minus_hz": min(unstable) if unstable else None}
 
 
-def sweep_kappa_grid(base: Baseline, axis: SweepAxis | None = None,
-                     axis2: SweepAxis | None = None) -> SweepResult:
-    """E_N over the (kappa_a, kappa_c) plane at fixed geometry."""
-    axis = axis or KAPPA_AXIS
-    axis2 = axis2 or KAPPA_AXIS
-    grid = [(ka, kc) for ka in axis.values() for kc in axis2.values()]
-    results = _map_points(
-        lambda p: base.evaluate(kappa_a=TWO_PI * p[0], kappa_c=TWO_PI * p[1]),
-        grid)
-    records = tuple(_record(p, r) for p, r in zip(grid, results))
-    names = ("kappa_a_hz", "kappa_c_hz")
+def _entangled_area(base, axes, records):
     entangled = sum(1 for r in records
                     if r.e_n_pp is not None and r.e_n_pp > EN_THRESHOLD)
-    return SweepResult("kappa_grid", names, records, {
-        "argmax": _argmax_summary(records, names),
-        "entangled_area_fraction": entangled / len(records),
-    })
+    return {"entangled_area_fraction": entangled / len(records)}
 
 
-def sweep_temp_kappa_b(base: Baseline, axis: SweepAxis | None = None,
-                       axis2: SweepAxis | None = None) -> SweepResult:
-    """E_N over the (temperature, kappa_b) plane, with robustness thresholds.
+def _thresholds(base, axes, records):
+    """Robustness thresholds, each from a dedicated line.
 
-    Besides the grid itself, two dedicated lines extract the thresholds:
-    the smallest temperature with E_N below :data:`EN_THRESHOLD` at
-    kappa_b/2pi = 100 Hz, and the smallest kappa_b below threshold at
-    T = 10 mK.  A threshold is None when the grid axis never crosses it.
+    ``t_crit_mk`` is the smallest temperature with E_N below
+    :data:`EN_THRESHOLD` at kappa_b/2pi = 100 Hz, ``kappa_b_crit_hz``
+    the smallest kappa_b below it at T = 10 mK; None when the axis never
+    crosses.
     """
-    axis = axis or TEMPERATURE_AXIS
-    axis2 = axis2 or KAPPA_B_AXIS
-    grid = [(t, kb) for t in axis.values() for kb in axis2.values()]
-    results = _map_points(
-        lambda p: base.evaluate(temperature=p[0] * 1e-3,
-                                kappa_b=TWO_PI * p[1]),
-        grid)
-    records = tuple(_record(p, r) for p, r in zip(grid, results))
-    names = ("temperature_mk", "kappa_b_hz")
-
-    t_line = _map_points(
-        lambda t: base.evaluate(temperature=t * 1e-3, kappa_b=TWO_PI * 100.0),
-        axis.values())
-    kb_line = _map_points(
-        lambda kb: base.evaluate(temperature=0.010, kappa_b=TWO_PI * kb),
-        axis2.values())
-    summary = {
-        "argmax": _argmax_summary(records, names),
-        "t_crit_mk": _first_below(axis.values(), t_line),
-        "kappa_b_crit_hz": _first_below(axis2.values(), kb_line),
-    }
-    return SweepResult("temp_kappa_b", names, records, summary)
-
-
-def sweep_generic(base: Baseline, param: str,
-                  axis: SweepAxis) -> SweepResult:
-    """Sweep a single named baseline parameter over an explicit axis."""
-    if param not in GENERIC_PARAMS:
-        raise ParameterError(
-            f"cannot sweep {param!r}; choose from {sorted(GENERIC_PARAMS)}")
-    column, field_name, convert = GENERIC_PARAMS[param]
-    values = axis.values()
-    results = _map_points(
-        lambda v: base.evaluate(**{field_name: convert(v)}), values)
-    records = tuple(_record((v,), r) for v, r in zip(values, results))
-    names = (column,)
-    return SweepResult("generic", names, records,
-                       {"param": param,
-                        "argmax": _argmax_summary(records, names)})
+    temps, kappa_bs = (axis.values() for axis in axes)
+    t_line = [base.evaluate(temperature=t * 1e-3, kappa_b=TWO_PI * 100.0)
+              for t in temps]
+    kb_line = [base.evaluate(temperature=0.010, kappa_b=TWO_PI * kb)
+               for kb in kappa_bs]
+    return {"t_crit_mk": _first_below(temps, t_line),
+            "kappa_b_crit_hz": _first_below(kappa_bs, kb_line)}
 
 
 def _first_below(axis_values, results, threshold=EN_THRESHOLD):
@@ -403,23 +306,87 @@ def _first_below(axis_values, results, threshold=EN_THRESHOLD):
     return None
 
 
+#: every sweep kind, in listing order
+SWEEPS = {
+    "point": SweepKind(),
+    # theta re-derives (g, omega_c) so the splitting stays at 2 omega_b
+    # and delta_plus = -delta_minus = omega_b across the whole sweep
+    "theta": SweepKind((GENERIC_PARAMS["theta"],), (SweepAxis(0.26, 0.49, 200),)),
+    "detuning": SweepKind((AxisLine("delta_abs_hz", None, "Hz"),),
+                          (SweepAxis(6e6, 14e6, 33),), point_map=_detuning_map),
+    "g_minus": SweepKind((GENERIC_PARAMS["g_minus"],),
+                         (SweepAxis(0.0, 6e6, 200),), summary=_first_unstable),
+    "kappa_grid": SweepKind((GENERIC_PARAMS["kappa_a"], GENERIC_PARAMS["kappa_c"]),
+                            (SweepAxis(1e5, 1e7, 60, "log"),) * 2,
+                            summary=_entangled_area),
+    "temp_kappa_b": SweepKind(
+        (GENERIC_PARAMS["temperature"], GENERIC_PARAMS["kappa_b"]),
+        (SweepAxis(1.0, 500.0, 60), SweepAxis(1e2, 1e6, 60, "log")),
+        summary=_thresholds),
+    # one explicit axis over the baseline field named by SweepSpec.param
+    "generic": SweepKind(),
+}
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Which sweep to run and on what grid (None axes take defaults)."""
+
+    kind: str = "theta"
+    axis: SweepAxis | None = None
+    axis2: SweepAxis | None = None
+    param: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in SWEEPS:
+            raise ParameterError(
+                f"unknown sweep kind {self.kind!r}; choose from {tuple(SWEEPS)}")
+        if self.kind != "generic":
+            if self.param is not None:
+                raise ParameterError("'param' is only valid for generic sweeps")
+        elif self.param is None:
+            raise ParameterError("generic sweeps need a param name")
+        elif self.param not in GENERIC_PARAMS:
+            raise ParameterError(
+                f"cannot sweep {self.param!r}; choose from {sorted(GENERIC_PARAMS)}")
+
+    def sweep_kind(self) -> SweepKind:
+        """The registry entry; a generic sweep gets its axis from ``param``."""
+        if self.kind != "generic":
+            return SWEEPS[self.kind]
+        param = self.param
+        return SweepKind((GENERIC_PARAMS[param],), (None,),
+                         summary=lambda *_: {"param": param})
+
+    def resolved_axes(self) -> tuple[SweepAxis, ...]:
+        """One axis per axis line: the given one, else the kind's default."""
+        defaults = self.sweep_kind().defaults
+        axes = tuple(given or default for given, default
+                     in zip((self.axis, self.axis2), defaults))
+        if None in axes:
+            raise ParameterError(f"{self.kind} sweeps need an explicit axis")
+        return axes
+
+
+def grid(axes):
+    """Grid points of ``axes`` in emission order (last axis fastest)."""
+    return list(product(*(axis.values() for axis in axes)))
+
+
 def run_sweep(base: Baseline, spec: SweepSpec) -> SweepResult:
-    """Dispatch a sweep spec to its implementation."""
-    if spec.kind == "point":
-        return evaluate_point(base)
-    if spec.kind == "theta":
-        return sweep_theta(base, spec.axis)
-    if spec.kind == "detuning":
-        return sweep_detuning(base, spec.axis)
-    if spec.kind == "g_minus":
-        return sweep_g_minus(base, spec.axis)
-    if spec.kind == "kappa_grid":
-        return sweep_kappa_grid(base, spec.axis, spec.axis2)
-    if spec.kind == "temp_kappa_b":
-        return sweep_temp_kappa_b(base, spec.axis, spec.axis2)
-    if spec.param not in GENERIC_PARAMS:
-        raise ParameterError(
-            f"cannot sweep {spec.param!r}; choose from {sorted(GENERIC_PARAMS)}")
-    if spec.axis is None:
-        raise ParameterError("generic sweeps need an explicit axis")
-    return sweep_generic(base, spec.param, spec.axis)
+    """Evaluate every grid point of ``spec`` in order, then summarize it."""
+    kind = spec.sweep_kind()
+    axes = spec.resolved_axes()
+    overrides = kind.overrides(base, axes)
+    records = tuple(
+        SweepRecord.from_result(point, base.evaluate(**overrides(point)))
+        for point in grid(axes))
+    names = tuple(line.column for line in kind.axes)
+    result = SweepResult(spec.kind, names, records, {})
+    if names:
+        best = result.argmax()
+        result.summary["argmax"] = None if best is None else {
+            **dict(zip(names, best.axis)), "e_n_pp": best.e_n_pp}
+    if kind.summary is not None:
+        result.summary.update(kind.summary(base, axes, records))
+    return result

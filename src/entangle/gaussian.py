@@ -13,7 +13,7 @@ conditioning; the covariance matrix itself is dimensionless either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,10 @@ def symplectic_form(n_modes):
 class GaussianState:
     """Steady-state Gaussian state of the three-mode fluctuations.
 
-    ``cov`` is the 6x6 covariance matrix (vacuum = identity/2),
-    ``max_re_eig`` the largest real part of the drift spectrum in rad/s.
+    ``cov`` is the 6x6 covariance matrix (vacuum = identity/2).
     """
 
     cov: np.ndarray
-    stable: bool = True
-    max_re_eig: float = field(default=-np.inf)
 
     def __post_init__(self):
         V = np.asarray(self.cov, dtype=float)

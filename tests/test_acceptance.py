@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from entangle.cli import main
+from entangle.cli import emit_records, main
 from entangle.experiments import (
     EN_THRESHOLD,
+    SWEEPS,
     SweepAxis,
+    SweepRecord,
+    SweepResult,
+    SweepSpec,
     default_baseline,
-    sweep_detuning,
-    sweep_g_minus,
-    sweep_temp_kappa_b,
-    sweep_theta,
+    grid,
+    run_sweep,
 )
 from entangle.gaussian import (
     characteristic_polynomial,
@@ -55,35 +57,39 @@ def base():
 @pytest.fixture(scope="module")
 def theta_sweep_timed(base):
     start = time.perf_counter()
-    sweep = sweep_theta(base)  # default grid: 200 points on [0.26, 0.49] pi
+    # default grid: 200 points on [0.26, 0.49] pi
+    sweep = run_sweep(base, SweepSpec("theta"))
     return sweep, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def wide_theta_sweep(base):
-    return sweep_theta(base, SweepAxis(0.06, 0.49, 100))
+    return run_sweep(base, SweepSpec("theta", SweepAxis(0.06, 0.49, 100)))
 
 
 @pytest.fixture(scope="module")
 def detuning_sweep(base):
-    return sweep_detuning(base)  # default grid: 33 points on [6, 14] MHz
+    # default grid: 33 points on [6, 14] MHz
+    return run_sweep(base, SweepSpec("detuning"))
 
 
 @pytest.fixture(scope="module")
 def g_minus_sweep(base):
-    return sweep_g_minus(base)  # default grid: 200 points on [0, 6] MHz
+    # default grid: 200 points on [0, 6] MHz
+    return run_sweep(base, SweepSpec("g_minus"))
 
 
 @pytest.fixture(scope="module")
 def temp_sweep(base):
-    return sweep_temp_kappa_b(base)  # default 60 x 60 grid
+    return run_sweep(base, SweepSpec("temp_kappa_b"))  # default 60 x 60 grid
 
 
 @pytest.fixture(scope="module")
 def kappa_b_line_sweep(base):
     # the temperature axis starts at 10 mK, so the first grid row is the
     # kappa_b line that kappa_b_crit_hz searches, here run to 1e8 Hz
-    return sweep_temp_kappa_b(base, SweepAxis(10.0, 500.0, 2), KAPPA_B_LINE)
+    return run_sweep(base, SweepSpec("temp_kappa_b", SweepAxis(10.0, 500.0, 2),
+                                     KAPPA_B_LINE))
 
 
 def test_criterion_1_theta_optimum(theta_sweep_timed):
@@ -310,35 +316,19 @@ def test_criterion_8_entanglement_measure_suite(
     invariance_ok = worst_dev < 1e-9
 
     # physicality of every stable point of every acceptance sweep,
-    # re-evaluating the same parameter maps the sweeps used
+    # re-evaluated through the point map of its registry kind (of these
+    # maps only the detuning one reads its axes, for the splitting floor)
     worst_phys = 0.0
     checked = 0
-    for rec in (theta_sweep_timed[0].records + wide_theta_sweep.records):
-        if rec.stable:
-            res = base.evaluate(theta=rec.axis[0] * math.pi)
-            worst_phys = min(worst_phys, min_physicality_eig(res.state.cov))
-            checked += 1
-    g_fixed, _ = solve_g_omega_c_from_theta(base.theta, base.omega_a,
-                                            base.omega_b)
-    for rec in detuning_sweep.records:
-        if rec.stable:
-            delta = TWO_PI * rec.axis[0]
-            gap = math.sqrt(max(delta ** 2 - g_fixed ** 2, 0.0))
-            res = base.evaluate(g=g_fixed, omega_c=base.omega_a + 2.0 * gap,
-                                omega_0=None)
-            worst_phys = min(worst_phys, min_physicality_eig(res.state.cov))
-            checked += 1
-    for rec in g_minus_sweep.records:
-        if rec.stable:
-            res = base.evaluate(target_g_minus=TWO_PI * rec.axis[0])
-            worst_phys = min(worst_phys, min_physicality_eig(res.state.cov))
-            checked += 1
-    for rec in temp_sweep.records:
-        if rec.stable:
-            res = base.evaluate(temperature=rec.axis[0] * 1e-3,
-                                kappa_b=TWO_PI * rec.axis[1])
-            worst_phys = min(worst_phys, min_physicality_eig(res.state.cov))
-            checked += 1
+    for sweep in (theta_sweep_timed[0], wide_theta_sweep, detuning_sweep,
+                  g_minus_sweep, temp_sweep):
+        kind = SWEEPS[sweep.kind]
+        overrides = kind.overrides(base, kind.defaults)
+        for rec in sweep.records:
+            if rec.stable:
+                res = base.evaluate(**overrides(rec.axis))
+                worst_phys = min(worst_phys, min_physicality_eig(res.state.cov))
+                checked += 1
     phys_ok = worst_phys >= -1e-8
 
     ok = vacuum_ok and tmsv_ok and invariance_ok and phys_ok
@@ -350,18 +340,24 @@ def test_criterion_8_entanglement_measure_suite(
     assert vacuum_ok and tmsv_ok and invariance_ok and phys_ok
 
 
-def test_criterion_9_worker_count_determinism(tmp_path, monkeypatch):
+def test_criterion_9_evaluation_order_determinism(base, tmp_path):
     args = ["run", "/dev/null", "--set", "sweep.kind=theta"]
-    monkeypatch.setenv("ENTANGLE_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "w1")]) == 0
-    monkeypatch.setenv("ENTANGLE_THREADS", "4")
-    assert main(args + ["--out", str(tmp_path / "w4")]) == 0
-    monkeypatch.setenv("ENTANGLE_THREADS", "8")
-    assert main(args + ["--out", str(tmp_path / "w8")]) == 0
-    rec1 = (tmp_path / "w1" / "records.csv").read_bytes()
-    rec4 = (tmp_path / "w4" / "records.csv").read_bytes()
-    rec8 = (tmp_path / "w8" / "records.csv").read_bytes()
-    ok = rec1 == rec4 == rec8
-    report(9, "byte-identical records across worker counts", ok,
-           f"{len(rec1)} bytes")
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    rec_a = (tmp_path / "a" / "records.csv").read_bytes()
+    rec_b = (tmp_path / "b" / "records.csv").read_bytes()
+
+    # the same grid, evaluated point by point in reverse order
+    theta = SWEEPS["theta"]
+    overrides = theta.overrides(base, theta.defaults)
+    points = grid(theta.defaults)
+    results = [base.evaluate(**overrides(point)) for point in reversed(points)]
+    records = tuple(SweepRecord.from_result(point, result)
+                    for point, result in zip(points, reversed(results)))
+    names = tuple(line.column for line in theta.axes)
+    rec_rev = emit_records(SweepResult("theta", names, records, {})).encode()
+
+    ok = rec_a == rec_b == rec_rev
+    report(9, "byte-identical records across runs and evaluation order", ok,
+           f"{len(rec_a)} bytes")
     assert ok

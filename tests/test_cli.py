@@ -15,7 +15,14 @@ from entangle.config import (
     parse_config,
 )
 from entangle.errors import ConfigError
-from entangle.experiments import default_baseline
+from entangle.experiments import (
+    GENERIC_PARAMS,
+    SWEEPS,
+    SweepAxis,
+    SweepSpec,
+    default_baseline,
+    run_sweep,
+)
 
 GOLDEN_HEADER = ("theta_pi,e_n_pp,e_n_mb,e_n_pb,stable,max_re_eig,"
                  "abs_g_plus,abs_g_minus,theta,delta_plus,delta_minus")
@@ -140,6 +147,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot sweep"):
             parse_config("[sweep]\nkind = generic\nparam = hubble\n")
 
+    @pytest.mark.parametrize("param", ["kappa_b", "omega_a", "omega_b"])
+    def test_generic_axis_validated_like_its_param(self, param):
+        with pytest.raises(ConfigError, match="line 4.*must be positive"):
+            parse_config(f"[sweep]\nkind = generic\nparam = {param}\n"
+                         "start = 0 Hz\nstop = 1 MHz\ncount = 3\n")
+
+    @pytest.mark.parametrize("kind,key", [
+        ("theta", "count2"), ("theta", "scale2"), ("g_minus", "start2"),
+        ("detuning", "stop2"), ("point", "count"), ("point", "scale"),
+    ])
+    def test_axis_key_of_missing_axis_rejected(self, kind, key):
+        value = "log" if key.startswith("scale") else "3"
+        with pytest.raises(ConfigError, match="line 3.*does not apply"):
+            parse_config(f"[sweep]\nkind = {kind}\n{key} = {value}\n")
+
     def test_overrides_win_over_file(self):
         cfg = parse_config("[params]\nkappa_a = 1 MHz\n",
                            overrides=[("params.kappa_a", "3 MHz")])
@@ -188,6 +210,36 @@ class TestEchoRoundTrip:
             "start = 1 mK\nstop = 400 mK\ncount = 30\n"
             "start2 = 100 Hz\nstop2 = 1 MHz\ncount2 = 20\nscale2 = log\n")
         assert parse_config(echo_config(cfg)) == cfg
+
+
+def _registry_cases():
+    for kind in SWEEPS:
+        if kind != "generic":
+            yield kind, None
+    for param in GENERIC_PARAMS:
+        yield "generic", param
+
+
+#: sample axis endpoints per reporting unit
+_ENDPOINTS = {"pi": (0.3, 0.45), "Hz": (2e5, 3e6), "mK": (5.0, 250.0)}
+
+
+@pytest.mark.parametrize("kind,param", list(_registry_cases()))
+def test_registry_round_trip(kind, param):
+    text = f"[sweep]\nkind = {kind}\n" + (f"param = {param}\n" if param else "")
+    expected = []
+    for line, suffix in zip(SweepSpec(kind, param=param).sweep_kind().axes,
+                            ("", "2")):
+        start, stop = _ENDPOINTS[line.unit]
+        text += (f"start{suffix} = {start} {line.unit}\n"
+                 f"stop{suffix} = {stop} {line.unit}\n"
+                 f"count{suffix} = 7\nscale{suffix} = log\n")
+        expected.append(f"start{suffix} = {start!r} {line.unit}")
+    cfg = parse_config(text)
+    echoed = echo_config(cfg)
+    assert parse_config(echoed) == cfg
+    assert all(entry in echoed.splitlines() for entry in expected)
+    assert len(cfg.sweep_spec().sweep_kind().axes) == len(expected)
 
 
 class TestEmission:
@@ -244,16 +296,6 @@ class TestEmission:
         rec_b = (tmp_path / "b" / "records.csv").read_bytes()
         assert rec_a == rec_b
 
-    def test_worker_count_does_not_change_records(self, tmp_path, monkeypatch):
-        args = ["run", "/dev/null", "--set", "sweep.count=16",
-                "--set", "sweep.start=0.3pi", "--set", "sweep.stop=0.44pi"]
-        monkeypatch.setenv("ENTANGLE_THREADS", "1")
-        main(args + ["--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("ENTANGLE_THREADS", "5")
-        main(args + ["--out", str(tmp_path / "threads")])
-        assert ((tmp_path / "serial" / "records.csv").read_bytes()
-                == (tmp_path / "threads" / "records.csv").read_bytes())
-
     def test_resolved_config_echo_parses_back(self, tmp_path):
         main(["run", "/dev/null", "--out", str(tmp_path),
               "--set", "sweep.count=5", "--set", "sweep.start=0.38pi",
@@ -286,11 +328,9 @@ class TestEmission:
         assert float(first_rows[0].split()[0]) == pytest.approx(0.2)
 
     def test_plot_data_matrix_two_dimensional(self):
-        from entangle.experiments import SweepAxis, default_baseline, \
-            sweep_kappa_grid
-        grid = sweep_kappa_grid(default_baseline(),
-                                SweepAxis(5e5, 2e6, 3, "log"),
-                                SweepAxis(5e5, 2e6, 4, "log"))
+        grid = run_sweep(default_baseline(),
+                         SweepSpec("kappa_grid", SweepAxis(5e5, 2e6, 3, "log"),
+                                   SweepAxis(5e5, 2e6, 4, "log")))
         dat = emit_plot_data(grid)
         block = dat.split("\n\n\n")[0].splitlines()
         header = block[1].split()
@@ -298,8 +338,8 @@ class TestEmission:
         assert len(block) == 2 + 3  # comment + axis row + 3 data rows
 
     def test_precision_applies_to_plot_data(self):
-        from entangle.experiments import SweepAxis, default_baseline, sweep_theta
-        sweep = sweep_theta(default_baseline(), SweepAxis(0.38, 0.42, 3))
+        sweep = run_sweep(default_baseline(),
+                          SweepSpec("theta", SweepAxis(0.38, 0.42, 3)))
         dat = emit_plot_data(sweep, precision=3)
         row = [ln for ln in dat.splitlines() if ln and not ln.startswith("#")][0]
         for token in row.split():
@@ -319,6 +359,12 @@ class TestExitCodes:
 
     def test_bad_override_exits_2(self, capsys):
         assert main(["point", "--set", "params.kappa_a=-1MHz"]) == 2
+
+    def test_zero_rate_generic_axis_exits_2(self, capsys):
+        code = main(["run", "/dev/null", "--set", "sweep.kind=generic",
+                     "--set", "sweep.param=kappa_b", "--set", "sweep.start=0Hz"])
+        assert code == 2
+        assert "value must be positive" in capsys.readouterr().err
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import entangle.cli as cli_mod
@@ -347,8 +393,7 @@ class TestExitCodes:
 
 class TestEmitRecordsUnits:
     def test_point_units_consistent(self):
-        from entangle.experiments import evaluate_point, default_baseline
-        result = evaluate_point(default_baseline())
+        result = run_sweep(default_baseline(), SweepSpec("point"))
         text = emit_records(result)
         header, row = text.splitlines()
         cells = dict(zip(header.split(","), row.split(",")))

@@ -1,7 +1,6 @@
 """Sweep behaviors: optima, instability regions, robustness thresholds."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,18 +8,13 @@ import pytest
 from entangle.errors import ParameterError
 from entangle.experiments import (
     EN_THRESHOLD,
-    Baseline,
+    SWEEPS,
     SweepAxis,
+    SweepRecord,
     SweepSpec,
-    evaluate_point,
     default_baseline,
+    grid,
     run_sweep,
-    sweep_detuning,
-    sweep_g_minus,
-    sweep_generic,
-    sweep_kappa_grid,
-    sweep_temp_kappa_b,
-    sweep_theta,
 )
 from entangle.model import TWO_PI
 
@@ -34,23 +28,23 @@ def base():
 
 @pytest.fixture(scope="module")
 def theta_sweep(base):
-    return sweep_theta(base)
+    return run_sweep(base, SweepSpec("theta"))
 
 
 @pytest.fixture(scope="module")
 def detuning_sweep(base):
-    return sweep_detuning(base)
+    return run_sweep(base, SweepSpec("detuning"))
 
 
 @pytest.fixture(scope="module")
 def g_minus_sweep(base):
-    return sweep_g_minus(base)
+    return run_sweep(base, SweepSpec("g_minus"))
 
 
 @pytest.fixture(scope="module")
 def temp_sweep(base):
-    return sweep_temp_kappa_b(base, SweepAxis(1.0, 500.0, 40),
-                              SweepAxis(1e2, 1e6, 25, "log"))
+    return run_sweep(base, SweepSpec("temp_kappa_b", SweepAxis(1.0, 500.0, 40),
+                                     SweepAxis(1e2, 1e6, 25, "log")))
 
 
 class TestSweepAxis:
@@ -84,7 +78,7 @@ class TestThetaSweep:
         assert abs(argmax["theta_pi"] - 0.40) <= 0.02
 
     def test_small_angles_unstable(self, base):
-        sweep = sweep_theta(base, SweepAxis(0.06, 0.49, 100))
+        sweep = run_sweep(base, SweepSpec("theta", SweepAxis(0.06, 0.49, 100)))
         for rec in sweep.records:
             if rec.axis[0] <= 0.25:
                 assert not rec.stable, f"theta = {rec.axis[0]} pi"
@@ -107,8 +101,8 @@ class TestThetaSweep:
             assert rec.delta_minus == pytest.approx(-10e6, rel=1e-6)
 
     def test_refinement_moves_argmax_at_most_one_coarse_step(self, base):
-        coarse = sweep_theta(base, SweepAxis(0.30, 0.46, 50))
-        fine = sweep_theta(base, SweepAxis(0.30, 0.46, 99))
+        coarse = run_sweep(base, SweepSpec("theta", SweepAxis(0.30, 0.46, 50)))
+        fine = run_sweep(base, SweepSpec("theta", SweepAxis(0.30, 0.46, 99)))
         step = 0.16 / 49
         moved = abs(coarse.summary["argmax"]["theta_pi"]
                     - fine.summary["argmax"]["theta_pi"])
@@ -137,13 +131,13 @@ class TestDetuningSweep:
         assert detuning_sweep.records[0].e_n_pp < 0.5 * peak
 
     def test_large_detuning_unstable_tail(self, base):
-        wide = sweep_detuning(base, SweepAxis(6e6, 35e6, 59))
+        wide = run_sweep(base, SweepSpec("detuning", SweepAxis(6e6, 35e6, 59)))
         assert not wide.records[-1].stable
         assert any(not rec.stable for rec in wide.records[-8:])
 
     def test_axis_below_splitting_floor_rejected(self, base):
         with pytest.raises(ParameterError):
-            sweep_detuning(base, SweepAxis(1e6, 14e6, 20))
+            run_sweep(base, SweepSpec("detuning", SweepAxis(1e6, 14e6, 20)))
 
     def test_explicit_geometry_keeps_pinned_coupling(self, base):
         from dataclasses import replace
@@ -151,8 +145,9 @@ class TestDetuningSweep:
         g, omega_c = solve_g_omega_c_from_theta(
             0.40 * math.pi, base.omega_a, base.omega_b)
         pinned = replace(base, g=g, omega_c=omega_c, theta=0.1)
-        sweep = sweep_detuning(pinned, SweepAxis(9.5e6, 10.5e6, 5))
-        reference = sweep_detuning(base, SweepAxis(9.5e6, 10.5e6, 5))
+        spec = SweepSpec("detuning", SweepAxis(9.5e6, 10.5e6, 5))
+        sweep = run_sweep(pinned, spec)
+        reference = run_sweep(base, spec)
         assert sweep.records == reference.records
 
     def test_symmetric_detunings(self, detuning_sweep):
@@ -187,9 +182,9 @@ class TestKappaGridSweep:
     def test_balanced_point_reproduces_theta_optimum(self, base):
         # a kappa grid containing (1 MHz, 1 MHz) exactly, against the
         # theta sweep evaluated exactly at 0.40 pi
-        grid = sweep_kappa_grid(base, SweepAxis(1e5, 1e7, 21, "log"),
-                                SweepAxis(1e5, 1e7, 21, "log"))
-        theta = sweep_theta(base, SweepAxis(0.26, 0.49, 24))
+        kappa = SweepAxis(1e5, 1e7, 21, "log")
+        grid = run_sweep(base, SweepSpec("kappa_grid", kappa, kappa))
+        theta = run_sweep(base, SweepSpec("theta", SweepAxis(0.26, 0.49, 24)))
         at_balanced = [r for r in grid.records
                        if r.axis[0] == pytest.approx(1e6, rel=1e-12)
                        and r.axis[1] == pytest.approx(1e6, rel=1e-12)]
@@ -201,8 +196,8 @@ class TestKappaGridSweep:
             at_theta[0].e_n_pp, rel=1e-12)
 
     def test_wide_entangled_area(self, base):
-        grid = sweep_kappa_grid(base, SweepAxis(1e5, 1e7, 12, "log"),
-                                SweepAxis(1e5, 1e7, 12, "log"))
+        kappa = SweepAxis(1e5, 1e7, 12, "log")
+        grid = run_sweep(base, SweepSpec("kappa_grid", kappa, kappa))
         assert grid.summary["entangled_area_fraction"] > 0.5
         assert len(grid.records) == 144
 
@@ -243,8 +238,8 @@ class TestTempKappaBSweep:
         # so no threshold lies in the reported [5e4, 2e5] Hz window: the
         # window is checked as a survival range, and the threshold on a
         # line long enough to reach it.
-        sweep = sweep_temp_kappa_b(base, SweepAxis(10.0, 500.0, 2),
-                                   KAPPA_B_LINE)
+        sweep = run_sweep(base, SweepSpec("temp_kappa_b", SweepAxis(10.0, 500.0, 2),
+                                          KAPPA_B_LINE))
         line = [r for r in sweep.records if r.axis[0] == 10.0]
         assert len(line) == KAPPA_B_LINE.count
         assert all(r.stable for r in line)
@@ -261,8 +256,10 @@ class TestTempKappaBSweep:
 
     def test_threshold_refinement_within_one_coarse_step(self, base):
         kb_axis = SweepAxis(1e2, 2e2, 2, "log")
-        coarse = sweep_temp_kappa_b(base, SweepAxis(150.0, 350.0, 21), kb_axis)
-        fine = sweep_temp_kappa_b(base, SweepAxis(150.0, 350.0, 41), kb_axis)
+        coarse = run_sweep(base, SweepSpec("temp_kappa_b",
+                                           SweepAxis(150.0, 350.0, 21), kb_axis))
+        fine = run_sweep(base, SweepSpec("temp_kappa_b",
+                                         SweepAxis(150.0, 350.0, 41), kb_axis))
         step = 200.0 / 20
         assert abs(coarse.summary["t_crit_mk"]
                    - fine.summary["t_crit_mk"]) <= step + 1e-9
@@ -271,7 +268,7 @@ class TestTempKappaBSweep:
 class TestGenericSweep:
     def test_matches_dedicated_kappa_b_line(self, base):
         axis = SweepAxis(1e2, 1e5, 7, "log")
-        sweep = sweep_generic(base, "kappa_b", axis)
+        sweep = run_sweep(base, SweepSpec("generic", axis, param="kappa_b"))
         assert sweep.axis_names == ("kappa_b_hz",)
         for rec in sweep.records:
             direct = base.evaluate(kappa_b=TWO_PI * rec.axis[0])
@@ -279,7 +276,7 @@ class TestGenericSweep:
 
     def test_unknown_param_rejected(self, base):
         with pytest.raises(ParameterError):
-            sweep_generic(base, "lattice_constant", SweepAxis(1.0, 2.0, 3))
+            SweepSpec("generic", SweepAxis(1.0, 2.0, 3), param="lattice_constant")
 
 
 class TestRunSweepDispatch:
@@ -299,11 +296,16 @@ class TestRunSweepDispatch:
 
 
 class TestDeterminism:
-    def test_records_independent_of_worker_count(self, base, monkeypatch):
-        axis = SweepAxis(0.30, 0.45, 40)
-        monkeypatch.setenv("ENTANGLE_THREADS", "1")
-        serial = sweep_theta(base, axis)
-        monkeypatch.setenv("ENTANGLE_THREADS", "4")
-        threaded = sweep_theta(base, axis)
-        assert serial.records == threaded.records
-        assert serial.summary == threaded.summary
+    def test_records_independent_of_evaluation_order(self, base):
+        spec = SweepSpec("theta", SweepAxis(0.30, 0.45, 40))
+        first = run_sweep(base, spec)
+        second = run_sweep(base, spec)
+        assert first.records == second.records
+        assert first.summary == second.summary
+
+        theta = SWEEPS["theta"]
+        overrides = theta.overrides(base, (spec.axis,))
+        points = grid((spec.axis,))
+        backwards = [SweepRecord.from_result(p, base.evaluate(**overrides(p)))
+                     for p in reversed(points)]
+        assert first.records == tuple(reversed(backwards))

@@ -391,12 +391,12 @@ class TestGaussianState:
         V = 0.5 * np.eye(6)
         V[0, 1] = 1e-3
         with pytest.raises(InvalidStateError):
-            GaussianState(V, stable=True, max_re_eig=-1.0)
+            GaussianState(V)
 
     def test_shape_enforced(self):
         with pytest.raises(ParameterError):
-            GaussianState(np.eye(4), stable=True, max_re_eig=-1.0)
+            GaussianState(np.eye(4))
 
     def test_physicality_helper(self):
-        state = GaussianState(0.5 * np.eye(6), stable=True, max_re_eig=-1.0)
+        state = GaussianState(0.5 * np.eye(6))
         assert state.physicality_min_eig() >= -1e-12
