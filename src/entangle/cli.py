@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .config import RunConfig, echo_config, parse_config
-from .errors import ConfigError, EntangleError
+from .errors import ConfigError, EntangleError, ParameterError
 
 #: frozen record column order (after the per-sweep axis columns)
 RECORD_COLUMNS = ("e_n_pp", "e_n_mb", "e_n_pb", "stable", "max_re_eig",
@@ -155,8 +155,15 @@ def _load_config(path, overrides, out_dir):
 
 
 def _execute(cfg: RunConfig) -> int:
+    base, spec = cfg.baseline(), cfg.sweep_spec()
+    try:
+        # axes the baseline cannot realize, such as a detuning axis below
+        # the splitting floor, are a mistake in the config
+        spec.sweep_kind().overrides(base, spec.resolved_axes())
+    except ParameterError as exc:
+        raise ConfigError(f"invalid sweep block: {exc}") from exc
     start = time.perf_counter()
-    result = experiments.run_sweep(cfg.baseline(), cfg.sweep_spec())
+    result = experiments.run_sweep(base, spec)
     elapsed = time.perf_counter() - start
     try:
         write_outputs(result, cfg, cfg.output.directory, elapsed)

@@ -366,6 +366,17 @@ class TestExitCodes:
         assert code == 2
         assert "value must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start", ["1MHz", "-7MHz"])
+    def test_detuning_axis_below_floor_exits_2(self, start, tmp_path, capsys):
+        code = main(["run", "/dev/null", "--out", str(tmp_path),
+                     "--set", "sweep.kind=detuning", "--set", f"sweep.start={start}",
+                     "--set", "sweep.stop=14MHz", "--set", "sweep.count=5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "splitting floor" in err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import entangle.cli as cli_mod
         from entangle.errors import NumericalError

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from entangle import experiments
+from entangle.cli import emit_records
 from entangle.errors import ParameterError
 from entangle.experiments import (
     EN_THRESHOLD,
@@ -294,6 +296,18 @@ class TestRunSweepDispatch:
         with pytest.raises(ParameterError):
             SweepSpec(kind="volume")
 
+    @pytest.mark.parametrize("kind, axis, axis2, param, extra", [
+        ("theta", SweepAxis(0.3, 0.4, 3), SweepAxis(1, 2, 3), None, "axis2"),
+        ("g_minus", None, SweepAxis(1, 2, 3), None, "axis2"),
+        ("generic", SweepAxis(1, 2, 3), SweepAxis(1, 2, 3), "kappa_b", "axis2"),
+        ("point", SweepAxis(0.3, 0.4, 3), None, None, "axis"),
+        ("point", None, SweepAxis(0.3, 0.4, 3), None, "axis2"),
+    ])
+    def test_axis_beyond_the_kind_rejected(self, base, kind, axis, axis2,
+                                           param, extra):
+        with pytest.raises(ParameterError, match=f"'{extra}' does not apply"):
+            run_sweep(base, SweepSpec(kind, axis, axis2, param=param))
+
 
 class TestDeterminism:
     def test_records_independent_of_evaluation_order(self, base):
@@ -309,3 +323,56 @@ class TestDeterminism:
         backwards = [SweepRecord.from_result(p, base.evaluate(**overrides(p)))
                      for p in reversed(points)]
         assert first.records == tuple(reversed(backwards))
+
+
+#: small grids of every kind whose records depend on the stacked path;
+#: theta and g_minus cross into instability
+SMALL_GRIDS = {
+    "theta": SweepSpec("theta", SweepAxis(0.26, 0.49, 23)),
+    "g_minus": SweepSpec("g_minus", SweepAxis(0.0, 6e6, 19)),
+    "kappa_grid": SweepSpec("kappa_grid", SweepAxis(1e5, 1e7, 5, "log"),
+                            SweepAxis(1e5, 1e7, 4, "log")),
+    "temp_kappa_b": SweepSpec("temp_kappa_b", SweepAxis(1.0, 500.0, 5),
+                              SweepAxis(1e2, 1e6, 4, "log")),
+}
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("kind", SMALL_GRIDS)
+    def test_records_csv_independent_of_chunk_size(self, base, kind, monkeypatch):
+        spec = SMALL_GRIDS[kind]
+        size = len(grid(spec.resolved_axes()))
+        outputs = set()
+        for chunk in (1, 7, size + 1):
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk)
+            result = run_sweep(base, spec)
+            outputs.add((emit_records(result), repr(result.summary)))
+        assert len(outputs) == 1
+
+    def test_sweep_records_equal_point_evaluations(self, base):
+        spec = SMALL_GRIDS["g_minus"]
+        sweep = run_sweep(base, spec)
+        overrides = SWEEPS["g_minus"].overrides(base, spec.resolved_axes())
+        assert any(not rec.stable for rec in sweep.records)
+        for rec in sweep.records:
+            point = base.evaluate(**overrides(rec.axis))
+            assert rec == SweepRecord.from_result(rec.axis, point)
+
+    def test_stacked_results_equal_point_results_bitwise(self, base, monkeypatch):
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 4)
+        overrides = [{"theta": t * math.pi, "target_g_minus": TWO_PI * g}
+                     for t in (0.27, 0.33, 0.40, 0.46) for g in (0.0, 2e6, 5e6)]
+        stacked = list(base.evaluate_all(overrides))
+        assert len(stacked) == len(overrides)
+        assert {res.stable for res in stacked} == {True, False}
+        for ov, many in zip(overrides, stacked):
+            one = base.evaluate(**ov)
+            assert (many.stable, many.max_re_eig, many.drive_strength,
+                    many.e_n_pp, many.e_n_mb, many.e_n_pb) == \
+                (one.stable, one.max_re_eig, one.drive_strength,
+                 one.e_n_pp, one.e_n_mb, one.e_n_pb)
+            assert (many.basis, many.couplings) == (one.basis, one.couplings)
+            if one.stable:
+                assert np.array_equal(many.state.cov, one.state.cov)
+            else:
+                assert many.state is None

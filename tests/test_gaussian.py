@@ -11,8 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg as sla
 from scipy.integrate import solve_ivp
+
+from entangle import gaussian
 
 from entangle.errors import (
     InvalidStateError,
@@ -21,14 +26,19 @@ from entangle.errors import (
     UnstableDriftError,
 )
 from entangle.gaussian import (
+    PAIR_CHOICES,
     GaussianState,
     characteristic_polynomial,
+    drift_spectra,
     log_negativity,
+    log_negativity_stacked,
     min_physicality_eig,
+    pair_blocks,
     partial_transpose,
     reduce_two_mode,
     routh_hurwitz_stable,
     solve_lyapunov,
+    solve_lyapunov_stacked,
     stability,
     symplectic_eigenvalues,
     symplectic_form,
@@ -186,6 +196,109 @@ class TestSolveLyapunov:
     def test_indefinite_diffusion_rejected(self):
         with pytest.raises(ParameterError):
             solve_lyapunov(-np.eye(6), np.diag([1, 1, 1, 1, 1, -1.0]))
+
+
+class TestDenseFallback:
+    """Drifts whose eigenbasis cannot carry the solve go to the dense system."""
+
+    #: a 6x6 Jordan block: every eigenvalue -1, one eigenvector
+    JORDAN = -np.eye(6) + np.diag(np.ones(5), 1)
+
+    #: nearly defective 2x2 blocks, eigenvalues -0.2 +- 1e-3: the
+    #: eigenbasis solve meets the residual contract (about 7e-11 ||D||),
+    #: but the eigenvector matrix has a condition number of about 3e3
+    NEAR_JORDAN = np.kron(np.eye(3), [[-0.2, 1.0], [1e-6, -0.2]])
+
+    @pytest.mark.parametrize("R", [JORDAN, NEAR_JORDAN],
+                             ids=["jordan", "near_jordan"])
+    def test_defective_drift_takes_dense_solve(self, R, monkeypatch):
+        calls = []
+        dense = gaussian._solve_lyapunov_dense
+        monkeypatch.setattr(gaussian, "_solve_lyapunov_dense",
+                            lambda R, D: calls.append(R) or dense(R, D))
+        D = np.eye(6)
+        V = solve_lyapunov(R, D)
+        assert len(calls) == 1
+        assert np.array_equal(V, dense(R, D))
+        assert np.linalg.norm(R @ V + V @ R.T + D) <= 1e-9 * np.linalg.norm(D)
+        V_bs = sla.solve_continuous_lyapunov(R, -D)
+        assert np.linalg.norm(V - V_bs) <= 1e-9 * np.linalg.norm(V_bs)
+
+    def test_defective_row_leaves_other_rows_unchanged(self):
+        R, D = random_stable_system(np.random.default_rng(4))
+        V = solve_lyapunov_stacked(np.stack([R, self.JORDAN, R]),
+                                   np.stack([D, np.eye(6), D]))
+        assert np.array_equal(V[0], solve_lyapunov(R, D))
+        assert np.array_equal(V[1], solve_lyapunov(self.JORDAN, np.eye(6)))
+        assert np.array_equal(V[2], V[0])
+
+    def test_singular_eigenvector_matrix_takes_dense_solve(self):
+        R, D = random_stable_system(np.random.default_rng(8))
+        lam, U = drift_spectra(np.stack([R, R]))
+        U[1, :, 0] = 0.0  # the batched inverse now raises for the stack
+        V = solve_lyapunov_stacked(np.stack([R, R]), np.stack([D, D]), (lam, U))
+        assert np.array_equal(V[0], solve_lyapunov(R, D))
+        assert np.array_equal(V[1], gaussian._solve_lyapunov_dense(R, D))
+
+
+# -- stacked kernels: properties over random inputs --------------------------
+
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
+                              derandomize=True, database=None)
+
+_unit_matrices = arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def stable_systems(draw):
+    """Strictly stable drift and PSD diffusion, entries O(1).
+
+    The shift makes R + R^T <= -2 margin, which bounds the condition of
+    the Lyapunov operator, so agreement to 1e-9 tests the solver and
+    not the problem; the eigenvectors of R stay unconstrained (Jordan
+    blocks and near-coalescing eigenvalues are drawn too).
+    """
+    M = draw(_unit_matrices)
+    margin = draw(st.floats(0.05, 2.0))
+    R = M - (np.linalg.norm(M, 2) + margin) * np.eye(6)
+    B = draw(_unit_matrices)
+    return R, B @ B.T / 6.0
+
+
+_system_stacks = st.lists(stable_systems(), min_size=1, max_size=4)
+
+
+class TestStackedKernelProperties:
+    @_PROPERTY_SETTINGS
+    @given(_system_stacks)
+    def test_residual_contract_and_kronecker_agreement(self, systems):
+        Rs, Ds = (np.stack(m) for m in zip(*systems))
+        Vs = solve_lyapunov_stacked(Rs, Ds)
+        for R, D, V in zip(Rs, Ds, Vs):
+            assert np.array_equal(V, V.T)
+            assert np.linalg.norm(R @ V + V @ R.T + D) <= 1e-9 * np.linalg.norm(D)
+            V_ref = lyapunov_oracle(R, D)
+            assert np.linalg.norm(V - V_ref) <= 1e-9 * np.linalg.norm(V_ref)
+
+    @_PROPERTY_SETTINGS
+    @given(_system_stacks)
+    def test_stacked_solve_equals_one_point_calls(self, systems):
+        Rs, Ds = (np.stack(m) for m in zip(*systems))
+        lam, _ = drift_spectra(Rs)
+        Vs = solve_lyapunov_stacked(Rs, Ds)
+        for R, D, V, row_lam in zip(Rs, Ds, Vs, lam):
+            assert np.array_equal(V, solve_lyapunov(R, D))
+            assert stability(R) == (True, row_lam.real.max())
+
+    @_PROPERTY_SETTINGS
+    @given(st.lists(arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)),
+                    min_size=1, max_size=4))
+    def test_stacked_negativities_equal_one_point_calls(self, factors):
+        covs = np.stack([A @ A.T + 0.5 * np.eye(6) for A in factors])
+        e_n = log_negativity_stacked(pair_blocks(covs).reshape(-1, 4, 4))
+        expected = [log_negativity(reduce_two_mode(V, pair))
+                    for V in covs for pair in PAIR_CHOICES]
+        assert e_n.tolist() == expected
 
 
 # -- stability ---------------------------------------------------------------
