@@ -30,7 +30,6 @@ from .model import (
     SystemParams,
     drive_for_target_g_minus,
     hybridize,
-    params_for_theta,
     solve_g_omega_c_from_theta,
     steady_state_amplitudes,
     thermal_occupation,
@@ -55,7 +54,6 @@ __all__ = [
     "log_negativity",
     "min_physicality_eig",
     "default_baseline",
-    "params_for_theta",
     "reduce_two_mode",
     "run_pipeline",
     "run_sweep",

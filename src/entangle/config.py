@@ -20,8 +20,11 @@ as multiples of pi::
     [output]
     dir = out
 
-Unknown sections or keys are rejected with a line number; missing keys
-take the defaults of the feasible cavity-magnomechanics parameter set.
+The ``[params]`` keys, their units, domains and defaults are the
+entries of :data:`entangle.experiments.PARAMS`.  Unknown sections or
+keys, and values outside a key's domain (every value must be finite),
+are rejected with a line number; missing keys take the defaults of the
+feasible cavity-magnomechanics parameter set.
 :func:`echo_config` renders a config back to parseable text such that
 ``parse_config(echo_config(cfg)) == cfg``.
 """
@@ -30,11 +33,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 from . import experiments
 from .errors import ConfigError, ParameterError
-from .model import TWO_PI
 
 _FREQ_FACTORS = {"": 1.0, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9,
                  "mHz": 1e-3}
@@ -44,28 +46,20 @@ _VALUE_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z]*)$")
 
 
-@dataclass(frozen=True)
-class ParamsConfig:
-    """Parameter block in quoted units (Hz, mK, pi-multiples).
+ParamsConfig = make_dataclass(
+    "ParamsConfig",
+    [(param.column, "float | None", field(default=param.default))
+     for param in experiments.PARAMS.values()],
+    frozen=True, namespace={"__module__": __name__})
+ParamsConfig.__doc__ = """Parameter block in quoted units (Hz, mK, pi-multiples).
 
-    Exactly one of ``theta_pi`` or the explicit pair
-    ``(g_hz, omega_c_hz)`` fixes the geometry; exactly one of
-    ``g_minus_hz`` or ``drive_strength_hz2`` fixes the drive.
-    """
-
-    omega_a_hz: float = 10e9
-    omega_b_hz: float = 10e6
-    kappa_a_hz: float = 1e6
-    kappa_c_hz: float = 1e6
-    kappa_b_hz: float = 100.0
-    temperature_mk: float = 10.0
-    theta_pi: float | None = 0.40
-    g_hz: float | None = None
-    omega_c_hz: float | None = None
-    omega_0_hz: float | None = None
-    g_minus_hz: float | None = 2e6
-    drive_strength_hz2: float | None = None
-    g0_hz: float = 1e-3
+One field per :data:`experiments.PARAMS` entry, named by its column.
+Exactly one of ``theta_pi`` or the explicit pair ``(g_hz, omega_c_hz)``
+fixes the geometry; exactly one of ``g_minus_hz`` or
+``drive_strength_hz2`` fixes the drive.  The block keeps the quoted
+values because the echo cannot be rebuilt from the baseline:
+``(v * 2pi) / 2pi`` differs from ``v`` for about 14% of Hz values.
+"""
 
 
 @dataclass(frozen=True)
@@ -99,27 +93,7 @@ class RunConfig:
 
     def baseline(self) -> experiments.Baseline:
         """Convert the parameter block to the angular-unit baseline."""
-        p = self.params
-        drive = 0.0
-        if p.drive_strength_hz2 is not None:
-            drive = p.drive_strength_hz2 * TWO_PI * TWO_PI
-        return experiments.Baseline(
-            omega_a=TWO_PI * p.omega_a_hz,
-            omega_b=TWO_PI * p.omega_b_hz,
-            kappa_a=TWO_PI * p.kappa_a_hz,
-            kappa_c=TWO_PI * p.kappa_c_hz,
-            kappa_b=TWO_PI * p.kappa_b_hz,
-            temperature=1e-3 * p.temperature_mk,
-            theta=(math.pi * p.theta_pi) if p.theta_pi is not None
-            else 0.25 * math.pi,
-            g=TWO_PI * p.g_hz if p.g_hz is not None else None,
-            omega_c=TWO_PI * p.omega_c_hz if p.omega_c_hz is not None else None,
-            omega_0=TWO_PI * p.omega_0_hz if p.omega_0_hz is not None else None,
-            target_g_minus=TWO_PI * p.g_minus_hz
-            if p.g_minus_hz is not None else None,
-            drive_strength=drive,
-            g0=TWO_PI * p.g0_hz,
-        )
+        return experiments.quoted_baseline(vars(self.params))
 
     def sweep_spec(self) -> experiments.SweepSpec:
         s = self.sweep
@@ -206,49 +180,43 @@ def _formats(raw, line):
     return names
 
 
-def _positive(convert):
-    def check(raw, line):
-        value = convert(raw, line)
-        if value <= 0.0:
-            raise ConfigError(f"value must be positive, got {raw!r}", line)
-        return value
-    return check
-
-
-def _non_negative(convert):
-    def check(raw, line):
-        value = convert(raw, line)
-        if value < 0.0:
-            raise ConfigError(f"value must be non-negative, got {raw!r}", line)
-        return value
-    return check
-
-
-def _theta(raw, line):
-    value = _angle_pi(raw, line)
-    if not 0.0 < value < 0.5:
-        raise ConfigError("theta must lie strictly inside (0, pi/2)", line)
+def _precision(raw, line):
+    value = _integer(raw, line)
+    if value < 0:
+        raise ConfigError(f"precision must be non-negative, got {raw!r}", line)
     return value
 
 
-_PARAM_KEYS = {
-    "omega_a": ("omega_a_hz", _positive(_freq)),
-    "omega_b": ("omega_b_hz", _positive(_freq)),
-    "omega_c": ("omega_c_hz", _positive(_freq)),
-    "omega_0": ("omega_0_hz", _positive(_freq)),
-    "g": ("g_hz", _non_negative(_freq)),
-    "theta": ("theta_pi", _theta),
-    "kappa_a": ("kappa_a_hz", _positive(_freq)),
-    "kappa_c": ("kappa_c_hz", _positive(_freq)),
-    "kappa_b": ("kappa_b_hz", _positive(_freq)),
-    "temperature": ("temperature_mk", _non_negative(_temperature)),
-    "g_minus": ("g_minus_hz", _non_negative(_freq)),
-    "drive_strength": ("drive_strength_hz2", _non_negative(_bare)),
-    "g0": ("g0_hz", _positive(_freq)),
+#: quoted unit -> (parser of a raw value, unit suffix of its echo)
+_UNITS = {
+    "Hz": (_freq, " Hz"),
+    "Hz^2": (_bare, ""),
+    "mK": (_temperature, " mK"),
+    "pi": (_angle_pi, " pi"),
 }
 
+#: domain -> test of a finite quoted value
+_DOMAINS = {
+    "finite": lambda v: True,
+    "positive": lambda v: v > 0.0,
+    "non-negative": lambda v: v >= 0.0,
+    "inside (0, pi/2)": lambda v: 0.0 < v < 0.5,
+}
+
+
+def _quoted(quantity, raw, line):
+    """Parse a raw value in the quantity's unit and check its domain."""
+    value = _UNITS[quantity.unit][0](raw, line)
+    # a finite quoted value can still overflow in angular units
+    if not math.isfinite(quantity.angular(value)):
+        raise ConfigError(f"value must be finite, got {raw!r}", line)
+    if not _DOMAINS[quantity.domain](value):
+        raise ConfigError(f"value must be {quantity.domain}, got {raw!r}", line)
+    return value
+
+
 #: keys of one sweep axis (the second axis adds a "2"); start and stop
-#: take the units of the axis line they sweep
+#: take the unit and domain of the axis line they sweep
 _AXIS_KEYS = {"start": None, "stop": None, "count": _integer,
               "scale": _scale_name}
 _SWEEP_KEYS = {"kind", "param", *_AXIS_KEYS, *(key + "2" for key in _AXIS_KEYS)}
@@ -256,17 +224,8 @@ _SWEEP_KEYS = {"kind", "param", *_AXIS_KEYS, *(key + "2" for key in _AXIS_KEYS)}
 _OUTPUT_KEYS = {
     "dir": ("directory", None),
     "formats": ("formats", _formats),
-    "precision": ("precision", _integer),
+    "precision": ("precision", _precision),
 }
-
-#: axis endpoint converter per column: the [params] converter of the
-#: parameter the axis sweeps
-_COLUMN_CONVERTERS = dict(_PARAM_KEYS.values())
-
-
-def _axis_converter(line):
-    # the detuning axis |Delta| is no [params] entry, just a frequency
-    return _COLUMN_CONVERTERS.get(line.column, _freq)
 
 
 def _axis_lines(kind, param):
@@ -311,7 +270,8 @@ def parse_config(text, overrides=()) -> RunConfig:
 
 
 def _build_config(entries):
-    known = {"params": _PARAM_KEYS, "sweep": _SWEEP_KEYS, "output": _OUTPUT_KEYS}
+    known = {"params": experiments.PARAMS, "sweep": _SWEEP_KEYS,
+             "output": _OUTPUT_KEYS}
     for (section, key), (_, line) in entries.items():
         table = known.get(section)
         if table is None:
@@ -343,28 +303,28 @@ def _build_config(entries):
                 raise ConfigError(
                     f"{key + suffix!r} does not apply to a {kind!r} sweep", entry[1])
             if convert is None:
-                convert = _axis_converter(axis_lines[index])
-            sweep_values[key + suffix] = convert(entry[0], entry[1])
+                sweep_values[key + suffix] = _quoted(axis_lines[index], *entry)
+            else:
+                sweep_values[key + suffix] = convert(*entry)
     sweep = SweepBlock(**sweep_values)
 
-    param_values = {}
-    explicit = set()
-    for key, (field_name, convert) in _PARAM_KEYS.items():
+    quoted = {}  # [params] key -> quoted value
+    for key, param in experiments.PARAMS.items():
         entry = take("params", key)
         if entry is not None:
-            param_values[field_name] = convert(entry[0], entry[1])
-            explicit.add(key)
-    if ("g" in explicit) != ("omega_c" in explicit):
+            quoted[key] = _quoted(param, *entry)
+    if ("g" in quoted) != ("omega_c" in quoted):
         raise ConfigError("give both g and omega_c, or neither")
-    if "g" in explicit:
-        if "theta" in explicit:
+    if "g" in quoted:
+        if "theta" in quoted:
             raise ConfigError("give either theta or the pair (g, omega_c)")
-        param_values["theta_pi"] = None
-    if "drive_strength" in explicit:
-        if "g_minus" in explicit:
+        quoted["theta"] = None
+    if "drive_strength" in quoted:
+        if "g_minus" in quoted:
             raise ConfigError("give either g_minus or drive_strength")
-        param_values["g_minus_hz"] = None
-    params = ParamsConfig(**param_values)
+        quoted["g_minus"] = None
+    params = ParamsConfig(**{experiments.PARAMS[key].column: value
+                             for key, value in quoted.items()})
 
     output_values = {}
     for key, (field_name, convert) in _OUTPUT_KEYS.items():
@@ -382,25 +342,10 @@ def echo_config(cfg: RunConfig) -> str:
     """Render a RunConfig as canonical parseable text (exact round-trip)."""
     p, s, o = cfg.params, cfg.sweep, cfg.output
     lines = ["[params]"]
-    lines.append(f"omega_a = {p.omega_a_hz!r} Hz")
-    lines.append(f"omega_b = {p.omega_b_hz!r} Hz")
-    if p.theta_pi is not None:
-        lines.append(f"theta = {p.theta_pi!r} pi")
-    if p.g_hz is not None:
-        lines.append(f"g = {p.g_hz!r} Hz")
-    if p.omega_c_hz is not None:
-        lines.append(f"omega_c = {p.omega_c_hz!r} Hz")
-    if p.omega_0_hz is not None:
-        lines.append(f"omega_0 = {p.omega_0_hz!r} Hz")
-    lines.append(f"kappa_a = {p.kappa_a_hz!r} Hz")
-    lines.append(f"kappa_c = {p.kappa_c_hz!r} Hz")
-    lines.append(f"kappa_b = {p.kappa_b_hz!r} Hz")
-    lines.append(f"temperature = {p.temperature_mk!r} mK")
-    if p.g_minus_hz is not None:
-        lines.append(f"g_minus = {p.g_minus_hz!r} Hz")
-    if p.drive_strength_hz2 is not None:
-        lines.append(f"drive_strength = {p.drive_strength_hz2!r}")
-    lines.append(f"g0 = {p.g0_hz!r} Hz")
+    for key, param in experiments.PARAMS.items():
+        value = getattr(p, param.column)
+        if value is not None:
+            lines.append(f"{key} = {value!r}{_UNITS[param.unit][1]}")
 
     lines.append("")
     lines.append("[sweep]")
@@ -411,7 +356,7 @@ def echo_config(cfg: RunConfig) -> str:
         for key in _AXIS_KEYS:
             value = getattr(s, key + suffix)
             if value is not None:
-                unit = f" {line.unit}" if key in ("start", "stop") else ""
+                unit = _UNITS[line.unit][1] if key in ("start", "stop") else ""
                 rendered = value if isinstance(value, (str, int)) else repr(value)
                 lines.append(f"{key}{suffix} = {rendered}{unit}")
 

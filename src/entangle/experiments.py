@@ -1,5 +1,11 @@
 """Named, reproducible parameter sweeps over the entanglement pipeline.
 
+Every physical parameter is one :class:`Quantity` entry of
+:data:`PARAMS`, keyed by its config name: quoted column, baseline field,
+unit, domain and default.  The config layer parses, checks and echoes
+``[params]`` from it, and every conversion from quoted to angular units
+goes through :data:`TO_ANGULAR`.
+
 Every sweep kind is one :class:`SweepKind` entry of :data:`SWEEPS`: its
 axes (CSV column, :class:`Baseline` field, reporting unit), its default
 grid, an optional point map and an optional summary hook.
@@ -26,12 +32,7 @@ import numpy as np
 
 from .dynamics import PipelineResult, run_pipeline, run_pipelines
 from .errors import ParameterError
-from .model import (
-    DEFAULT_G0,
-    TWO_PI,
-    SystemParams,
-    solve_g_omega_c_from_theta,
-)
+from .model import TWO_PI, SystemParams, solve_g_omega_c_from_theta
 
 #: records with E_N below this (or unstable) count as disentangled when
 #: extracting robustness thresholds; absorbs the separability clamp
@@ -41,6 +42,81 @@ EN_THRESHOLD = 1e-4
 #: bounds the stacked arrays (256 took about 1 MB more peak memory on
 #: the 200-point theta sweep than 64, for no measurable speed)
 CHUNK_SIZE = 64
+
+
+# -- parameter table ---------------------------------------------------------
+
+#: quoted unit -> conversion of a quoted value to the baseline's angular/SI
+#: unit.  The products keep their order: ``v * TWO_PI * TWO_PI`` and
+#: ``v * TWO_PI**2`` differ in the last bit for about 27% of values.
+TO_ANGULAR = {
+    "Hz": lambda v: v * TWO_PI,
+    "Hz^2": lambda v: v * TWO_PI * TWO_PI,
+    "mK": lambda v: v * 1e-3,
+    "pi": lambda v: v * math.pi,
+}
+
+
+class Quantity(NamedTuple):
+    """A quantity in quoted units: a ``[params]`` key or a sweep axis.
+
+    ``column`` names it in the config's quoted parameter record and in
+    CSV headers; ``field`` is its :class:`Baseline` field (None where a
+    point map resolves the axis).  ``unit`` is a key of
+    :data:`TO_ANGULAR`.  ``domain`` names the finite values it admits:
+    ``positive``, ``non-negative``, ``finite`` or ``inside (0, pi/2)``.
+    ``default`` is the quoted default; ``sweepable`` marks the keys a
+    generic sweep can vary.  ``unset`` stands in for the quoted value
+    while an either-or partner is given instead (theta beside an
+    explicit ``(g, omega_c)``, drive_strength beside g_minus).
+    """
+
+    column: str
+    field: str | None
+    unit: str
+    domain: str
+    default: float | None = None
+    sweepable: bool = False
+    unset: float | None = None
+
+    def angular(self, quoted):
+        """The :class:`Baseline` field value of a quoted value."""
+        if quoted is None:
+            quoted = self.unset
+        return None if quoted is None else TO_ANGULAR[self.unit](quoted)
+
+
+#: every ``[params]`` key, in the order the config echo lists them
+PARAMS = {
+    "omega_a": Quantity("omega_a_hz", "omega_a", "Hz", "positive", 10e9,
+                        sweepable=True),
+    "omega_b": Quantity("omega_b_hz", "omega_b", "Hz", "positive", 10e6,
+                        sweepable=True),
+    "theta": Quantity("theta_pi", "theta", "pi", "inside (0, pi/2)", 0.40,
+                      sweepable=True, unset=0.25),
+    "g": Quantity("g_hz", "g", "Hz", "non-negative"),
+    "omega_c": Quantity("omega_c_hz", "omega_c", "Hz", "positive"),
+    # None: the drive sits at the midpoint (omega_a + omega_c) / 2
+    "omega_0": Quantity("omega_0_hz", "omega_0", "Hz", "positive"),
+    "kappa_a": Quantity("kappa_a_hz", "kappa_a", "Hz", "positive", 1e6,
+                        sweepable=True),
+    "kappa_c": Quantity("kappa_c_hz", "kappa_c", "Hz", "positive", 1e6,
+                        sweepable=True),
+    "kappa_b": Quantity("kappa_b_hz", "kappa_b", "Hz", "positive", 100.0,
+                        sweepable=True),
+    "temperature": Quantity("temperature_mk", "temperature", "mK",
+                            "non-negative", 10.0, sweepable=True),
+    "g_minus": Quantity("g_minus_hz", "target_g_minus", "Hz", "non-negative",
+                        2e6, sweepable=True),
+    # the product G0 * Omega
+    "drive_strength": Quantity("drive_strength_hz2", "drive_strength", "Hz^2",
+                               "non-negative", unset=0.0),
+    # sets only the scale of the diagnostic Re<b>
+    "g0": Quantity("g0_hz", "g0", "Hz", "positive", 1e-3),
+}
+
+#: the parameters a generic sweep can vary
+GENERIC_PARAMS = {key: param for key, param in PARAMS.items() if param.sweepable}
 
 
 @dataclass(frozen=True)
@@ -85,13 +161,13 @@ class Baseline:
     kappa_c: float
     kappa_b: float
     temperature: float
-    theta: float = 0.40 * math.pi
-    g: float | None = None
-    omega_c: float | None = None
-    omega_0: float | None = None
-    target_g_minus: float | None = TWO_PI * 2e6
-    drive_strength: float = 0.0
-    g0: float = DEFAULT_G0
+    theta: float
+    g: float | None
+    omega_c: float | None
+    omega_0: float | None
+    target_g_minus: float | None
+    drive_strength: float
+    g0: float
 
     def params(self, **overrides) -> SystemParams:
         """Resolve to concrete :class:`SystemParams`.
@@ -99,8 +175,7 @@ class Baseline:
         An overriding ``theta`` re-derives the geometry even when the
         baseline pins ``(g, omega_c)`` explicitly.
         """
-        eff = replace(self, **{k: v for k, v in overrides.items()
-                               if k != "target_g_minus"})
+        eff = replace(self, **overrides)
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
                 eff.theta, eff.omega_a, eff.omega_b)
@@ -138,16 +213,19 @@ class Baseline:
                 overrides.get("target_g_minus", self.target_g_minus))
 
 
+def quoted_baseline(quoted) -> Baseline:
+    """The baseline of quoted values, keyed by :data:`PARAMS` column."""
+    return Baseline(**{param.field: param.angular(quoted[param.column])
+                       for param in PARAMS.values()})
+
+
 def default_baseline(**overrides) -> Baseline:
-    """The experimentally feasible cavity-magnomechanics parameter set."""
-    base = Baseline(
-        omega_a=TWO_PI * 10e9,
-        omega_b=TWO_PI * 10e6,
-        kappa_a=TWO_PI * 1e6,
-        kappa_c=TWO_PI * 1e6,
-        kappa_b=TWO_PI * 100.0,
-        temperature=0.010,
-    )
+    """The experimentally feasible cavity-magnomechanics parameter set.
+
+    Overrides are :class:`Baseline` fields in angular units.
+    """
+    base = quoted_baseline({param.column: param.default
+                            for param in PARAMS.values()})
     return replace(base, **overrides) if overrides else base
 
 
@@ -208,35 +286,6 @@ class SweepResult:
 
 # -- sweep registry ---------------------------------------------------------
 
-#: reporting unit -> factor to the baseline's angular/SI unit
-UNIT_FACTORS = {"pi": math.pi, "Hz": TWO_PI, "mK": 1e-3}
-
-
-class AxisLine(NamedTuple):
-    """What one sweep axis varies: CSV column, baseline field, unit.
-
-    The column of a swept parameter is also its field name in the
-    config's parameter block.
-    """
-
-    column: str
-    field: str | None
-    unit: str
-
-
-#: generic sweepable parameters: config name -> axis line
-GENERIC_PARAMS = {
-    "theta": AxisLine("theta_pi", "theta", "pi"),
-    "omega_a": AxisLine("omega_a_hz", "omega_a", "Hz"),
-    "omega_b": AxisLine("omega_b_hz", "omega_b", "Hz"),
-    "kappa_a": AxisLine("kappa_a_hz", "kappa_a", "Hz"),
-    "kappa_c": AxisLine("kappa_c_hz", "kappa_c", "Hz"),
-    "kappa_b": AxisLine("kappa_b_hz", "kappa_b", "Hz"),
-    "temperature": AxisLine("temperature_mk", "temperature", "mK"),
-    "g_minus": AxisLine("g_minus_hz", "target_g_minus", "Hz"),
-}
-
-
 @dataclass(frozen=True)
 class SweepKind:
     """One sweep kind: its axes, default grid and hooks.
@@ -244,12 +293,12 @@ class SweepKind:
     ``defaults`` holds one default axis per axis line (None where the
     axis must be given).  ``point_map(base, axes)`` returns the function
     from one grid point (a tuple of axis values) to
-    :meth:`Baseline.evaluate` overrides; without it each axis value
-    times its unit factor overrides its line's field.
+    :meth:`Baseline.evaluate` overrides; without it each axis value,
+    converted by :data:`TO_ANGULAR`, overrides its line's field.
     ``summary(base, axes, records)`` returns extra summary entries.
     """
 
-    axes: tuple[AxisLine, ...] = ()
+    axes: tuple[Quantity, ...] = ()
     defaults: tuple[SweepAxis | None, ...] = ()
     point_map: Callable | None = None
     summary: Callable | None = None
@@ -258,9 +307,9 @@ class SweepKind:
         """The map from a grid point of ``axes`` to evaluate overrides."""
         if self.point_map is not None:
             return self.point_map(base, axes)
-        lines = self.axes
-        return lambda point: {line.field: v * UNIT_FACTORS[line.unit]
-                              for line, v in zip(lines, point)}
+        converts = [(line.field, TO_ANGULAR[line.unit]) for line in self.axes]
+        return lambda point: {field: convert(v)
+                              for (field, convert), v in zip(converts, point)}
 
 
 def _detuning_map(base, axes):
@@ -315,9 +364,11 @@ def _thresholds(base, axes, records):
     crossing.
     """
     temps, kappa_bs = (axis.values() for axis in axes)
-    t_line = base.evaluate_all({"temperature": t * 1e-3, "kappa_b": TWO_PI * 100.0}
+    temperature, kappa_b = PARAMS["temperature"].angular, PARAMS["kappa_b"].angular
+    at_100_hz, at_10_mk = kappa_b(100.0), temperature(10.0)
+    t_line = base.evaluate_all({"temperature": temperature(t), "kappa_b": at_100_hz}
                                for t in temps)
-    kb_line = base.evaluate_all({"temperature": 0.010, "kappa_b": TWO_PI * kb}
+    kb_line = base.evaluate_all({"temperature": at_10_mk, "kappa_b": kappa_b(kb)}
                                 for kb in kappa_bs)
     return {"t_crit_mk": _first_below(temps, t_line),
             "kappa_b_crit_hz": _first_below(kappa_bs, kb_line)}
@@ -336,16 +387,16 @@ SWEEPS = {
     "point": SweepKind(),
     # theta re-derives (g, omega_c) so the splitting stays at 2 omega_b
     # and delta_plus = -delta_minus = omega_b across the whole sweep
-    "theta": SweepKind((GENERIC_PARAMS["theta"],), (SweepAxis(0.26, 0.49, 200),)),
-    "detuning": SweepKind((AxisLine("delta_abs_hz", None, "Hz"),),
+    "theta": SweepKind((PARAMS["theta"],), (SweepAxis(0.26, 0.49, 200),)),
+    "detuning": SweepKind((Quantity("delta_abs_hz", None, "Hz", "finite"),),
                           (SweepAxis(6e6, 14e6, 33),), point_map=_detuning_map),
-    "g_minus": SweepKind((GENERIC_PARAMS["g_minus"],),
+    "g_minus": SweepKind((PARAMS["g_minus"],),
                          (SweepAxis(0.0, 6e6, 200),), summary=_first_unstable),
-    "kappa_grid": SweepKind((GENERIC_PARAMS["kappa_a"], GENERIC_PARAMS["kappa_c"]),
+    "kappa_grid": SweepKind((PARAMS["kappa_a"], PARAMS["kappa_c"]),
                             (SweepAxis(1e5, 1e7, 60, "log"),) * 2,
                             summary=_entangled_area),
     "temp_kappa_b": SweepKind(
-        (GENERIC_PARAMS["temperature"], GENERIC_PARAMS["kappa_b"]),
+        (PARAMS["temperature"], PARAMS["kappa_b"]),
         (SweepAxis(1.0, 500.0, 60), SweepAxis(1e2, 1e6, 60, "log")),
         summary=_thresholds),
     # one explicit axis over the baseline field named by SweepSpec.param

@@ -254,33 +254,6 @@ def solve_g_omega_c_from_theta(theta, omega_a, omega_b):
     return g, omega_c
 
 
-def params_for_theta(theta, *, omega_a, omega_b, kappa_a, kappa_c, kappa_b,
-                     temperature, drive_strength=0.0, g0=DEFAULT_G0,
-                     omega_0=None) -> SystemParams:
-    """Build :class:`SystemParams` from a target mixing angle.
-
-    ``g`` and ``omega_c`` come from :func:`solve_g_omega_c_from_theta`;
-    the drive defaults to the midpoint ``(omega_a + omega_c) / 2``, which
-    makes the detunings symmetric: ``delta_plus = -delta_minus = omega_b``.
-    """
-    g, omega_c = solve_g_omega_c_from_theta(theta, omega_a, omega_b)
-    if omega_0 is None:
-        omega_0 = 0.5 * (omega_a + omega_c)
-    return SystemParams(
-        omega_a=omega_a,
-        omega_c=omega_c,
-        omega_b=omega_b,
-        g=g,
-        kappa_a=kappa_a,
-        kappa_c=kappa_c,
-        kappa_b=kappa_b,
-        temperature=temperature,
-        omega_0=omega_0,
-        drive_strength=drive_strength,
-        g0=g0,
-    )
-
-
 def _amplitudes_per_unit_drive(basis: PolaritonBasis):
     """Polariton amplitudes per unit Omega, and the shared denominator.
 

@@ -17,12 +17,14 @@ from entangle.config import (
 from entangle.errors import ConfigError
 from entangle.experiments import (
     GENERIC_PARAMS,
+    PARAMS,
     SWEEPS,
     SweepAxis,
     SweepSpec,
     default_baseline,
     run_sweep,
 )
+from entangle.model import TWO_PI
 
 GOLDEN_HEADER = ("theta_pi,e_n_pp,e_n_mb,e_n_pb,stable,max_re_eig,"
                  "abs_g_plus,abs_g_minus,theta,delta_plus,delta_minus")
@@ -162,6 +164,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 3.*does not apply"):
             parse_config(f"[sweep]\nkind = {kind}\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("key", list(PARAMS))
+    def test_non_finite_param_rejected_with_line(self, key):
+        with pytest.raises(ConfigError, match="line 3.*must be finite"):
+            parse_config(f"[params]\n\n{key} = 1e400\n")
+
+    def test_negative_precision_rejected_with_line(self):
+        with pytest.raises(ConfigError, match="line 2.*precision"):
+            parse_config("[output]\nprecision = -1\n")
+
     def test_overrides_win_over_file(self):
         cfg = parse_config("[params]\nkappa_a = 1 MHz\n",
                            overrides=[("params.kappa_a", "3 MHz")])
@@ -170,6 +181,28 @@ class TestParseConfig:
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("", overrides=[("params.kappa_a", "-2 MHz")])
+
+
+#: per [params] key: its entry with a non-default value, the echo of that
+#: entry, its Baseline field and the field's value by an explicit formula
+NON_DEFAULT = {
+    "omega_a": ("9.5 GHz", "9500000000.0 Hz", "omega_a", TWO_PI * 9.5e9),
+    "omega_b": ("12.5 MHz", "12500000.0 Hz", "omega_b", TWO_PI * 12.5e6),
+    "theta": ("0.385 pi", "0.385 pi", "theta", math.pi * 0.385),
+    "g": ("5.878 MHz", "5878000.0 Hz", "g", TWO_PI * 5.878e6),
+    "omega_c": ("10.01618 GHz", "10016180000.0 Hz", "omega_c",
+                TWO_PI * 10.01618e9),
+    "omega_0": ("10.0031 GHz", "10003100000.0 Hz", "omega_0",
+                TWO_PI * 10.0031e9),
+    "kappa_a": ("750 kHz", "750000.0 Hz", "kappa_a", TWO_PI * 750e3),
+    "kappa_c": ("1.3 MHz", "1300000.0 Hz", "kappa_c", TWO_PI * 1.3e6),
+    "kappa_b": ("120", "120.0 Hz", "kappa_b", TWO_PI * 120.0),
+    "temperature": ("0.05 K", "50.0 mK", "temperature", 1e-3 * 50.0),
+    "g_minus": ("1.5 MHz", "1500000.0 Hz", "target_g_minus", TWO_PI * 1.5e6),
+    "drive_strength": ("1.25e4", "12500.0", "drive_strength",
+                       12500.0 * TWO_PI * TWO_PI),
+    "g0": ("2 mHz", "0.002 Hz", "g0", TWO_PI * 0.002),
+}
 
 
 class TestEchoRoundTrip:
@@ -204,6 +237,18 @@ class TestEchoRoundTrip:
         cfg = parse_config("[params]\ng = 5.878 MHz\nomega_c = 10.01618 GHz\n")
         assert parse_config(echo_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("key", list(PARAMS))
+    def test_every_key_round_trip(self, key):
+        # g and omega_c are only given together
+        keys = {"g": ("g", "omega_c"), "omega_c": ("g", "omega_c")}.get(key, (key,))
+        cfg = parse_config("[params]\n" + "".join(
+            f"{k} = {NON_DEFAULT[k][0]}\n" for k in keys))
+        _, echoed, field, expected = NON_DEFAULT[key]
+        assert getattr(cfg.params, PARAMS[key].column) != PARAMS[key].default
+        assert f"{key} = {echoed}" in echo_config(cfg).splitlines()
+        assert parse_config(echo_config(cfg)) == cfg
+        assert getattr(cfg.baseline(), field) == expected
+
     def test_two_axis_round_trip(self):
         cfg = parse_config(
             "[sweep]\nkind = temp_kappa_b\n"
@@ -218,6 +263,18 @@ def _registry_cases():
             yield kind, None
     for param in GENERIC_PARAMS:
         yield "generic", param
+
+
+@pytest.mark.parametrize("kind,param", [case for case in _registry_cases()
+                                        if case[0] != "point"])
+def test_non_finite_axis_endpoint_rejected_with_line(kind, param):
+    head = f"[sweep]\nkind = {kind}\nparam = {param}\n" if param else \
+        f"[sweep]\nkind = {kind}\n"
+    n_axes = len(SweepSpec(kind, param=param).sweep_kind().axes)
+    for suffix in ("", "2")[:n_axes]:
+        line = head.count("\n") + 1
+        with pytest.raises(ConfigError, match=f"line {line}.*must be finite"):
+            parse_config(head + f"stop{suffix} = 1e400\n")
 
 
 #: sample axis endpoints per reporting unit
@@ -359,6 +416,15 @@ class TestExitCodes:
 
     def test_bad_override_exits_2(self, capsys):
         assert main(["point", "--set", "params.kappa_a=-1MHz"]) == 2
+
+    @pytest.mark.parametrize("entry", ["params.kappa_b=1e400Hz",
+                                       "params.g0=1.7e308Hz",
+                                       "output.precision=-1"])
+    def test_bad_value_exits_2_writing_nothing(self, entry, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["point", "--set", entry, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_zero_rate_generic_axis_exits_2(self, capsys):
         code = main(["run", "/dev/null", "--set", "sweep.kind=generic",

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
+from entangle.experiments import default_baseline
 from entangle.gaussian import min_physicality_eig, solve_lyapunov
 from entangle.model import (
     TWO_PI,
     drive_for_target_g_minus,
     hybridize,
-    params_for_theta,
     steady_state_amplitudes,
 )
 
@@ -30,11 +30,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def reference_params(theta_pi=0.40, **overrides):
-    kwargs = dict(omega_a=TWO_PI * 10e9, omega_b=TWO_PI * 10e6,
-                  kappa_a=TWO_PI * 1e6, kappa_c=TWO_PI * 1e6,
-                  kappa_b=TWO_PI * 100.0, temperature=0.010)
-    kwargs.update(overrides)
-    return params_for_theta(theta_pi * math.pi, **kwargs)
+    return default_baseline(**overrides).params(theta=theta_pi * math.pi)
 
 
 def assembled(theta_pi=0.40, target_hz=2e6, **overrides):

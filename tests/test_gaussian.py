@@ -137,12 +137,10 @@ class TestSolveLyapunov:
 
     def test_reference_point_matches_loop_oracle(self):
         from entangle.dynamics import build_diffusion, build_drift
-        from entangle.model import hybridize, params_for_theta, \
+        from entangle.experiments import default_baseline
+        from entangle.model import hybridize, \
             steady_state_amplitudes, drive_for_target_g_minus, TWO_PI
-        p = params_for_theta(0.40 * math.pi, omega_a=TWO_PI * 10e9,
-                             omega_b=TWO_PI * 10e6, kappa_a=TWO_PI * 1e6,
-                             kappa_c=TWO_PI * 1e6, kappa_b=TWO_PI * 100.0,
-                             temperature=0.010)
+        p = default_baseline().params(theta=0.40 * math.pi)
         basis = hybridize(p)
         drive = drive_for_target_g_minus(basis, TWO_PI * 2e6)
         coup = steady_state_amplitudes(basis, p.omega_b, drive / p.g0, p.g0)

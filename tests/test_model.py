@@ -10,12 +10,12 @@ from entangle.errors import (
     DriveSolveError,
     ParameterError,
 )
+from entangle.experiments import default_baseline
 from entangle.model import (
     TWO_PI,
     SystemParams,
     drive_for_target_g_minus,
     hybridize,
-    params_for_theta,
     solve_g_omega_c_from_theta,
     steady_state_amplitudes,
     thermal_occupation,
@@ -221,11 +221,7 @@ class TestInverseHybridization:
 
 class TestSteadyStateAmplitudes:
     def reference_basis(self, theta_pi=0.40, **overrides):
-        p = params_for_theta(
-            theta_pi * math.pi, omega_a=TWO_PI * 10e9, omega_b=TWO_PI * 10e6,
-            kappa_a=overrides.get("kappa_a", TWO_PI * 1e6),
-            kappa_c=overrides.get("kappa_c", TWO_PI * 1e6),
-            kappa_b=TWO_PI * 100.0, temperature=0.010)
+        p = default_baseline(**overrides).params(theta=theta_pi * math.pi)
         return p, hybridize(p)
 
     def test_zero_drive_all_zero(self):
@@ -274,10 +270,7 @@ class TestSteadyStateAmplitudes:
 
 class TestDriveForTarget:
     def basis(self):
-        p = params_for_theta(
-            0.40 * math.pi, omega_a=TWO_PI * 10e9, omega_b=TWO_PI * 10e6,
-            kappa_a=TWO_PI * 1e6, kappa_c=TWO_PI * 1e6,
-            kappa_b=TWO_PI * 100.0, temperature=0.010)
+        p = default_baseline().params(theta=0.40 * math.pi)
         return p, hybridize(p)
 
     def test_zero_target(self):
