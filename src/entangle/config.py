@@ -22,9 +22,10 @@ as multiples of pi::
 
 The ``[params]`` keys, their units, domains and defaults are the
 entries of :data:`entangle.experiments.PARAMS`.  Unknown sections or
-keys, and values outside a key's domain (every value must be finite),
-are rejected with a line number; missing keys take the defaults of the
-feasible cavity-magnomechanics parameter set.
+keys, values outside a key's domain (every value must be finite) and
+invalid sweep axes are rejected with the line number of the entry, or
+the ``section.key`` of an override; missing keys take the defaults of
+the feasible cavity-magnomechanics parameter set.
 :func:`echo_config` renders a config back to parseable text such that
 ``parse_config(echo_config(cfg)) == cfg``.
 """
@@ -235,8 +236,8 @@ def _axis_lines(kind, param):
 def parse_config(text, overrides=()) -> RunConfig:
     """Parse config text (plus ``section.key=value`` overrides) to a RunConfig.
 
-    Overrides are applied after the file and win over it; they carry no
-    line numbers in error messages.
+    Overrides are applied after the file and win over it; error messages
+    name them by ``section.key`` where file entries give a line number.
     """
     entries = {}  # (section, key) -> (raw value, line number)
     section = None
@@ -263,8 +264,8 @@ def parse_config(text, overrides=()) -> RunConfig:
     for spec, value in overrides:
         if "." not in spec:
             raise ConfigError(f"override must look like section.key, got {spec!r}")
-        section, _, key = spec.partition(".")
-        entries[(section.strip(), key.strip())] = (str(value).strip(), None)
+        section, _, key = (part.strip() for part in spec.partition("."))
+        entries[(section, key)] = (str(value).strip(), f"{section}.{key}")
 
     return _build_config(entries)
 
@@ -295,6 +296,7 @@ def _build_config(entries):
 
     sweep_values = {"kind": kind, "param": param}
     for index, suffix in enumerate(("", "2")):
+        axis, located = {}, {}  # axis key -> value, location of its entry
         for key, convert in _AXIS_KEYS.items():
             entry = take("sweep", key + suffix)
             if entry is None:
@@ -303,9 +305,16 @@ def _build_config(entries):
                 raise ConfigError(
                     f"{key + suffix!r} does not apply to a {kind!r} sweep", entry[1])
             if convert is None:
-                sweep_values[key + suffix] = _quoted(axis_lines[index], *entry)
+                axis[key] = _quoted(axis_lines[index], *entry)
             else:
-                sweep_values[key + suffix] = convert(*entry)
+                axis[key] = convert(*entry)
+            located[key] = entry[1]
+        if {"start", "stop", "count"} <= axis.keys():
+            fault = experiments.axis_fault(axis["start"], axis["stop"], axis["count"],
+                                           axis.get("scale", "linear"))
+            if fault is not None:
+                raise ConfigError(fault[1], located[fault[0]])
+        sweep_values.update((key + suffix, value) for key, value in axis.items())
     sweep = SweepBlock(**sweep_values)
 
     quoted = {}  # [params] key -> quoted value

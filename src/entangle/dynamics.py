@@ -4,12 +4,17 @@ Builds the 6x6 drift matrix of the linearized quadrature dynamics and
 the matching diffusion matrix from the model layer, then composes
 hybridization, drive calibration, the Lyapunov solve, and the
 logarithmic negativity of all three mode pairs.  :func:`run_pipelines`
-does this for a stack of points: the scalar model layer runs point by
-point, the matrix rows of all points become ``(N, 6, 6)`` arrays, and
-each ``gaussian`` kernel (eigendecomposition, eigenbasis Lyapunov solve
-with its dense fallback, closed-form negativities) runs once for the
-stack.  :func:`run_pipeline` is its one-point case, so a point gives
-the same bits alone or inside any stack.
+does this for a stack of points given as parameter columns: each model
+formula runs once on the columns, one table of ``(row, column)`` slots
+per matrix fills the ``(N, 6, 6)`` drift and diffusion, and each
+``gaussian`` kernel (eigendecomposition, eigenbasis Lyapunov solve with
+its dense fallback, closed-form negativities) runs once for the stack.
+:func:`run_pipeline` evaluates one point with the model layer on Python
+floats and the same fill and kernels on the stack of one.  Column
+arithmetic is elementwise, so a point gives the same bits in any stack;
+against :func:`run_pipeline` it differs only where numpy's ``expm1``,
+``arctan2``, ``hypot``, complex multiply or ``abs`` round differently
+from :mod:`math` and CPython's.
 
 Both matrices are nondimensionalized by ``omega_b`` before the solve so
 entries span roughly 1e-5..1; the covariance matrix is unchanged by
@@ -18,7 +23,6 @@ this rescaling and reported diagnostics are converted back to rad/s.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,7 @@ from .model import (
     EffectiveCouplings,
     PolaritonBasis,
     SystemParams,
+    _math_for,
     drive_for_target_g_minus,
     hybridize,
     steady_state_amplitudes,
@@ -55,30 +60,77 @@ class PipelineResult:
     e_n_pb: float | None
 
 
+@dataclass(frozen=True)
+class PipelineColumns:
+    """Everything computed for a stack of ``size`` points, as columns.
+
+    ``basis``, ``couplings`` and ``drive_strength`` hold a float where
+    every point shares the value and a column otherwise (see
+    :meth:`column`).  ``stable`` and ``max_re_eig`` are ``(size,)``
+    arrays, ``covs`` is ``(size, 6, 6)`` and the negativities are
+    ``(size,)``; the rows of unstable points are NaN there.
+    """
+
+    size: int
+    basis: PolaritonBasis
+    couplings: EffectiveCouplings
+    drive_strength: float | np.ndarray
+    stable: np.ndarray
+    max_re_eig: np.ndarray
+    covs: np.ndarray
+    e_n_pp: np.ndarray
+    e_n_mb: np.ndarray
+    e_n_pb: np.ndarray
+
+    def column(self, value):
+        """``value`` (a shared float or a column) as a ``(size,)`` array."""
+        return np.broadcast_to(value, (self.size,))
+
+
+#: (row, column) of every non-zero drift entry, in the order of the
+#: values :func:`_drift_entries` returns
+_DRIFT_SLOTS = np.ravel_multi_index(tuple(zip(*(
+    (0, 0), (0, 1), (0, 2), (0, 4),
+    (1, 0), (1, 1), (1, 3), (1, 4),
+    (2, 0), (2, 2), (2, 3), (2, 4),
+    (3, 1), (3, 2), (3, 3), (3, 4),
+    (4, 4), (4, 5),
+    (5, 0), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5),
+))), (6, 6))
+
+#: (row, column) of every non-zero diffusion entry, in the order of the
+#: values :func:`_diffusion_entries` returns
+_DIFFUSION_SLOTS = np.ravel_multi_index(tuple(zip(*(
+    (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
+    (0, 2), (2, 0), (1, 3), (3, 1),
+))), (6, 6))
+
+
 def build_drift(basis: PolaritonBasis, couplings: EffectiveCouplings,
                 omega_b, kappa_b):
     """Drift matrix of the quadrature fluctuations (rad/s entries).
 
     Row 5 carries no coupling back from the polaritons (the X_b column
     is the only route into rows 1-4), and the only polariton-polariton
-    entries are the dissipative -delta_kappa terms.
+    entries are the dissipative -delta_kappa terms.  The one-point view
+    of the stacked fill :func:`run_pipelines` uses.
     """
-    return np.array(_drift_rows(basis, couplings, omega_b, kappa_b))
+    return _fill(_DRIFT_SLOTS, _drift_entries(basis, couplings, omega_b, kappa_b))[0]
 
 
-def _drift_rows(basis, couplings, omega_b, kappa_b):
+def _drift_entries(basis, couplings, omega_b, kappa_b):
     dp, dm = basis.delta_plus, basis.delta_minus
     kp, km = basis.kappa_plus, basis.kappa_minus
     dk = basis.delta_kappa
     gpb, gmb = couplings.g_plus_b, couplings.g_minus_b
-    return [
-        [-kp, dp, -dk, 0.0, -gpb.real, 0.0],
-        [-dp, -kp, 0.0, -dk, -gpb.imag, 0.0],
-        [-dk, 0.0, -km, dm, -gmb.real, 0.0],
-        [0.0, -dk, -dm, -km, -gmb.imag, 0.0],
-        [0.0, 0.0, 0.0, 0.0, -kappa_b, omega_b],
-        [-gpb.imag, gpb.real, -gmb.imag, gmb.real, -omega_b, -kappa_b],
-    ]
+    return (
+        -kp, dp, -dk, -gpb.real,
+        -dp, -kp, -dk, -gpb.imag,
+        -dk, -km, dm, -gmb.real,
+        -dk, -dm, -km, -gmb.imag,
+        -kappa_b, omega_b,
+        -gpb.imag, gpb.real, -gmb.imag, gmb.real, -omega_b, -kappa_b,
+    )
 
 
 def build_diffusion(basis: PolaritonBasis, kappa_b, n_b):
@@ -89,27 +141,34 @@ def build_diffusion(basis: PolaritonBasis, kappa_b, n_b):
     evaluated in the bare-rate form
     sin(2 theta) * [kappa_c (2 N_c + 1) - kappa_a (2 N_a + 1)] / 2,
     which is algebraically identical to the tan(2 theta) mixed-rate form
-    and stays finite at theta = pi/4.
+    and stays finite at theta = pi/4.  The one-point view of the stacked
+    fill :func:`run_pipelines` uses.
     """
-    return np.array(_diffusion_rows(basis, kappa_b, n_b))
+    return _fill(_DIFFUSION_SLOTS, _diffusion_entries(basis, kappa_b, n_b))[0]
 
 
-def _diffusion_rows(basis, kappa_b, n_b):
+def _diffusion_entries(basis, kappa_b, n_b):
     dp = basis.kappa_plus * (2.0 * basis.n_plus + 1.0)
     dm = basis.kappa_minus * (2.0 * basis.n_minus + 1.0)
     db = kappa_b * (2.0 * n_b + 1.0)
-    cross = 0.5 * math.sin(2.0 * basis.theta) * (
+    cross = 0.5 * _math_for(basis.theta).sin(2.0 * basis.theta) * (
         basis.kappa_c * (2.0 * basis.n_c + 1.0)
         - basis.kappa_a * (2.0 * basis.n_a + 1.0)
     )
-    return [
-        [dp, 0.0, cross, 0.0, 0.0, 0.0],
-        [0.0, dp, 0.0, cross, 0.0, 0.0],
-        [cross, 0.0, dm, 0.0, 0.0, 0.0],
-        [0.0, cross, 0.0, dm, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, db, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, db],
-    ]
+    return (dp, dp, dm, dm, db, db, cross, cross, cross, cross)
+
+
+def _fill(slots, entries, size=1):
+    """``(size, 6, 6)`` matrices with ``entries`` at the flat indices
+    ``slots`` and zeros elsewhere.  Entries are floats, columns of
+    ``size``, or both mixed; one fancy assignment places them all."""
+    try:
+        values = np.array(entries)
+    except ValueError:  # floats mixed with columns
+        values = np.array(np.broadcast_arrays(*entries))
+    out = np.zeros((size, 36))
+    out[:, slots] = values.T
+    return out.reshape(size, 6, 6)
 
 
 def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
@@ -117,57 +176,45 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
 
     If ``target_g_minus`` (rad/s) is given, the drive strength is
     derived so |G_-| hits the target; otherwise ``params.drive_strength``
-    is used directly.  The one-point case of :func:`run_pipelines`.
+    is used directly.  The model layer runs on floats, the numerics on
+    the stack of one.
     """
-    return run_pipelines([(params, target_g_minus)])[0]
+    basis, couplings, drive = _model_layer(params, target_g_minus)
+    max_re, stable, covs, e_n = _steady_states(params, basis, couplings, 1)
+    max_re_eig = max_re[0].item() * params.omega_b
+    if not stable.size:
+        return PipelineResult(basis, couplings, drive, False, max_re_eig,
+                              None, None, None, None)
+    e_n_pp, e_n_pb, e_n_mb = e_n[0].tolist()  # PAIR_CHOICES order
+    return PipelineResult(basis, couplings, drive, True, max_re_eig,
+                          gaussian.GaussianState(covs[0]), e_n_pp, e_n_mb, e_n_pb)
 
 
-def run_pipelines(points) -> list[PipelineResult]:
-    """Evaluate a stack of ``(params, target_g_minus)`` points.
+def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
+    """Evaluate a stack of points given as parameter columns.
 
-    Each point gets its basis, drive and couplings from the scalar model
-    layer and its matrix rows; the stacked drift and diffusion then go
-    through each ``gaussian`` kernel once.  Stable points get the
-    stationary covariance and the negativities of the pairs (A+, A-),
-    (A-, b), (A+, b); unstable points are returned flagged.  Every
-    result equals :func:`run_pipeline` of its point bit for bit.
+    ``params`` holds a column (or a shared float) per field, and
+    ``target_g_minus`` is None, a float or a column.  The model layer
+    runs once per formula on the columns, the drift and diffusion are
+    filled as ``(N, 6, 6)`` stacks, and each ``gaussian`` kernel runs
+    once.  Stable points get the stationary covariance and the
+    negativities of the pairs (A+, A-), (A-, b), (A+, b); unstable
+    points are flagged.
     """
-    models = [(params, *_model_point(params, target)) for params, target in points]
-    omega_b = np.array([params.omega_b for params, _ in points])[:, None, None]
-    drifts = np.array([
-        _drift_rows(basis, couplings, params.omega_b, params.kappa_b)
-        for params, basis, couplings, _ in models]) / omega_b
-    diffusions = np.array([
-        _diffusion_rows(basis, params.kappa_b, basis.n_b)
-        for params, basis, _, _ in models]) / omega_b
-
-    lam, U = gaussian.drift_spectra(drifts)
-    max_re = lam.real.max(axis=1)
-    stable = np.flatnonzero(max_re < 0.0)
-    covs, e_n = {}, {}
-    if stable.size:
-        solved = _stage("Lyapunov solve", gaussian.solve_lyapunov_stacked,
-                        drifts[stable], diffusions[stable], (lam[stable], U[stable]))
-        blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
-        values = gaussian.log_negativity_stacked(blocks).reshape(-1, 3)
-        covs = dict(zip(stable.tolist(), solved))
-        e_n = dict(zip(stable.tolist(), values.tolist()))
-
-    results = []
-    for i, (params, basis, couplings, drive) in enumerate(models):
-        cov = covs.get(i)
-        e_n_pp, e_n_pb, e_n_mb = e_n.get(i, (None, None, None))  # PAIR_CHOICES order
-        results.append(PipelineResult(
-            basis=basis, couplings=couplings, drive_strength=drive,
-            stable=cov is not None, max_re_eig=max_re[i].item() * params.omega_b,
-            state=None if cov is None else gaussian.GaussianState(cov),
-            e_n_pp=e_n_pp, e_n_mb=e_n_mb, e_n_pb=e_n_pb,
-        ))
-    return results
+    size = np.broadcast(*vars(params).values(), target_g_minus).size
+    basis, couplings, drive = _model_layer(params, target_g_minus)
+    max_re, stable, solved, values = _steady_states(params, basis, couplings, size)
+    covs = np.full((size, 6, 6), np.nan)
+    covs[stable] = solved
+    e_n = np.full((size, 3), np.nan)
+    e_n[stable] = values
+    e_n_pp, e_n_pb, e_n_mb = e_n.T  # PAIR_CHOICES order
+    return PipelineColumns(size, basis, couplings, drive, max_re < 0.0,
+                           max_re * params.omega_b, covs, e_n_pp, e_n_mb, e_n_pb)
 
 
-def _model_point(params, target_g_minus):
-    """Basis, couplings and drive strength of one point (scalar model layer)."""
+def _model_layer(params, target_g_minus):
+    """Basis, couplings and drive strength (model layer, floats or columns)."""
     basis = _stage("hybridize", hybridize, params)
     if target_g_minus is None:
         drive = params.drive_strength
@@ -179,6 +226,36 @@ def _model_point(params, target_g_minus):
         basis, params.omega_b, drive / params.g0, params.g0,
     )
     return basis, couplings, drive
+
+
+def _steady_states(params, basis, couplings, size):
+    """Stability, covariances and negativities of ``size`` points.
+
+    Returns ``(max_re, stable, covs, e_n)``: the largest real part of
+    each drift spectrum in units of ``omega_b``, the indices of the
+    stable points, and their ``(n, 6, 6)`` covariances and ``(n, 3)``
+    negativities in :data:`gaussian.PAIR_CHOICES` order.  Negativities
+    exist iff a point is stable, and they are finite: the kernels raise
+    :class:`NumericalError` rather than return a covariance that misses
+    the residual contract or negativities whose determinants overflow.
+    """
+    omega_b = np.asarray(params.omega_b)[..., None, None]
+    drifts = _fill(_DRIFT_SLOTS, _drift_entries(
+        basis, couplings, params.omega_b, params.kappa_b), size) / omega_b
+    diffusions = _fill(_DIFFUSION_SLOTS, _diffusion_entries(
+        basis, params.kappa_b, basis.n_b), size) / omega_b
+
+    lam, U = gaussian.drift_spectra(drifts)
+    max_re = lam.real.max(axis=1)
+    stable = np.flatnonzero(max_re < 0.0)
+    if not stable.size:
+        return max_re, stable, None, None
+    covs = _stage("Lyapunov solve", gaussian.solve_lyapunov_stacked,
+                  drifts[stable], diffusions[stable], (lam[stable], U[stable]))
+    blocks = gaussian.pair_blocks(covs).reshape(-1, 4, 4)
+    e_n = _stage("log-negativity", gaussian.log_negativity_stacked,
+                 blocks).reshape(-1, 3)
+    return max_re, stable, covs, e_n
 
 
 def _stage(name, fn, *args):

@@ -35,10 +35,16 @@ class InvalidStateError(EntangleError):
 
 
 class ConfigError(EntangleError):
-    """Malformed run configuration text."""
+    """Malformed run configuration text.
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
+    ``location`` names the offending entry: its line number in the
+    config text, or the ``section.key`` of an override.
+    """
+
+    def __init__(self, message, location=None):
+        if isinstance(location, int):
+            message = f"line {location}: {message}"
+        elif location is not None:
+            message = f"override {location}: {message}"
         super().__init__(message)
-        self.line = line
+        self.location = location

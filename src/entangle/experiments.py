@@ -9,11 +9,14 @@ goes through :data:`TO_ANGULAR`.
 Every sweep kind is one :class:`SweepKind` entry of :data:`SWEEPS`: its
 axes (CSV column, :class:`Baseline` field, reporting unit), its default
 grid, an optional point map and an optional summary hook.
-:func:`run_sweep` evaluates the grid through
-:meth:`Baseline.evaluate_all`, which stacks :data:`CHUNK_SIZE` points
-per call of the stacked pipeline; instability is recorded as data (not
-an error), and every record equals :meth:`Baseline.evaluate` of its
-point bit for bit, whatever the chunk size or evaluation order.
+:func:`run_sweep` evaluates the grid as parameter columns (one array
+per varying :class:`Baseline` field) through
+:meth:`Baseline.evaluate_all`, which hands :data:`CHUNK_SIZE` points at
+a time to the stacked pipeline and builds the records from its result
+columns.  Instability is recorded as data (not an error).  Records are
+the same bits whatever the chunk size or evaluation order, and agree
+with :meth:`Baseline.evaluate` of their point, which runs the model
+layer on Python floats, to rounding.
 
 Axis values and record diagnostics use reporting units: ordinary
 frequency (Hz) for rates, couplings and detunings, millikelvin for
@@ -25,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, product
-from typing import Callable, Iterator, NamedTuple
+from itertools import product
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dynamics import PipelineResult, run_pipeline, run_pipelines
-from .errors import ParameterError
+from .dynamics import PipelineColumns, PipelineResult, run_pipeline, run_pipelines
+from .errors import EntangleError, ParameterError
 from .model import TWO_PI, SystemParams, solve_g_omega_c_from_theta
 
 #: records with E_N below this (or unstable) count as disentangled when
@@ -129,20 +132,28 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ParameterError(f"axis needs at least 2 points, got {self.count}")
-        if not self.start < self.stop:
-            raise ParameterError(
-                f"axis start must be below stop, got [{self.start}, {self.stop}]")
-        if self.scale not in ("linear", "log"):
-            raise ParameterError(f"axis scale must be linear or log, got {self.scale!r}")
-        if self.scale == "log" and self.start <= 0.0:
-            raise ParameterError("log-scaled axis requires positive endpoints")
+        fault = axis_fault(self.start, self.stop, self.count, self.scale)
+        if fault is not None:
+            raise ParameterError(fault[1])
 
     def values(self):
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
+
+
+def axis_fault(start, stop, count, scale):
+    """``(field, message)`` of the first invalid :class:`SweepAxis` field,
+    or None: the config layer reports the line of that field."""
+    if count < 2:
+        return "count", f"axis needs at least 2 points, got {count}"
+    if not start < stop:
+        return "stop", f"axis start must be below stop, got [{start}, {stop}]"
+    if scale not in ("linear", "log"):
+        return "scale", f"axis scale must be linear or log, got {scale!r}"
+    if scale == "log" and start <= 0.0:
+        return "start", "log-scaled axis requires positive endpoints"
+    return None
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,9 @@ class Baseline:
         """Resolve to concrete :class:`SystemParams`.
 
         An overriding ``theta`` re-derives the geometry even when the
-        baseline pins ``(g, omega_c)`` explicitly.
+        baseline pins ``(g, omega_c)`` explicitly.  Overrides may be
+        floats or columns (see :meth:`evaluate_all`); the result then
+        holds parameter columns.
         """
         eff = replace(self, **overrides)
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
@@ -194,21 +207,39 @@ class Baseline:
     def evaluate(self, **overrides) -> PipelineResult:
         return run_pipeline(*self._point(overrides))
 
-    def evaluate_all(self, overrides_seq) -> Iterator[PipelineResult]:
-        """Evaluate many override sets, in order, through the stacked pipeline.
+    def evaluate_all(self, overrides) -> Iterator[PipelineColumns]:
+        """Evaluate a stack of points given as override columns.
 
-        Yields one result per override set; points are resolved and
-        evaluated :data:`CHUNK_SIZE` at a time, as the results are
-        consumed.  Each result equals :meth:`evaluate` of its overrides
-        bit for bit.
+        ``overrides`` maps fields to columns (1-d array-likes of one
+        length, one entry per point) or to a value every point shares;
+        with no column it is one point.  Yields one
+        :class:`PipelineColumns` per :data:`CHUNK_SIZE` points, in order,
+        as the results are consumed.  The results are the same bits
+        whatever the chunk size; they agree with :meth:`evaluate` of each
+        point to rounding, because the model layer runs on numpy for
+        columns and on :mod:`math` for the floats of one point.  A chunk
+        that raises is re-evaluated point by point, so the error is the
+        one :meth:`evaluate` raises at its first failing point.
         """
-        pending = iter(overrides_seq)
-        while chunk := [self._point(overrides)
-                        for overrides in islice(pending, CHUNK_SIZE)]:
-            yield from run_pipelines(chunk)
+        columns = {name: np.asarray(value, dtype=float) if np.ndim(value) else value
+                   for name, value in overrides.items()}
+        size = max((len(value) for value in columns.values() if np.ndim(value)),
+                   default=1)
+        for start in range(0, size, CHUNK_SIZE):
+            chunk = {name: value[start:start + CHUNK_SIZE] if np.ndim(value) else value
+                     for name, value in columns.items()}
+            try:
+                result = run_pipelines(*self._point(chunk))
+            except EntangleError:
+                for i in range(min(CHUNK_SIZE, size - start)):  # raises first
+                    self.evaluate(**{name: value[i].item() if np.ndim(value) else value
+                                     for name, value in chunk.items()})
+                raise
+            yield result
 
     def _point(self, overrides):
-        """``(SystemParams, target_g_minus)`` of one override set."""
+        """``(SystemParams, target_g_minus)`` of one override set (floats or
+        columns)."""
         return (self.params(**overrides),
                 overrides.get("target_g_minus", self.target_g_minus))
 
@@ -248,6 +279,29 @@ class SweepRecord:
     theta: float
     delta_plus: float
     delta_minus: float
+
+    @classmethod
+    def from_columns(cls, points, results: Iterable[PipelineColumns]) -> list[SweepRecord]:
+        """The records of ``points`` (axis tuples, in order) from the
+        stacked results that evaluated them (:meth:`Baseline.evaluate_all`)."""
+        records = []
+        for result in results:
+            column = result.column
+            stable = result.stable.tolist()
+            e_n = [[v if ok else None for v, ok in zip(values.tolist(), stable)]
+                   for values in (result.e_n_pp, result.e_n_mb, result.e_n_pb)]
+            records += [cls(*fields) for fields in zip(
+                points[len(records):len(records) + result.size],
+                *e_n,
+                stable,
+                result.max_re_eig.tolist(),
+                (np.abs(column(result.couplings.g_plus)) / TWO_PI).tolist(),
+                (np.abs(column(result.couplings.g_minus)) / TWO_PI).tolist(),
+                column(result.basis.theta).tolist(),
+                (column(result.basis.delta_plus) / TWO_PI).tolist(),
+                (column(result.basis.delta_minus) / TWO_PI).tolist(),
+            )]
+        return records
 
     @classmethod
     def from_result(cls, axis, result: PipelineResult) -> SweepRecord:
@@ -292,9 +346,10 @@ class SweepKind:
 
     ``defaults`` holds one default axis per axis line (None where the
     axis must be given).  ``point_map(base, axes)`` returns the function
-    from one grid point (a tuple of axis values) to
-    :meth:`Baseline.evaluate` overrides; without it each axis value,
-    converted by :data:`TO_ANGULAR`, overrides its line's field.
+    from grid points (a tuple of axis values: floats for one point, or
+    columns for many) to overrides of :meth:`Baseline.evaluate` or
+    :meth:`Baseline.evaluate_all`; without it each axis value, converted
+    by :data:`TO_ANGULAR`, overrides its line's field.
     ``summary(base, axes, records)`` returns extra summary entries.
     """
 
@@ -337,7 +392,7 @@ def _detuning_map(base, axes):
 
     def overrides(point):
         delta = TWO_PI * point[0]
-        gap = math.sqrt(max(delta * delta - g_fixed * g_fixed, 0.0))
+        gap = np.sqrt(np.maximum(delta * delta - g_fixed * g_fixed, 0.0))
         return {"g": g_fixed, "omega_c": base.omega_a - side * 2.0 * gap,
                 "omega_0": None}
     return overrides
@@ -360,25 +415,39 @@ def _thresholds(base, axes, records):
     ``t_crit_mk`` is the smallest temperature with E_N below
     :data:`EN_THRESHOLD` at kappa_b/2pi = 100 Hz, ``kappa_b_crit_hz``
     the smallest kappa_b below it at T = 10 mK; None when the axis never
-    crosses.  A line is evaluated only up to the chunk holding its first
-    crossing.
+    crosses.
     """
-    temps, kappa_bs = (axis.values() for axis in axes)
-    temperature, kappa_b = PARAMS["temperature"].angular, PARAMS["kappa_b"].angular
-    at_100_hz, at_10_mk = kappa_b(100.0), temperature(10.0)
-    t_line = base.evaluate_all({"temperature": temperature(t), "kappa_b": at_100_hz}
-                               for t in temps)
-    kb_line = base.evaluate_all({"temperature": at_10_mk, "kappa_b": kappa_b(kb)}
-                                for kb in kappa_bs)
-    return {"t_crit_mk": _first_below(temps, t_line),
-            "kappa_b_crit_hz": _first_below(kappa_bs, kb_line)}
+    return {"t_crit_mk": _first_below(base, axes, records, 0, 100.0),
+            "kappa_b_crit_hz": _first_below(base, axes, records, 1, 10.0)}
 
 
-def _first_below(axis_values, results, threshold=EN_THRESHOLD):
-    """Smallest axis value whose point is unstable or has E_N < threshold."""
-    for value, result in zip(axis_values, results):
-        if result.e_n_pp is None or result.e_n_pp < threshold:
-            return float(value)
+def _first_below(base, axes, records, along, fixed):
+    """Smallest value of axis ``along`` whose point on the line through
+    the quoted value ``fixed`` of the other axis is unstable or has E_N
+    below :data:`EN_THRESHOLD`; None if there is none.
+
+    Where the other axis holds ``fixed`` exactly, the line is read from
+    the grid records: the grid evaluated the same columns, so the values
+    are the same bits.  Otherwise the line is evaluated, as full columns
+    like the grid's, only up to the chunk holding its first crossing.
+    """
+    lines = SWEEPS["temp_kappa_b"].axes
+    other = 1 - along
+    values = axes[along].values()
+    if fixed in axes[other].values():
+        on_line = [np.nan if rec.e_n_pp is None else rec.e_n_pp
+                   for rec in records if rec.axis[other] == fixed]
+        chunks = [np.array(on_line)]
+    else:
+        overrides = {lines[along].field: lines[along].angular(values),
+                     lines[other].field: lines[other].angular(np.full_like(values, fixed))}
+        chunks = (result.e_n_pp for result in base.evaluate_all(overrides))
+    start = 0
+    for e_n_pp in chunks:
+        below = ~(e_n_pp >= EN_THRESHOLD)  # NaN: unstable
+        if below.any():
+            return float(values[start + below.argmax()])
+        start += len(e_n_pp)
     return None
 
 
@@ -451,18 +520,17 @@ class SweepSpec:
 
 def grid(axes):
     """Grid points of ``axes`` in emission order (last axis fastest)."""
-    return list(product(*(axis.values() for axis in axes)))
+    return list(product(*(axis.values().tolist() for axis in axes)))
 
 
 def run_sweep(base: Baseline, spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point of ``spec`` in order, then summarize it."""
     kind = spec.sweep_kind()
     axes = spec.resolved_axes()
-    overrides = kind.overrides(base, axes)
     points = grid(axes)
-    records = tuple(
-        SweepRecord.from_result(point, result)
-        for point, result in zip(points, base.evaluate_all(map(overrides, points))))
+    columns = tuple(np.array(column) for column in zip(*points))
+    records = tuple(SweepRecord.from_columns(
+        points, base.evaluate_all(kind.overrides(base, axes)(columns))))
     names = tuple(line.column for line in kind.axes)
     result = SweepResult(spec.kind, names, records, {})
     if names:

@@ -12,9 +12,11 @@ whose eigenvector matrix has a Frobenius condition number above 1e3
 (a defective or nearly defective drift, where eigenvalues coalesce), is
 re-solved by the dense vectorized n^2-unknown system with one
 refinement pass, and raises :class:`NumericalError` if that misses the
-contract too.
-:func:`log_negativity_stacked` takes the logarithmic negativity of
-stacked two-mode blocks from closed-form 2x2 block determinants.
+contract too, or if ``||D||_F`` overflows so the contract cannot be
+checked.  :func:`log_negativity_stacked` takes the logarithmic
+negativity of stacked two-mode blocks from closed-form 2x2 block
+determinants, and raises :class:`NumericalError` where those would
+overflow.
 
 :func:`stability`, :func:`solve_lyapunov` and :func:`log_negativity`
 are the one-point views of these kernels.  Every row of a stacked call
@@ -72,6 +74,11 @@ _MINOR_R1 = _MINOR_R + 1
 _MINOR_P = np.tile([0, 0, 0, 1, 1, 2], 2)
 _MINOR_Q = np.tile([1, 2, 3, 2, 3, 3], 2)
 _LAPLACE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+# largest two-mode covariance entry s the negativity accepts: the
+# determinants are quartic in the entries and |Sigma^2 - 4 det V| stays
+# below 160 s^4, within the float range up to s of about 3e76
+_ENTRY_MAX = 1e76
 
 
 def symplectic_form(n_modes):
@@ -228,7 +235,11 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
         V = 0.5 * (V + V.swapaxes(1, 2))
         resid = np.linalg.norm(R @ V + V @ R.swapaxes(1, 2) + D, axis=(1, 2))
         cond = np.linalg.norm(U, axis=(1, 2)) * np.linalg.norm(U_inv, axis=(1, 2))
-    d_norm = np.linalg.norm(D, axis=(1, 2))
+        d_norm = np.linalg.norm(D, axis=(1, 2))
+    if not np.isfinite(d_norm).all():
+        raise NumericalError(
+            "the residual contract cannot be checked: ||D||_F overflows "
+            f"(diffusion entries up to {d_scale.max():.3e})")
     accepted = ((resid <= _LYAPUNOV_RESIDUAL_RTOL * d_norm)
                 & (cond <= _EIGENBASIS_COND_MAX))
     for i in np.flatnonzero(~accepted):
@@ -264,23 +275,25 @@ def _solve_lyapunov_dense(R, D):
     n = R.shape[0]
     eye = np.eye(n)
     A = np.kron(eye, R) + np.kron(R, eye)
-    try:
-        v = np.linalg.solve(A, -D.reshape(-1))
-        V = v.reshape(n, n)
-        # one refinement pass tightens the residual near the stability
-        # boundary, where the vectorized system is ill-conditioned
-        resid = R @ V + V @ R.T + D
-        V = V - np.linalg.solve(A, resid.reshape(-1)).reshape(n, n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "vectorized Lyapunov system is singular "
-            f"(condition estimate {np.linalg.cond(A):.3e})"
-        ) from exc
-
-    V = 0.5 * (V + V.T)
+    # a nearly singular system may overflow or turn NaN; the residual
+    # check below rejects such a solution
+    with np.errstate(all="ignore"):
+        try:
+            v = np.linalg.solve(A, -D.reshape(-1))
+            V = v.reshape(n, n)
+            # one refinement pass tightens the residual near the stability
+            # boundary, where the vectorized system is ill-conditioned
+            resid = R @ V + V @ R.T + D
+            V = V - np.linalg.solve(A, resid.reshape(-1)).reshape(n, n)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "vectorized Lyapunov system is singular "
+                f"(condition estimate {np.linalg.cond(A):.3e})"
+            ) from exc
+        V = 0.5 * (V + V.T)
+        resid_norm = np.linalg.norm(R @ V + V @ R.T + D)
     d_norm = np.linalg.norm(D)
-    resid_norm = np.linalg.norm(R @ V + V @ R.T + D)
-    if resid_norm > _LYAPUNOV_RESIDUAL_RTOL * d_norm:
+    if not resid_norm <= _LYAPUNOV_RESIDUAL_RTOL * d_norm:  # NaN fails too
         raise NumericalError(
             f"Lyapunov residual {resid_norm:.3e} exceeds "
             f"{_LYAPUNOV_RESIDUAL_RTOL:g} * ||D||_F = "
@@ -358,6 +371,12 @@ def log_negativity_stacked(covs4):
     if V.ndim != 3 or V.shape[1:] != (4, 4):
         raise ParameterError(f"expected 4x4 covariance matrices, got {V.shape}")
     scale = np.maximum(np.abs(V).max(axis=(1, 2)), 1.0)
+    if not (scale <= _ENTRY_MAX).all():  # NaN fails too
+        if not np.isfinite(scale).all():
+            raise InvalidStateError("two-mode covariance matrix has non-finite entries")
+        raise NumericalError(
+            f"covariance entries up to {scale.max():.3e} overflow the block "
+            f"determinants (at most {_ENTRY_MAX:g})")
     if (np.abs(V - V.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10 * scale).any():
         raise InvalidStateError("two-mode covariance matrix is not symmetric")
 

@@ -10,6 +10,15 @@ hybridization, thermal occupations, the approximate steady-state
 amplitudes of the driven modes, and the effective coupling strengths
 that feed the linearized fluctuation dynamics.
 
+Every formula is written once and takes either Python floats (one
+point) or parameter columns: equal-length float64 arrays, one entry per
+point of a stack, mixed freely with floats shared by every point.
+Floats go through :mod:`math` and arrays through numpy, so a point
+evaluated alone keeps the arithmetic of a scalar formula, while a stack
+costs one numpy call per formula.  The branches (zero temperature, the
+overflow guard, the bare-mode limits of the mixing angle) are selects,
+and every input check names the first offending point in stack order.
+
 All frequencies, rates and couplings are angular (rad/s); temperatures
 are in kelvin.  Only the CLI layer speaks ordinary frequency (Hz) and
 millikelvin.  Everything here is a pure function of its inputs.
@@ -20,7 +29,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+import numpy as np
 from scipy.constants import hbar, k as k_B
 
 from .errors import (
@@ -38,26 +49,93 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_G0 = TWO_PI * 1e-3
 
 
-def _require_finite(name, value):
+def _select(condition, if_true, if_false):
+    return if_true if condition else if_false
+
+
+#: the functions a formula calls, on Python floats
+_FLOAT_MATH = SimpleNamespace(
+    atan2=math.atan2, hypot=math.hypot, sin=math.sin, cos=math.cos,
+    expm1=math.expm1, maximum=max, minimum=min, where=_select)
+
+#: the same functions on parameter columns (numpy spells atan2 arctan2
+#: before 2.0)
+_COLUMN_MATH = SimpleNamespace(
+    atan2=np.arctan2, hypot=np.hypot, sin=np.sin, cos=np.cos,
+    expm1=np.expm1, maximum=np.maximum, minimum=np.minimum, where=np.where)
+
+
+def _math_for(*values):
+    """:data:`_COLUMN_MATH` if any value is a column, else :data:`_FLOAT_MATH`."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            return _COLUMN_MATH
+    return _FLOAT_MATH
+
+
+def _any(flags):
+    """Whether a flag (or any flag of a column) is set."""
+    return flags.any() if isinstance(flags, np.ndarray) else flags
+
+
+def _first(value, flags):
+    """``value`` at the first set flag, as a Python number."""
+    if isinstance(flags, np.ndarray):
+        return np.broadcast_to(value, flags.shape)[flags.argmax()].item()
+    return value
+
+
+def _require(name, value, requirement, test):
+    """Raise :class:`ParameterError` unless ``value`` is finite and passes
+    ``test``; for a column, the message names the first failing entry."""
+    if isinstance(value, np.ndarray):
+        failed = ~(np.isfinite(value) & test(value))
+        if not failed.any():
+            return
+        value = _first(value, failed)
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
+    if not test(value):
+        raise ParameterError(f"{name} must be {requirement}, got {value!r}")
+
+
+def _is_any(value):
+    return True
+
+
+def _is_positive(value):
+    return value > 0.0
+
+
+def _is_non_negative(value):
+    return value >= 0.0
+
+
+# each check passes a valid float on one comparison chain and hands
+# columns and failures to _require
+
+def _require_finite(name, value):
+    if isinstance(value, np.ndarray) or not -math.inf < value < math.inf:
+        _require(name, value, "finite", _is_any)
 
 
 def _require_positive(name, value):
-    _require_finite(name, value)
-    if value <= 0.0:
-        raise ParameterError(f"{name} must be positive, got {value!r}")
+    if isinstance(value, np.ndarray) or not 0.0 < value < math.inf:
+        _require(name, value, "positive", _is_positive)
 
 
 def _require_non_negative(name, value):
-    _require_finite(name, value)
-    if value < 0.0:
-        raise ParameterError(f"{name} must be non-negative, got {value!r}")
+    if isinstance(value, np.ndarray) or not 0.0 <= value < math.inf:
+        _require(name, value, "non-negative", _is_non_negative)
 
 
 @dataclass(frozen=True)
 class SystemParams:
     """Bare physical parameters of the driven three-mode system.
+
+    Each attribute is a float, or for a stack of points a column (a 1-d
+    float64 array with one entry per point); floats and columns of one
+    length mix freely.
 
     Attributes
     ----------
@@ -98,7 +176,7 @@ class SystemParams:
         _require_non_negative("g", self.g)
         _require_non_negative("temperature", self.temperature)
         _require_non_negative("drive_strength", self.drive_strength)
-        if self.omega_b > self.omega_a / 10.0:
+        if _any(self.omega_b > self.omega_a / 10.0):
             warnings.warn(
                 "omega_b is not small compared with omega_a; the dispersive "
                 "model assumes omega_b << omega_a, omega_c",
@@ -108,7 +186,8 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PolaritonBasis:
-    """Derived hybridization quantities of the polariton modes.
+    """Derived hybridization quantities of the polariton modes (floats,
+    or columns where the :class:`SystemParams` hold columns).
 
     ``kappa_a`` and ``kappa_c`` are carried along so downstream code can
     evaluate the bare-rate form of the noise cross-correlation, which
@@ -134,7 +213,8 @@ class PolaritonBasis:
 
 @dataclass(frozen=True)
 class EffectiveCouplings:
-    """Steady-state amplitudes and drive-enhanced coupling strengths.
+    """Steady-state amplitudes and drive-enhanced coupling strengths
+    (complex floats, or columns for a stack of points).
 
     ``amp_plus``/``amp_minus`` are the dimensionless coherent amplitudes
     of the polaritons; ``g_plus``/``g_minus`` the enhanced dispersive
@@ -157,17 +237,19 @@ class EffectiveCouplings:
 def thermal_occupation(omega, temperature):
     """Equilibrium Bose occupation of a mode at ``omega`` (rad/s).
 
-    Exactly 0 at ``temperature = 0``; evaluates 1/expm1(x) with an
-    overflow guard for deeply quantum modes (x > 700).
+    Exactly 0 at ``temperature = 0`` (and wherever ``k_B T``
+    underflows to 0); evaluates 1/expm1(x) with an overflow guard for
+    deeply quantum modes (x > 700).
     """
     _require_positive("omega", omega)
     _require_non_negative("temperature", temperature)
-    if temperature == 0.0:
-        return 0.0
-    x = hbar * omega / (k_B * temperature)
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    k_T = k_B * temperature
+    cold = k_T == 0.0  # also below about 4e-301 K, where k_B T underflows
+    # the select below discards what the stand-ins give: k_B T = 1 for a
+    # cold mode, x = 700 beyond the guard
+    x = hbar * omega / (k_T + cold)
+    m = _math_for(x)
+    return m.where(cold | (x > 700.0), 0.0, 1.0 / m.expm1(m.minimum(x, 700.0)))
 
 
 def hybridize(params: SystemParams) -> PolaritonBasis:
@@ -181,13 +263,14 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
     polariton thermal occupations are all populated.
     """
     d = params.omega_a - params.omega_c
-    theta = 0.5 * math.atan2(2.0 * params.g, d)
-    splitting = math.hypot(d, 2.0 * params.g)
+    m = _math_for(d, params.g)
+    theta = 0.5 * m.atan2(2.0 * params.g, d)
+    splitting = m.hypot(d, 2.0 * params.g)
     omega_plus = 0.5 * (params.omega_a + params.omega_c + splitting)
     omega_minus = 0.5 * (params.omega_a + params.omega_c - splitting)
 
-    s = math.sin(theta)
-    c = math.cos(theta)
+    s = m.sin(theta)
+    c = m.cos(theta)
     s2 = s * s
     c2 = c * c
 
@@ -195,24 +278,26 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
     n_c = thermal_occupation(params.omega_c, params.temperature)
     n_b = thermal_occupation(params.omega_b, params.temperature)
 
+    kappa_plus = params.kappa_a * c2 + params.kappa_c * s2
+    kappa_minus = params.kappa_a * s2 + params.kappa_c * c2
+    n_plus = 0.5 * ((params.kappa_a * c2 * (2.0 * n_a + 1.0)
+                     + params.kappa_c * s2 * (2.0 * n_c + 1.0))
+                    / kappa_plus - 1.0)
+    n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
+                      + params.kappa_c * c2 * (2.0 * n_c + 1.0))
+                     / kappa_minus - 1.0)
     # At theta = 0 or pi/2 the polaritons coincide with the bare modes;
-    # branch so the identities kappa_plus == kappa_a, n_plus == n_a hold
-    # bitwise instead of through a multiply/divide round trip.
-    if s2 == 0.0:
-        kappa_plus, n_plus = params.kappa_a, n_a
-        kappa_minus, n_minus = params.kappa_c, n_c
-    elif c2 == 0.0:
-        kappa_plus, n_plus = params.kappa_c, n_c
-        kappa_minus, n_minus = params.kappa_a, n_a
-    else:
-        kappa_plus = params.kappa_a * c2 + params.kappa_c * s2
-        kappa_minus = params.kappa_a * s2 + params.kappa_c * c2
-        n_plus = 0.5 * ((params.kappa_a * c2 * (2.0 * n_a + 1.0)
-                         + params.kappa_c * s2 * (2.0 * n_c + 1.0))
-                        / kappa_plus - 1.0)
-        n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
-                          + params.kappa_c * c2 * (2.0 * n_c + 1.0))
-                         / kappa_minus - 1.0)
+    # select the bare values so the identities kappa_plus == kappa_a,
+    # n_plus == n_a hold bitwise instead of through a multiply/divide
+    # round trip.
+    a_is_plus, c_is_plus = s2 == 0.0, c2 == 0.0
+    if _any(a_is_plus | c_is_plus):
+        kappa_plus = m.where(a_is_plus, params.kappa_a,
+                             m.where(c_is_plus, params.kappa_c, kappa_plus))
+        n_plus = m.where(a_is_plus, n_a, m.where(c_is_plus, n_c, n_plus))
+        kappa_minus = m.where(a_is_plus, params.kappa_c,
+                              m.where(c_is_plus, params.kappa_a, kappa_minus))
+        n_minus = m.where(a_is_plus, n_c, m.where(c_is_plus, n_a, n_minus))
 
     return PolaritonBasis(
         theta=theta,
@@ -244,13 +329,16 @@ def solve_g_omega_c_from_theta(theta, omega_a, omega_b):
     _require_finite("theta", theta)
     _require_positive("omega_a", omega_a)
     _require_positive("omega_b", omega_b)
-    if not 0.0 < theta < 0.5 * math.pi:
+    outside = (theta <= 0.0) | (theta >= 0.5 * math.pi)
+    if _any(outside):
         raise DegenerateHybridizationError(
-            f"theta must lie strictly inside (0, pi/2); got {theta!r} "
+            f"theta must lie strictly inside (0, pi/2); got "
+            f"{_first(theta, outside)!r} "
             "(the polaritons decouple and g = 0 at the endpoints)"
         )
-    g = omega_b * math.sin(2.0 * theta)
-    omega_c = omega_a - 2.0 * omega_b * math.cos(2.0 * theta)
+    m = _math_for(theta)
+    g = omega_b * m.sin(2.0 * theta)
+    omega_c = omega_a - 2.0 * omega_b * m.cos(2.0 * theta)
     return g, omega_c
 
 
@@ -259,14 +347,15 @@ def _amplitudes_per_unit_drive(basis: PolaritonBasis):
 
     Valid in the sideband-resolved regime |delta| ~ omega_b >> kappa.
     """
-    s = math.sin(basis.theta)
-    c = math.cos(basis.theta)
     zp = basis.delta_plus - 1j * basis.kappa_plus
     zm = basis.delta_minus - 1j * basis.kappa_minus
     dk = basis.delta_kappa
     den = zm * zp + dk * dk
-    scale = max(abs(zm) * abs(zp), dk * dk)
-    if abs(den) <= 1e-12 * scale:
+    m = _math_for(den)  # a column wherever theta or a rate is one
+    s = m.sin(basis.theta)
+    c = m.cos(basis.theta)
+    scale = m.maximum(abs(zm) * abs(zp), dk * dk)
+    if _any(abs(den) <= 1e-12 * scale):
         raise SingularSteadyStateError(
             "steady-state denominator (dm - i km)(dp - i kp) + dk^2 vanishes"
         )
@@ -291,8 +380,9 @@ def steady_state_amplitudes(basis: PolaritonBasis, omega_b, omega_drive,
     amp_plus = omega_drive * amp_plus_u
     amp_minus = omega_drive * amp_minus_u
 
-    s = math.sin(basis.theta)
-    c = math.cos(basis.theta)
+    m = _math_for(basis.theta)
+    s = m.sin(basis.theta)
+    c = m.cos(basis.theta)
     re_b = -(g0 / omega_b) * abs(amp_plus * s + amp_minus * c) ** 2
     g_plus = 2j * g0 * amp_plus
     g_minus = 2j * g0 * amp_minus
@@ -316,13 +406,17 @@ def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus):
     value reproduces the target to rounding accuracy.
     """
     _require_non_negative("target_abs_g_minus", target_abs_g_minus)
-    if target_abs_g_minus == 0.0:
-        return 0.0
+    pinned = target_abs_g_minus != 0.0
+    if not _any(pinned):
+        return 0.0 * target_abs_g_minus
     _, amp_minus_u = _amplitudes_per_unit_drive(basis)
     per_unit = abs(amp_minus_u)
-    if per_unit == 0.0:
+    if _any(pinned & (per_unit == 0.0)):
         raise DriveSolveError(
             "the A_- amplitude vanishes for these parameters; "
             "|G_-| cannot be set by the drive"
         )
-    return target_abs_g_minus / (2.0 * per_unit)
+    # a zero target gives zero drive whatever it is divided by; the
+    # stand-in 1 keeps that division finite
+    m = _math_for(pinned, per_unit)
+    return target_abs_g_minus / (2.0 * m.where(pinned, per_unit, 1.0))

@@ -35,6 +35,7 @@ from entangle.gaussian import (
 from entangle.model import TWO_PI, solve_g_omega_c_from_theta
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
+from column_bounds import assert_record_close
 
 # Golden peak E_N of the mixing-angle sweep (200-point default grid),
 # captured from this implementation after the solver-oracle criterion
@@ -347,17 +348,24 @@ def test_criterion_9_evaluation_order_determinism(base, tmp_path):
     rec_a = (tmp_path / "a" / "records.csv").read_bytes()
     rec_b = (tmp_path / "b" / "records.csv").read_bytes()
 
-    # the same grid, evaluated point by point in reverse order
+    # the same grid evaluated in reverse order, as columns: the same bytes
     theta = SWEEPS["theta"]
     overrides = theta.overrides(base, theta.defaults)
-    points = grid(theta.defaults)
-    results = [base.evaluate(**overrides(point)) for point in reversed(points)]
-    records = tuple(SweepRecord.from_result(point, result)
-                    for point, result in zip(points, reversed(results)))
+    backwards = theta.defaults[0].values()[::-1]
+    records = SweepRecord.from_columns([(v,) for v in backwards.tolist()],
+                                       base.evaluate_all(overrides((backwards,))))
     names = tuple(line.column for line in theta.axes)
-    rec_rev = emit_records(SweepResult("theta", names, records, {})).encode()
+    result = SweepResult("theta", names, tuple(reversed(records)), {})
+    rec_rev = emit_records(result).encode()
+
+    # and point by point through Baseline.evaluate, to the column bound
+    # (the point path runs the model layer on math instead of numpy)
+    points = grid(theta.defaults)
+    for point, rec in zip(points, result.records):
+        reference = SweepRecord.from_result(point, base.evaluate(**overrides(point)))
+        assert_record_close(rec, reference, base.omega_b)
 
     ok = rec_a == rec_b == rec_rev
     report(9, "byte-identical records across runs and evaluation order", ok,
-           f"{len(rec_a)} bytes")
+           f"{len(rec_a)} bytes; point evaluations within the column bound")
     assert ok

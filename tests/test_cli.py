@@ -182,6 +182,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("", overrides=[("params.kappa_a", "-2 MHz")])
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("[sweep]\nkind = theta\nstart = 0.3 pi\nstop = 0.4 pi\ncount = 1\n", 5,
+         "axis needs at least 2 points, got 1"),
+        ("[sweep]\nkind = theta\nstart = 0.4 pi\nstop = 0.3 pi\ncount = 5\n", 4,
+         r"axis start must be below stop, got \[0.4, 0.3\]"),
+        ("[sweep]\nkind = g_minus\nscale = log\nstart = 0 Hz\nstop = 1 MHz\n"
+         "count = 3\n", 4, "log-scaled axis requires positive endpoints"),
+    ])
+    def test_invalid_axis_rejected_with_line(self, text, line, message):
+        with pytest.raises(ConfigError, match=rf"^line {line}: {message}"):
+            parse_config(text)
+
 
 #: per [params] key: its entry with a non-default value, the echo of that
 #: entry, its Baseline field and the field's value by an explicit formula
@@ -416,6 +428,33 @@ class TestExitCodes:
 
     def test_bad_override_exits_2(self, capsys):
         assert main(["point", "--set", "params.kappa_a=-1MHz"]) == 2
+
+    def test_bad_override_names_its_key(self, capsys):
+        code = main(["point", "--set", "params.kappa_a=1MHz",
+                     "--set", "params.kappa_b=1e400Hz"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: override params.kappa_b: value must be finite, "
+            "got '1e400Hz'\n")
+
+    def test_invalid_axis_file_entry_exits_2_with_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sweep]\nkind = theta\nstart = 0.4 pi\nstop = 0.3 pi\n"
+                       "count = 5\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 4: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_noise_exits_3_naming_the_overflow(self, tmp_path, capsys):
+        # a stable point whose thermal noise overflows ||D||_F once
+        # wrote nan negativities with exit 0
+        out = tmp_path / "out"
+        code = main(["point", "--set", "params.temperature=1e300K", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: [Lyapunov solve]")
+        assert "||D||_F overflows" in err
+        assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("entry", ["params.kappa_b=1e400Hz",
                                        "params.g0=1.7e308Hz",

@@ -1,13 +1,16 @@
 """Sweep behaviors: optima, instability regions, robustness thresholds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle import experiments
 from entangle.cli import emit_records
-from entangle.errors import ParameterError
+from entangle.errors import EntangleError, NumericalError, ParameterError
 from entangle.experiments import (
     EN_THRESHOLD,
     SWEEPS,
@@ -21,6 +24,7 @@ from entangle.experiments import (
 from entangle.model import TWO_PI
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
+from column_bounds import assert_record_close, assert_row_close
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +260,44 @@ class TestTempKappaBSweep:
         values = [r.e_n_pp if r.e_n_pp is not None else 0.0 for r in line]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    @staticmethod
+    def line_crossing(base, along, fixed, values):
+        """The first crossing of a threshold line, point by point."""
+        quantities = SWEEPS["temp_kappa_b"].axes
+        for value in values:
+            overrides = {quantities[along].field: quantities[along].angular(value),
+                         quantities[1 - along].field: quantities[1 - along].angular(fixed)}
+            e_n = base.evaluate(**overrides).e_n_pp
+            if e_n is None or e_n < EN_THRESHOLD:
+                return float(value)
+        return None
+
+    @pytest.mark.parametrize("axes", [
+        SWEEPS["temp_kappa_b"].defaults,
+        (SweepAxis(10.0, 400.0, 14), SweepAxis(1e2, 1e8, 13, "log")),  # both lines on the grid
+        (SweepAxis(150.0, 350.0, 21), SweepAxis(1.5e2, 2e2, 2, "log")),  # neither
+    ])
+    def test_threshold_lines_match_point_evaluations(self, base, axes):
+        summary = run_sweep(base, SweepSpec("temp_kappa_b", *axes)).summary
+        temps, kappa_bs = (axis.values() for axis in axes)
+        assert summary["t_crit_mk"] == self.line_crossing(base, 0, 100.0, temps)
+        assert summary["kappa_b_crit_hz"] == self.line_crossing(base, 1, 10.0, kappa_bs)
+
+    def test_default_grid_reads_the_100_hz_line_from_the_grid(self, base, monkeypatch):
+        # the default kappa_b axis starts at exactly 100 Hz: 3600 grid
+        # points plus the 60-point 10 mK line, not a second 100 Hz line
+        evaluated = []
+        run_pipelines = experiments.run_pipelines
+
+        def counting(*args):
+            result = run_pipelines(*args)
+            evaluated.append(result.size)
+            return result
+
+        monkeypatch.setattr(experiments, "run_pipelines", counting)
+        run_sweep(base, SweepSpec("temp_kappa_b"))
+        assert sum(evaluated) == 3660
+
     def test_threshold_refinement_within_one_coarse_step(self, base):
         kb_axis = SweepAxis(1e2, 2e2, 2, "log")
         coarse = run_sweep(base, SweepSpec("temp_kappa_b",
@@ -317,12 +359,17 @@ class TestDeterminism:
         assert first.records == second.records
         assert first.summary == second.summary
 
-        theta = SWEEPS["theta"]
-        overrides = theta.overrides(base, (spec.axis,))
-        points = grid((spec.axis,))
-        backwards = [SweepRecord.from_result(p, base.evaluate(**overrides(p)))
-                     for p in reversed(points)]
-        assert first.records == tuple(reversed(backwards))
+        # the same points backwards through the column path: the same bits
+        overrides = SWEEPS["theta"].overrides(base, (spec.axis,))
+        backwards = spec.axis.values()[::-1]
+        records = SweepRecord.from_columns([(v,) for v in backwards.tolist()],
+                                           base.evaluate_all(overrides((backwards,))))
+        assert first.records == tuple(reversed(records))
+
+        # point by point through Baseline.evaluate, to the column bound
+        for rec in first.records:
+            point = SweepRecord.from_result(rec.axis, base.evaluate(**overrides(rec.axis)))
+            assert_record_close(rec, point, base.omega_b)
 
 
 #: small grids of every kind whose records depend on the stacked path;
@@ -356,23 +403,131 @@ class TestStackedEvaluation:
         assert any(not rec.stable for rec in sweep.records)
         for rec in sweep.records:
             point = base.evaluate(**overrides(rec.axis))
-            assert rec == SweepRecord.from_result(rec.axis, point)
+            assert_record_close(rec, SweepRecord.from_result(rec.axis, point),
+                                base.omega_b)
 
-    def test_stacked_results_equal_point_results_bitwise(self, base, monkeypatch):
+    def test_stacked_results_agree_with_point_results(self, base, monkeypatch):
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 4)
-        overrides = [{"theta": t * math.pi, "target_g_minus": TWO_PI * g}
-                     for t in (0.27, 0.33, 0.40, 0.46) for g in (0.0, 2e6, 5e6)]
-        stacked = list(base.evaluate_all(overrides))
-        assert len(stacked) == len(overrides)
-        assert {res.stable for res in stacked} == {True, False}
-        for ov, many in zip(overrides, stacked):
-            one = base.evaluate(**ov)
-            assert (many.stable, many.max_re_eig, many.drive_strength,
-                    many.e_n_pp, many.e_n_mb, many.e_n_pb) == \
-                (one.stable, one.max_re_eig, one.drive_strength,
-                 one.e_n_pp, one.e_n_mb, one.e_n_pb)
-            assert (many.basis, many.couplings) == (one.basis, one.couplings)
-            if one.stable:
-                assert np.array_equal(many.state.cov, one.state.cov)
-            else:
-                assert many.state is None
+        theta = np.repeat([0.27, 0.33, 0.40, 0.46], 3) * math.pi
+        g_minus = np.tile([0.0, 2e6, 5e6], 4) * TWO_PI
+        chunks = list(base.evaluate_all({"theta": theta, "target_g_minus": g_minus}))
+        assert [chunk.size for chunk in chunks] == [4, 4, 4]
+        assert {bool(s) for chunk in chunks for s in chunk.stable} == {True, False}
+        for i, (t, g) in enumerate(zip(theta, g_minus)):
+            point = base.evaluate(theta=t, target_g_minus=g)
+            assert_row_close(chunks[i // 4], i % 4, point, base.omega_b)
+
+    def test_shared_overrides_are_one_point(self, base):
+        (result,) = base.evaluate_all({"theta": 0.40 * math.pi})
+        assert result.size == 1
+        point = base.evaluate(theta=0.40 * math.pi)
+        assert result.e_n_pp.tolist() == [point.e_n_pp]
+        assert np.array_equal(result.covs[0], point.state.cov)
+
+    def test_chunk_error_is_that_of_the_first_failing_point(self, base):
+        # point 1 has a negative rate and point 2 a degenerate angle; the
+        # columns resolve theta before they check the rates, so the chunk
+        # is re-evaluated point by point to report point 1
+        overrides = {"theta": np.array([0.40, 0.40, 0.0]) * math.pi,
+                     "kappa_b": np.array([1.0, -1.0, 1.0]) * TWO_PI}
+        with pytest.raises(ParameterError, match="kappa_b must be positive"):
+            base.evaluate(theta=0.40 * math.pi, kappa_b=-TWO_PI)
+        with pytest.raises(ParameterError, match="kappa_b must be positive"):
+            list(base.evaluate_all(overrides))
+
+
+def _feasible_or_not(finite_values):
+    """Mostly feasible draws, sometimes a value outside the domain."""
+    return st.one_of(finite_values, finite_values, finite_values,
+                     st.sampled_from([0.0, -1.0]))
+
+
+#: one random point of override columns (quoted units)
+_POINTS = st.fixed_dictionaries({
+    "theta": _feasible_or_not(st.floats(0.02, 0.49)),
+    "target_g_minus": st.floats(0.0, 6e6),
+    "kappa_a": st.floats(5.0, 7.0),
+    "kappa_c": st.floats(5.0, 7.0),
+    "kappa_b": _feasible_or_not(st.floats(2.0, 6.0)),
+    "temperature": st.floats(0.0, 500.0),
+})
+
+
+class TestColumnProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_POINTS, min_size=1, max_size=6))
+    def test_columns_agree_with_point_evaluations(self, base, points):
+        # log10 rates and mK temperatures -> angular units; a drawn 0 or
+        # -1 rate stays out of its domain
+        def angular(point):
+            out = {"theta": point["theta"] * math.pi,
+                   "target_g_minus": TWO_PI * point["target_g_minus"],
+                   "temperature": 1e-3 * point["temperature"]}
+            for name in ("kappa_a", "kappa_c", "kappa_b"):
+                out[name] = TWO_PI * (10.0 ** point[name] if point[name] > 0 else point[name])
+            return out
+
+        per_point = [angular(p) for p in points]
+        columns = {name: np.array([p[name] for p in per_point]) for name in per_point[0]}
+        results, error = [], None
+        for overrides in per_point:
+            try:
+                results.append(base.evaluate(**overrides))
+            except EntangleError as exc:
+                error = exc
+                break
+        if error is not None:
+            with pytest.raises(type(error)):
+                list(base.evaluate_all(columns))
+            return
+        (stack,) = base.evaluate_all(columns)
+        for row, point in enumerate(results):
+            assert_row_close(stack, row, point, base.omega_b, e_n_rtol=None)
+
+
+class TestPlatformInvariance:
+    """The abstract's "applicable to a variety of bosonic systems": scaling
+    every frequency, rate, coupling, g0 and the temperature by one factor
+    leaves every negativity unchanged."""
+
+    SCALES = (1e-3, 0.37, 10.0, 1e3)
+
+    @staticmethod
+    def scaled(base, factor):
+        return replace(base, **{name: factor * getattr(base, name) for name in (
+            "omega_a", "omega_b", "kappa_a", "kappa_c", "kappa_b",
+            "temperature", "target_g_minus", "g0")})
+
+    @pytest.mark.parametrize("factor", SCALES)
+    def test_point_negativities_invariant(self, base, factor):
+        reference = base.evaluate(theta=0.37 * math.pi)
+        scaled = self.scaled(base, factor).evaluate(theta=0.37 * math.pi)
+        for name in ("e_n_pp", "e_n_mb", "e_n_pb"):
+            assert getattr(scaled, name) == pytest.approx(
+                getattr(reference, name), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("factor", SCALES)
+    def test_theta_sweep_negativities_invariant(self, base, factor):
+        # the three negativities of a point share one covariance, so their
+        # rounding is measured against the point's largest one
+        spec = SweepSpec("theta", SweepAxis(0.30, 0.47, 12))
+        reference = run_sweep(base, spec).records
+        scaled = run_sweep(self.scaled(base, factor), spec).records
+        assert [r.stable for r in scaled] == [r.stable for r in reference]
+        for rec, ref in zip(scaled, reference):
+            if ref.stable:
+                scale = max(ref.e_n_pp, ref.e_n_mb, ref.e_n_pb)
+                for name in ("e_n_pp", "e_n_mb", "e_n_pb"):
+                    assert abs(getattr(rec, name) - getattr(ref, name)) <= 1e-12 * scale
+
+
+class TestOverflowingNoise:
+    @pytest.mark.parametrize("temperature, stage", [(1e300, "Lyapunov solve"),
+                                                    (1e120, "log-negativity")])
+    def test_stable_point_with_overflowing_noise_raises(self, base, temperature, stage):
+        # a stable drift whose noise overflows the residual norm or the
+        # block determinants has no finite negativities to report
+        with pytest.raises(NumericalError, match=rf"\[{stage}\].*overflow"):
+            base.evaluate(temperature=temperature)
+        with pytest.raises(NumericalError, match=rf"\[{stage}\].*overflow"):
+            list(base.evaluate_all({"temperature": [0.01, temperature]}))

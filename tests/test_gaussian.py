@@ -195,6 +195,25 @@ class TestSolveLyapunov:
         with pytest.raises(ParameterError):
             solve_lyapunov(-np.eye(6), np.diag([1, 1, 1, 1, 1, -1.0]))
 
+    def test_overflowing_diffusion_norm_rejected(self):
+        # finite entries whose Frobenius norm overflows leave the residual
+        # contract unchecked
+        with pytest.raises(NumericalError, match="overflows"):
+            solve_lyapunov(-np.eye(6), 1e300 * np.eye(6))
+
+    def test_empty_stack(self):
+        # a chunk whose points are all unstable hands the kernels nothing
+        empty = np.zeros((0, 6, 6))
+        assert solve_lyapunov_stacked(empty, empty).shape == (0, 6, 6)
+        assert log_negativity_stacked(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_non_finite_solution_rejected(self):
+        # a subnormal decay rate: both solves overflow, and a NaN residual
+        # must not pass the contract
+        R = np.diag([-1e-310, -1.0, -1.0, -1.0, -1.0, -1.0])
+        with pytest.raises(NumericalError, match="residual nan"):
+            solve_lyapunov(R, np.eye(6))
+
 
 class TestDenseFallback:
     """Drifts whose eigenbasis cannot carry the solve go to the dense system."""
@@ -476,6 +495,17 @@ class TestLogNegativity:
         V[0, 1] = 0.3
         with pytest.raises(InvalidStateError):
             log_negativity(V)
+
+    def test_non_finite_input_rejected(self):
+        V = 0.5 * np.eye(4)
+        V[1, 1] = np.nan
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            log_negativity(V)
+
+    def test_overflowing_determinants_rejected(self):
+        # the 4x4 determinant is quartic in the entries
+        with pytest.raises(NumericalError, match="overflow"):
+            log_negativity(1e100 * np.eye(4))
 
 
 class TestPhysicality:

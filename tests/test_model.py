@@ -55,6 +55,14 @@ class TestThermalOccupation:
         # 10 GHz at 1 uK: x ~ 5e5, far beyond expm1 overflow
         assert thermal_occupation(TWO_PI * 10e9, 1e-6) == 0.0
 
+    def test_underflowing_k_b_t_is_zero(self):
+        # k_B T underflows to 0 below about 4e-301 K; the point path once
+        # raised ZeroDivisionError there, the column path a numpy warning
+        assert thermal_occupation(TWO_PI * 10e9, 1e-303) == 0.0
+        columns = thermal_occupation(TWO_PI * 10e9, np.array([0.0, 1e-303, 0.01]))
+        assert columns.tolist()[:2] == [0.0, 0.0]
+        assert columns[2] == pytest.approx(thermal_occupation(TWO_PI * 10e9, 0.01))
+
     def test_monotone_in_temperature(self):
         omega = TWO_PI * 10e6
         temps = np.linspace(0.001, 1.0, 40)
