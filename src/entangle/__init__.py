@@ -18,11 +18,9 @@ from .experiments import (
 from .gaussian import (
     GaussianState,
     log_negativity,
-    min_physicality_eig,
     reduce_two_mode,
     solve_lyapunov,
     stability,
-    symplectic_eigenvalues,
 )
 from .model import (
     EffectiveCouplings,
@@ -52,7 +50,6 @@ __all__ = [
     "errors",
     "hybridize",
     "log_negativity",
-    "min_physicality_eig",
     "default_baseline",
     "reduce_two_mode",
     "run_pipeline",
@@ -61,6 +58,5 @@ __all__ = [
     "solve_lyapunov",
     "stability",
     "steady_state_amplitudes",
-    "symplectic_eigenvalues",
     "thermal_occupation",
 ]

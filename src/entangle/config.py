@@ -98,23 +98,18 @@ class RunConfig:
 
     def sweep_spec(self) -> experiments.SweepSpec:
         s = self.sweep
-        try:
-            return experiments.SweepSpec(
-                kind=s.kind,
-                axis=_axis_of(s.start, s.stop, s.count, s.scale),
-                axis2=_axis_of(s.start2, s.stop2, s.count2, s.scale2),
-                param=s.param,
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid sweep block: {exc}") from exc
+        return experiments.SweepSpec(
+            kind=s.kind,
+            axis=_axis_of(s.start, s.stop, s.count, s.scale),
+            axis2=_axis_of(s.start2, s.stop2, s.count2, s.scale2),
+            param=s.param,
+        )
 
 
 def _axis_of(start, stop, count, scale):
-    given = [v is not None for v in (start, stop, count)]
-    if not any(given):
+    # parse_config gives an axis all of start, stop and count, or none
+    if start is None:
         return None
-    if not all(given):
-        raise ConfigError("an axis needs all of start, stop, and count")
     return experiments.SweepAxis(start, stop, count, scale or "linear")
 
 
@@ -271,6 +266,7 @@ def parse_config(text, overrides=()) -> RunConfig:
 
 
 def _build_config(entries):
+    order = list(entries)  # (section, key) in the order given
     known = {"params": experiments.PARAMS, "sweep": _SWEEP_KEYS,
              "output": _OUTPUT_KEYS}
     for (section, key), (_, line) in entries.items():
@@ -309,11 +305,16 @@ def _build_config(entries):
             else:
                 axis[key] = convert(*entry)
             located[key] = entry[1]
-        if {"start", "stop", "count"} <= axis.keys():
-            fault = experiments.axis_fault(axis["start"], axis["stop"], axis["count"],
-                                           axis.get("scale", "linear"))
-            if fault is not None:
-                raise ConfigError(fault[1], located[fault[0]])
+        if not axis:
+            continue
+        if not {"start", "stop", "count"} <= axis.keys():
+            first = min(located, key=lambda key: order.index(("sweep", key + suffix)))
+            raise ConfigError("an axis needs all of start, stop, and count",
+                              located[first])
+        fault = experiments.axis_fault(axis["start"], axis["stop"], axis["count"],
+                                       axis.get("scale", "linear"))
+        if fault is not None:
+            raise ConfigError(fault[1], located[fault[0]])
         sweep_values.update((key + suffix, value) for key, value in axis.items())
     sweep = SweepBlock(**sweep_values)
 

@@ -6,32 +6,16 @@ class EntangleError(Exception):
 
 
 class ParameterError(EntangleError):
-    """Invalid, non-finite, or out-of-range physical parameters."""
-
-
-class DegenerateHybridizationError(EntangleError):
-    """Mixing angle at 0 or pi/2, where one polariton decouples (g = 0)."""
-
-
-class SingularSteadyStateError(EntangleError):
-    """The steady-state denominator vanishes; mean amplitudes are undefined."""
-
-
-class DriveSolveError(EntangleError):
-    """No drive strength can realize the requested coupling target."""
-
-
-class UnstableDriftError(EntangleError):
-    """Drift matrix has an eigenvalue with non-negative real part; no
-    stationary covariance exists."""
+    """Invalid, non-finite, or out-of-range physical parameters, or ones
+    the model cannot realize: a mixing angle where the polaritons
+    decouple, a |G_-| target no drive reaches, or a drift with no
+    stationary state handed to the Lyapunov solve."""
 
 
 class NumericalError(EntangleError):
-    """A dense linear-algebra routine failed or lost too much accuracy."""
-
-
-class InvalidStateError(EntangleError):
-    """Covariance matrix is inconsistent with a physical Gaussian state."""
+    """A dense linear-algebra routine failed or lost too much accuracy, a
+    steady-state denominator vanished, or a covariance matrix is
+    inconsistent with a physical Gaussian state."""
 
 
 class ConfigError(EntangleError):

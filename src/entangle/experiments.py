@@ -303,22 +303,6 @@ class SweepRecord:
             )]
         return records
 
-    @classmethod
-    def from_result(cls, axis, result: PipelineResult) -> SweepRecord:
-        return cls(
-            axis=tuple(float(a) for a in axis),
-            e_n_pp=result.e_n_pp,
-            e_n_mb=result.e_n_mb,
-            e_n_pb=result.e_n_pb,
-            stable=result.stable,
-            max_re_eig=result.max_re_eig,
-            abs_g_plus=abs(result.couplings.g_plus) / TWO_PI,
-            abs_g_minus=abs(result.couplings.g_minus) / TWO_PI,
-            theta=result.basis.theta,
-            delta_plus=result.basis.delta_plus / TWO_PI,
-            delta_minus=result.basis.delta_minus / TWO_PI,
-        )
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -21,8 +21,7 @@ overflow.
 :func:`stability`, :func:`solve_lyapunov` and :func:`log_negativity`
 are the one-point views of these kernels.  Every row of a stacked call
 runs the same arithmetic as the one-point call on that row, so the two
-agree bit for bit.  Also here: an independent Routh-Hurwitz stability
-cross-check, two-mode reduction and symplectic eigenvalues.
+agree bit for bit.
 
 Quadrature ordering is fixed globally as (X+, Y+, X-, Y-, Xb, Yb) and
 the vacuum covariance matrix is identity/2.  Drift and diffusion inputs
@@ -36,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidStateError,
-    NumericalError,
-    ParameterError,
-    UnstableDriftError,
-)
+from .errors import NumericalError, ParameterError
 
 #: quadrature slots of each mode in the global ordering
 MODE_SLOTS = {"+": (0, 1), "-": (2, 3), "b": (4, 5)}
@@ -81,12 +75,6 @@ _LAPLACE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 _ENTRY_MAX = 1e76
 
 
-def symplectic_form(n_modes):
-    """Block-diagonal symplectic form J = diag([[0, 1], [-1, 0]], ...)."""
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j2)
-
-
 @dataclass
 class GaussianState:
     """Steady-state Gaussian state of the three-mode fluctuations.
@@ -102,12 +90,8 @@ class GaussianState:
             raise ParameterError(f"covariance must be 6x6, got {V.shape}")
         scale = np.abs(V).max()
         if np.abs(V - V.T).max() > 1e-10 * max(scale, 1.0):
-            raise InvalidStateError("covariance matrix is not symmetric")
+            raise NumericalError("covariance matrix is not symmetric")
         self.cov = V
-
-    def physicality_min_eig(self):
-        """Smallest eigenvalue of V + iJ/2; >= -1e-8 for a physical state."""
-        return min_physicality_eig(self.cov)
 
 
 def drift_spectra(drifts):
@@ -148,48 +132,6 @@ def stability(drift):
     return max_re < 0.0, max_re
 
 
-def characteristic_polynomial(matrix):
-    """Coefficients of det(s*I - M), monic, by Faddeev-LeVerrier.
-
-    Trace-based recursion; independent of any eigenvalue computation.
-    """
-    M = np.asarray(matrix, dtype=float)
-    n = M.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    Mk = np.zeros_like(M)
-    for k in range(1, n + 1):
-        Mk = M @ Mk + coeffs[k - 1] * M
-        coeffs[k] = -np.trace(Mk) / k
-    return coeffs
-
-
-def routh_hurwitz_stable(coeffs):
-    """Routh array test: are all polynomial roots in the open left half-plane?
-
-    A zero pivot in the first column marks a root on the imaginary axis
-    (the stability boundary) and is reported as not stable.
-    """
-    a = np.asarray(coeffs, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ParameterError("need at least a degree-1 polynomial")
-    if a[0] <= 0.0:
-        raise ParameterError("leading coefficient must be positive")
-    width = (a.size + 1) // 2
-    prev = np.zeros(width + 1)
-    cur = np.zeros(width + 1)
-    prev[: (a.size + 1) // 2] = a[0::2]
-    cur[: a.size // 2] = a[1::2]
-    if cur[0] <= 0.0:
-        return False
-    for _ in range(a.size - 2):
-        nxt = (cur[0] * prev[1:] - prev[0] * cur[1:]) / cur[0]
-        if nxt[0] <= 0.0:
-            return False
-        prev, cur = cur, np.append(nxt, 0.0)
-    return True
-
-
 def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
     """Solve R V + V R^T = -D for the stationary covariance of each row.
 
@@ -214,7 +156,7 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
     max_re = lam.real.max(axis=1)
     unstable = ~(max_re < 0.0)
     if unstable.any():
-        raise UnstableDriftError(
+        raise ParameterError(
             "drift matrix is not strictly stable "
             f"(max Re eig = {max_re[unstable][0]:g}); "
             "no stationary state exists"
@@ -327,37 +269,6 @@ def pair_blocks(covs):
     return V[:, _PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
 
 
-def partial_transpose(cov4):
-    """Partial transposition of a two-mode covariance matrix.
-
-    Flips the sign of the second mode's momentum quadrature.
-    """
-    P = np.diag([1.0, 1.0, 1.0, -1.0])
-    return P @ np.asarray(cov4, dtype=float) @ P
-
-
-def symplectic_eigenvalues(cov):
-    """Symplectic spectrum of a covariance matrix: |eig(iJV)|, one per mode."""
-    V = np.asarray(cov, dtype=float)
-    n_modes = V.shape[0] // 2
-    J = symplectic_form(n_modes)
-    nu = np.abs(np.linalg.eigvals(1j * J @ V))
-    nu.sort()
-    return nu[::2]
-
-
-def min_physicality_eig(cov):
-    """Smallest eigenvalue of the Hermitian matrix V + iJ/2.
-
-    Non-negative (up to rounding) iff V describes a physical Gaussian
-    state in the vacuum = identity/2 convention.
-    """
-    V = np.asarray(cov, dtype=float)
-    n_modes = V.shape[0] // 2
-    J = symplectic_form(n_modes)
-    return float(np.linalg.eigvalsh(V + 0.5j * J).min())
-
-
 def log_negativity_stacked(covs4):
     """Logarithmic negativities of a stack of two-mode covariance matrices.
 
@@ -373,12 +284,12 @@ def log_negativity_stacked(covs4):
     scale = np.maximum(np.abs(V).max(axis=(1, 2)), 1.0)
     if not (scale <= _ENTRY_MAX).all():  # NaN fails too
         if not np.isfinite(scale).all():
-            raise InvalidStateError("two-mode covariance matrix has non-finite entries")
+            raise NumericalError("two-mode covariance matrix has non-finite entries")
         raise NumericalError(
             f"covariance entries up to {scale.max():.3e} overflow the block "
             f"determinants (at most {_ENTRY_MAX:g})")
     if (np.abs(V - V.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10 * scale).any():
-        raise InvalidStateError("two-mode covariance matrix is not symmetric")
+        raise NumericalError("two-mode covariance matrix is not symmetric")
 
     minors = (V[:, _MINOR_R, _MINOR_P] * V[:, _MINOR_R1, _MINOR_Q]
               - V[:, _MINOR_R, _MINOR_Q] * V[:, _MINOR_R1, _MINOR_P])
@@ -390,18 +301,18 @@ def log_negativity_stacked(covs4):
     disc = sigma * sigma - 4.0 * det_full
     bad = disc < -1e-10
     if bad.any():
-        raise InvalidStateError(
+        raise NumericalError(
             "inconsistent covariance matrix: "
             f"Sigma^2 - 4 det V = {disc[bad][0]:g} < 0"
         )
     denom = sigma + np.sqrt(np.maximum(disc, 0.0))
     if (denom <= 0.0).any():
-        raise InvalidStateError("covariance matrix has non-positive Sigma")
+        raise NumericalError("covariance matrix has non-positive Sigma")
     # eta^2 = (Sigma - sqrt(disc)) / 2 rewritten to avoid cancellation
     eta_sq = 2.0 * det_full / denom
     bad = eta_sq <= 0.0
     if bad.any():
-        raise InvalidStateError(
+        raise NumericalError(
             f"non-positive symplectic eigenvalue (det V4 = {det_full[bad][0]:g})"
         )
     two_eta = 2.0 * np.sqrt(eta_sq)

@@ -34,12 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.constants import hbar, k as k_B
 
-from .errors import (
-    DegenerateHybridizationError,
-    DriveSolveError,
-    ParameterError,
-    SingularSteadyStateError,
-)
+from .errors import NumericalError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,7 +175,7 @@ class SystemParams:
             warnings.warn(
                 "omega_b is not small compared with omega_a; the dispersive "
                 "model assumes omega_b << omega_a, omega_c",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
 
@@ -331,7 +326,7 @@ def solve_g_omega_c_from_theta(theta, omega_a, omega_b):
     _require_positive("omega_b", omega_b)
     outside = (theta <= 0.0) | (theta >= 0.5 * math.pi)
     if _any(outside):
-        raise DegenerateHybridizationError(
+        raise ParameterError(
             f"theta must lie strictly inside (0, pi/2); got "
             f"{_first(theta, outside)!r} "
             "(the polaritons decouple and g = 0 at the endpoints)"
@@ -356,7 +351,7 @@ def _amplitudes_per_unit_drive(basis: PolaritonBasis):
     c = m.cos(basis.theta)
     scale = m.maximum(abs(zm) * abs(zp), dk * dk)
     if _any(abs(den) <= 1e-12 * scale):
-        raise SingularSteadyStateError(
+        raise NumericalError(
             "steady-state denominator (dm - i km)(dp - i kp) + dk^2 vanishes"
         )
     amp_plus_u = (dk * c - 1j * s * zm) / den
@@ -412,7 +407,7 @@ def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus):
     _, amp_minus_u = _amplitudes_per_unit_drive(basis)
     per_unit = abs(amp_minus_u)
     if _any(pinned & (per_unit == 0.0)):
-        raise DriveSolveError(
+        raise ParameterError(
             "the A_- amplitude vanishes for these parameters; "
             "|G_-| cannot be set by the drive"
         )

@@ -18,6 +18,9 @@ E_N = 5.7e-4 with ||V||_F near 100), and covariances agree to 3.3e-11.
 import numpy as np
 import pytest
 
+from entangle.experiments import SweepRecord
+from entangle.model import TWO_PI
+
 #: sweep records against the point path: E_N, in units of max(E_N, 1e-3)
 E_N_RTOL = 1e-11
 #: max_re_eig, in units of omega_b
@@ -30,6 +33,23 @@ COV_RTOL = 1e-9
 E_N_COV_ATOL = 1e-12
 
 NEGATIVITIES = ("e_n_pp", "e_n_mb", "e_n_pb")
+
+
+def point_record(axis, result):
+    """The :class:`SweepRecord` of ``axis`` from a ``PipelineResult``."""
+    return SweepRecord(
+        axis=tuple(float(a) for a in axis),
+        e_n_pp=result.e_n_pp,
+        e_n_mb=result.e_n_mb,
+        e_n_pb=result.e_n_pb,
+        stable=result.stable,
+        max_re_eig=result.max_re_eig,
+        abs_g_plus=abs(result.couplings.g_plus) / TWO_PI,
+        abs_g_minus=abs(result.couplings.g_minus) / TWO_PI,
+        theta=result.basis.theta,
+        delta_plus=result.basis.delta_plus / TWO_PI,
+        delta_minus=result.basis.delta_minus / TWO_PI,
+    )
 
 
 def assert_record_close(record, reference, omega_b):

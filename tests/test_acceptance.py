@@ -23,19 +23,17 @@ from entangle.experiments import (
     grid,
     run_sweep,
 )
-from entangle.gaussian import (
-    characteristic_polynomial,
-    log_negativity,
-    min_physicality_eig,
-    routh_hurwitz_stable,
-    solve_lyapunov,
-    stability,
-    symplectic_form,
-)
+from entangle.gaussian import log_negativity, solve_lyapunov, stability
 from entangle.model import TWO_PI, solve_g_omega_c_from_theta
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
-from column_bounds import assert_record_close
+from column_bounds import assert_record_close, point_record
+from oracles import (
+    characteristic_polynomial,
+    min_physicality_eig,
+    routh_hurwitz_stable,
+    symplectic_form,
+)
 
 # Golden peak E_N of the mixing-angle sweep (200-point default grid),
 # captured from this implementation after the solver-oracle criterion
@@ -362,7 +360,7 @@ def test_criterion_9_evaluation_order_determinism(base, tmp_path):
     # (the point path runs the model layer on math instead of numpy)
     points = grid(theta.defaults)
     for point, rec in zip(points, result.records):
-        reference = SweepRecord.from_result(point, base.evaluate(**overrides(point)))
+        reference = point_record(point, base.evaluate(**overrides(point)))
         assert_record_close(rec, reference, base.omega_b)
 
     ok = rec_a == rec_b == rec_rev

@@ -141,9 +141,27 @@ class TestParseConfig:
             parse_config("[sweep]\nkind = point\nstart = 1\nstop = 2\ncount = 3\n")
 
     def test_partial_axis_rejected(self):
-        cfg = parse_config("[sweep]\nkind = theta\nstart = 0.3 pi\n")
-        with pytest.raises(ConfigError, match="start, stop, and count"):
-            cfg.sweep_spec()
+        with pytest.raises(ConfigError,
+                           match="^line 3: an axis needs all of start, stop, and count$"):
+            parse_config("[sweep]\nkind = theta\nstart = 0.3 pi\n")
+
+    @pytest.mark.parametrize("kind,key", [
+        ("g_minus", "scale"), ("kappa_grid", "scale"), ("kappa_grid", "scale2"),
+    ])
+    def test_lone_scale_rejected(self, kind, key):
+        # the kind's default axis would run while the echo states the scale
+        message = "an axis needs all of start, stop, and count$"
+        with pytest.raises(ConfigError, match=f"^line 3: {message}"):
+            parse_config(f"[sweep]\nkind = {kind}\n{key} = linear\n")
+        with pytest.raises(ConfigError, match=f"^override sweep.{key}: {message}"):
+            parse_config("", [("sweep.kind", kind), (f"sweep.{key}", "linear")])
+
+    def test_partial_axis_names_its_first_key(self):
+        with pytest.raises(ConfigError, match="^line 3: an axis needs"):
+            parse_config("[sweep]\nkind = theta\nstop = 0.4 pi\nstart = 0.3 pi\n")
+        with pytest.raises(ConfigError, match="^override sweep.count2: an axis needs"):
+            parse_config("", [("sweep.kind", "temp_kappa_b"), ("sweep.count2", "5"),
+                              ("sweep.start2", "1 kHz")])
 
     def test_generic_needs_valid_param(self):
         with pytest.raises(ConfigError, match="cannot sweep"):

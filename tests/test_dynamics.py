@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
+from entangle.errors import NumericalError
 from entangle.experiments import default_baseline
-from entangle.gaussian import min_physicality_eig, solve_lyapunov
+from entangle.gaussian import solve_lyapunov
 from entangle.model import (
     TWO_PI,
     drive_for_target_g_minus,
@@ -25,6 +26,7 @@ from bare_mode_oracle import (
     bare_mode_covariance,
     symplectic_log_negativity,
 )
+from oracles import min_physicality_eig
 
 SQRT2 = math.sqrt(2.0)
 
@@ -249,14 +251,13 @@ class TestRunPipeline:
 
     def test_stage_context_in_errors(self, monkeypatch):
         import entangle.dynamics as dyn
-        from entangle.errors import SingularSteadyStateError
 
         def boom(*args):
-            raise SingularSteadyStateError("denominator vanished")
+            raise NumericalError("denominator vanished")
 
         monkeypatch.setattr(dyn, "steady_state_amplitudes", boom)
-        with pytest.raises(SingularSteadyStateError,
-                           match=r"\[steady-state amplitudes\]"):
+        with pytest.raises(NumericalError,
+                           match=r"^\[steady-state amplitudes\] denominator vanished$"):
             run_pipeline(reference_params(0.40), target_g_minus=TWO_PI * 2e6)
 
 

@@ -24,7 +24,7 @@ from entangle.experiments import (
 from entangle.model import TWO_PI
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
-from column_bounds import assert_record_close, assert_row_close
+from column_bounds import assert_record_close, assert_row_close, point_record
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +368,7 @@ class TestDeterminism:
 
         # point by point through Baseline.evaluate, to the column bound
         for rec in first.records:
-            point = SweepRecord.from_result(rec.axis, base.evaluate(**overrides(rec.axis)))
+            point = point_record(rec.axis, base.evaluate(**overrides(rec.axis)))
             assert_record_close(rec, point, base.omega_b)
 
 
@@ -403,7 +403,7 @@ class TestStackedEvaluation:
         assert any(not rec.stable for rec in sweep.records)
         for rec in sweep.records:
             point = base.evaluate(**overrides(rec.axis))
-            assert_record_close(rec, SweepRecord.from_result(rec.axis, point),
+            assert_record_close(rec, point_record(rec.axis, point),
                                 base.omega_b)
 
     def test_stacked_results_agree_with_point_results(self, base, monkeypatch):
