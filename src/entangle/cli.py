@@ -22,17 +22,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, experiments
 from .config import RunConfig, echo_config, parse_config
-from .errors import ConfigError, EntangleError, ParameterError
+from .errors import ConfigError, EntangleError
 
 #: frozen record column order (after the per-sweep axis columns)
-RECORD_COLUMNS = ("e_n_pp", "e_n_mb", "e_n_pb", "stable", "max_re_eig",
-                  "abs_g_plus", "abs_g_minus", "theta", "delta_plus",
-                  "delta_minus")
+RECORD_COLUMNS = tuple(f.name for f in fields(experiments.SweepRecord)
+                       if f.name != "axis")
 
 
 def _fmt(value):
@@ -140,30 +139,17 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _load_config(path, overrides, out_dir):
-    if path is None:
-        text = ""
-    else:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    cfg = parse_config(text, overrides)
-    if out_dir is not None:
-        cfg = replace(cfg, output=replace(cfg.output, directory=str(out_dir)))
-    return cfg
+def _load_config(path, overrides):
+    try:
+        text = "" if path is None else Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config(text, overrides)
 
 
 def _execute(cfg: RunConfig) -> int:
-    base, spec = cfg.baseline(), cfg.sweep_spec()
-    try:
-        # axes the baseline cannot realize, such as a detuning axis below
-        # the splitting floor, are a mistake in the config
-        spec.sweep_kind().overrides(base, spec.resolved_axes())
-    except ParameterError as exc:
-        raise ConfigError(f"invalid sweep block: {exc}") from exc
     start = time.perf_counter()
-    result = experiments.run_sweep(base, spec)
+    result = experiments.run_sweep(cfg.baseline(), cfg.sweep)
     elapsed = time.perf_counter() - start
     try:
         write_outputs(result, cfg, cfg.output.directory, elapsed)
@@ -213,15 +199,9 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(args.set)
         if args.command == "point":
             overrides.append(("sweep.kind", "point"))
-            cfg = _load_config(None, overrides, args.out)
-        else:
-            cfg = _load_config(args.config, overrides, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return _execute(cfg)
+        if args.out is not None:
+            overrides.append(("output.dir", args.out))
+        return _execute(_load_config(getattr(args, "config", None), overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

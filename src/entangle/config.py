@@ -22,10 +22,12 @@ as multiples of pi::
 
 The ``[params]`` keys, their units, domains and defaults are the
 entries of :data:`entangle.experiments.PARAMS`.  Unknown sections or
-keys, values outside a key's domain (every value must be finite) and
-invalid sweep axes are rejected with the line number of the entry, or
-the ``section.key`` of an override; missing keys take the defaults of
-the feasible cavity-magnomechanics parameter set.
+keys, values outside a key's domain (every value must be finite),
+invalid sweep axes and sweep grids the parameters cannot realize are
+rejected with the line number of the entry, or the ``section.key`` of an
+override; missing keys take the defaults of the feasible
+cavity-magnomechanics parameter set.  The ``[sweep]`` block parses to
+the :class:`entangle.experiments.SweepSpec` the run executes.
 :func:`echo_config` renders a config back to parseable text such that
 ``parse_config(echo_config(cfg)) == cfg``.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, field, make_dataclass, replace
 
 from . import experiments
 from .errors import ConfigError, ParameterError
@@ -64,22 +66,6 @@ values because the echo cannot be rebuilt from the baseline:
 
 
 @dataclass(frozen=True)
-class SweepBlock:
-    """Sweep block; axis fields left None fall back to per-kind defaults."""
-
-    kind: str = "theta"
-    param: str | None = None
-    start: float | None = None
-    stop: float | None = None
-    count: int | None = None
-    scale: str | None = None
-    start2: float | None = None
-    stop2: float | None = None
-    count2: int | None = None
-    scale2: str | None = None
-
-
-@dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "meta", "dat")
@@ -89,28 +75,12 @@ class OutputBlock:
 @dataclass(frozen=True)
 class RunConfig:
     params: ParamsConfig = ParamsConfig()
-    sweep: SweepBlock = SweepBlock()
+    sweep: experiments.SweepSpec = experiments.SweepSpec()
     output: OutputBlock = OutputBlock()
 
     def baseline(self) -> experiments.Baseline:
         """Convert the parameter block to the angular-unit baseline."""
         return experiments.quoted_baseline(vars(self.params))
-
-    def sweep_spec(self) -> experiments.SweepSpec:
-        s = self.sweep
-        return experiments.SweepSpec(
-            kind=s.kind,
-            axis=_axis_of(s.start, s.stop, s.count, s.scale),
-            axis2=_axis_of(s.start2, s.stop2, s.count2, s.scale2),
-            param=s.param,
-        )
-
-
-def _axis_of(start, stop, count, scale):
-    # parse_config gives an axis all of start, stop and count, or none
-    if start is None:
-        return None
-    return experiments.SweepAxis(start, stop, count, scale or "linear")
 
 
 # -- value converters --------------------------------------------------------
@@ -224,10 +194,6 @@ _OUTPUT_KEYS = {
 }
 
 
-def _axis_lines(kind, param):
-    return experiments.SweepSpec(kind, param=param).sweep_kind().axes
-
-
 def parse_config(text, overrides=()) -> RunConfig:
     """Parse config text (plus ``section.key=value`` overrides) to a RunConfig.
 
@@ -285,12 +251,16 @@ def _build_config(entries):
     kind = kind_entry[0] if kind_entry else "theta"
     param = param_entry[0] if param_entry else None
     try:
-        axis_lines = _axis_lines(kind, param)
+        sweep = experiments.SweepSpec(kind, param=param)
     except ParameterError as exc:
         entry = param_entry if kind in experiments.SWEEPS else kind_entry
         raise ConfigError(str(exc), entry[1] if entry else None) from None
+    axis_lines = sweep.sweep_kind().axes
 
-    sweep_values = {"kind": kind, "param": param}
+    axes = {}  # SweepSpec field -> SweepAxis
+    # an unrealizable grid (checked once [params] is known) names the
+    # start of the first axis, or the kind when that axis is its default
+    grid_location = kind_entry[1] if kind_entry else None
     for index, suffix in enumerate(("", "2")):
         axis, located = {}, {}  # axis key -> value, location of its entry
         for key, convert in _AXIS_KEYS.items():
@@ -315,8 +285,10 @@ def _build_config(entries):
                                        axis.get("scale", "linear"))
         if fault is not None:
             raise ConfigError(fault[1], located[fault[0]])
-        sweep_values.update((key + suffix, value) for key, value in axis.items())
-    sweep = SweepBlock(**sweep_values)
+        axes["axis" + suffix] = experiments.SweepAxis(**axis)
+        if index == 0:
+            grid_location = located["start"]
+    sweep = replace(sweep, **axes)
 
     quoted = {}  # [params] key -> quoted value
     for key, param in experiments.PARAMS.items():
@@ -344,12 +316,21 @@ def _build_config(entries):
             output_values[field_name] = raw if convert is None else convert(raw, line)
     output = OutputBlock(**output_values)
 
+    # a grid the baseline cannot realize: a generic sweep with no axis,
+    # a detuning axis below the splitting floor
+    try:
+        sweep.sweep_kind().overrides(experiments.quoted_baseline(vars(params)),
+                                     sweep.resolved_axes())
+    except ParameterError as exc:
+        raise ConfigError(f"invalid sweep block: {exc}", grid_location) from None
+
     assert not entries
     return RunConfig(params=params, sweep=sweep, output=output)
 
 
 def echo_config(cfg: RunConfig) -> str:
-    """Render a RunConfig as canonical parseable text (exact round-trip)."""
+    """Render a RunConfig as canonical parseable text (exact round-trip);
+    a linear ``scale``, the default, is left out."""
     p, s, o = cfg.params, cfg.sweep, cfg.output
     lines = ["[params]"]
     for key, param in experiments.PARAMS.items():
@@ -362,13 +343,14 @@ def echo_config(cfg: RunConfig) -> str:
     lines.append(f"kind = {s.kind}")
     if s.param is not None:
         lines.append(f"param = {s.param}")
-    for line, suffix in zip(_axis_lines(s.kind, s.param), ("", "2")):
-        for key in _AXIS_KEYS:
-            value = getattr(s, key + suffix)
-            if value is not None:
-                unit = _UNITS[line.unit][1] if key in ("start", "stop") else ""
-                rendered = value if isinstance(value, (str, int)) else repr(value)
-                lines.append(f"{key}{suffix} = {rendered}{unit}")
+    for line, axis, suffix in zip(s.sweep_kind().axes, (s.axis, s.axis2), ("", "2")):
+        if axis is not None:
+            unit = _UNITS[line.unit][1]
+            lines.append(f"start{suffix} = {axis.start!r}{unit}")
+            lines.append(f"stop{suffix} = {axis.stop!r}{unit}")
+            lines.append(f"count{suffix} = {axis.count}")
+            if axis.scale == "log":  # linear is the default
+                lines.append(f"scale{suffix} = log")
 
     lines.append("")
     lines.append("[output]")

@@ -1,6 +1,7 @@
 """Config ingestion, output emission, and CLI exit behavior."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from entangle.config import (
     OutputBlock,
     ParamsConfig,
     RunConfig,
-    SweepBlock,
     echo_config,
     parse_config,
 )
@@ -25,6 +25,8 @@ from entangle.experiments import (
     run_sweep,
 )
 from entangle.model import TWO_PI
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN_HEADER = ("theta_pi,e_n_pp,e_n_mb,e_n_pb,stable,max_re_eig,"
                  "abs_g_plus,abs_g_minus,theta,delta_plus,delta_minus")
@@ -128,13 +130,13 @@ class TestParseConfig:
     def test_sweep_axis_units_follow_kind(self):
         cfg = parse_config(
             "[sweep]\nkind = detuning\nstart = 7 MHz\nstop = 13 MHz\ncount = 25\n")
-        spec = cfg.sweep_spec()
+        spec = cfg.sweep
         assert spec.axis.start == 7e6 and spec.axis.stop == 13e6
 
     def test_theta_axis_in_pi_units(self):
         cfg = parse_config(
             "[sweep]\nkind = theta\nstart = 0.3 pi\nstop = 0.45 pi\ncount = 10\n")
-        assert cfg.sweep_spec().axis.start == 0.3
+        assert cfg.sweep.axis.start == 0.3
 
     def test_point_kind_takes_no_axis(self):
         with pytest.raises(ConfigError, match="does not apply"):
@@ -212,6 +214,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^line {line}: {message}"):
             parse_config(text)
 
+    @pytest.mark.parametrize("entries, key, message", [
+        # the kind's default axis: the kind entry is named
+        ([("sweep", "kind", "generic"), ("sweep", "param", "kappa_b")], "kind",
+         "generic sweeps need an explicit axis"),
+        ([("params", "g", "7 MHz"), ("params", "omega_c", "10.01 GHz"),
+          ("sweep", "kind", "detuning")], "kind",
+         r"detuning axis starts below the splitting floor g/2pi = 7e\+06 Hz"),
+        # a given axis: its start entry is named
+        ([("sweep", "kind", "detuning"), ("sweep", "stop", "14 MHz"),
+          ("sweep", "start", "1 MHz"), ("sweep", "count", "5")], "start",
+         r"detuning axis starts below the splitting floor g/2pi = 5.87785e\+06 Hz"),
+    ], ids=["generic-without-axis", "detuning-default-axis", "detuning-axis"])
+    def test_unrealizable_grid_rejected_at_parse_time(self, entries, key, message):
+        text, line = "", None
+        for section in ("params", "sweep"):
+            text += f"[{section}]\n"
+            for entry_section, entry_key, value in entries:
+                if entry_section == section:
+                    text += f"{entry_key} = {value}\n"
+                    if (section, entry_key) == ("sweep", key):
+                        line = text.count("\n")
+        message = f"invalid sweep block: {message}$"
+        with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
+            parse_config(text)
+        overrides = [(f"{section}.{k}", v) for section, k, v in entries]
+        with pytest.raises(ConfigError, match=f"^override sweep.{key}: {message}"):
+            parse_config("", overrides)
+
 
 #: per [params] key: its entry with a non-default value, the echo of that
 #: entry, its Baseline field and the field's value by an explicit formula
@@ -279,6 +309,22 @@ class TestEchoRoundTrip:
         assert parse_config(echo_config(cfg)) == cfg
         assert getattr(cfg.baseline(), field) == expected
 
+    @pytest.mark.parametrize("axis, key", [
+        ("kind = theta\nstart = 0.3 pi\nstop = 0.4 pi\ncount = 3\n", "scale"),
+        ("kind = temp_kappa_b\nstart2 = 100 Hz\nstop2 = 1 MHz\ncount2 = 3\n",
+         "scale2"),
+    ], ids=["scale", "scale2"])
+    def test_only_a_log_scale_is_echoed(self, axis, key):
+        text = "[sweep]\n" + axis
+        implicit = parse_config(text)
+        explicit = parse_config(text + f"{key} = linear\n")
+        logged = parse_config(text + f"{key} = log\n")
+        assert explicit == implicit
+        assert echo_config(explicit) == echo_config(implicit)
+        assert f"{key} =" not in echo_config(explicit)
+        assert f"{key} = log" in echo_config(logged).splitlines()
+        assert parse_config(echo_config(logged)) == logged
+
     def test_two_axis_round_trip(self):
         cfg = parse_config(
             "[sweep]\nkind = temp_kappa_b\n"
@@ -318,6 +364,8 @@ def test_registry_round_trip(kind, param):
     for line, suffix in zip(SweepSpec(kind, param=param).sweep_kind().axes,
                             ("", "2")):
         start, stop = _ENDPOINTS[line.unit]
+        if kind == "detuning":  # above the splitting floor g/2pi = 5.88 MHz
+            start, stop = 7e6, 13e6
         text += (f"start{suffix} = {start} {line.unit}\n"
                  f"stop{suffix} = {stop} {line.unit}\n"
                  f"count{suffix} = 7\nscale{suffix} = log\n")
@@ -326,7 +374,18 @@ def test_registry_round_trip(kind, param):
     echoed = echo_config(cfg)
     assert parse_config(echoed) == cfg
     assert all(entry in echoed.splitlines() for entry in expected)
-    assert len(cfg.sweep_spec().sweep_kind().axes) == len(expected)
+    assert len(cfg.sweep.sweep_kind().axes) == len(expected)
+
+
+def test_readme_config_example_parses_and_round_trips():
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("```ini\n", readme.index("### Config format")) + 7
+    example = readme[start:readme.index("```", start)]
+    cfg = parse_config(example)
+    assert cfg.sweep == SweepSpec("theta", SweepAxis(0.26, 0.49, 200))
+    assert cfg.output.precision == 9
+    assert parse_config(echo_config(cfg)) == cfg
+    assert cfg.baseline() == default_baseline()  # the documented defaults
 
 
 class TestEmission:
@@ -392,6 +451,14 @@ class TestEmission:
         assert cfg.params.kappa_a_hz == 2e6
         # directory was overridden by --out and echoed accordingly
         assert cfg.output.directory == str(tmp_path)
+
+    def test_out_wins_over_output_dir_override(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        code = main(["point", "--set", f"output.dir={a}", "--out", str(b)])
+        assert code == 0
+        assert not a.exists()
+        assert (b / "records.csv").is_file()
+        assert f"dir = {b}" in (b / "resolved_config.cfg").read_text().splitlines()
 
     def test_default_run_shape_and_metadata(self, tmp_path):
         main(["run", "/dev/null", "--out", str(tmp_path)])
@@ -499,6 +566,14 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert "splitting floor" in err
         assert not (tmp_path / "records.csv").exists()
+
+    def test_generic_sweep_without_axis_exits_2_naming_the_kind(self, capsys):
+        code = main(["run", "/dev/null", "--set", "sweep.kind=generic",
+                     "--set", "sweep.param=kappa_b"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: override sweep.kind: invalid sweep block: "
+            "generic sweeps need an explicit axis\n")
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import entangle.cli as cli_mod
