@@ -32,11 +32,15 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .errors import NumericalError, ParameterError
 
 TWO_PI = 2.0 * math.pi
+
+# Planck's and Boltzmann's constants are exact by definition since the
+# 2019 SI redefinition (BIPM, The International System of Units, 9th ed.)
+hbar = 6.62607015e-34 / TWO_PI
+k_B = 1.380649e-23
 
 # Bare dispersive coupling G0 is typically millihertz-scale in cavity
 # magnomechanics.  It only sets the scale of the diagnostic Re<b>; the

@@ -39,6 +39,16 @@ def make_params(**overrides):
     return SystemParams(**defaults)
 
 
+def test_constants_are_scipy_bit_for_bit():
+    # the package spells out the exact SI 2019 values; scipy holds the
+    # same bits, so a typo or a change of definition fails here
+    from scipy import constants
+
+    from entangle import model
+    assert model.hbar == constants.hbar
+    assert model.k_B == constants.k
+
+
 class TestThermalOccupation:
     def test_megahertz_mode_at_ten_millikelvin(self):
         n = thermal_occupation(TWO_PI * 10e6, 0.010)

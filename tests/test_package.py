@@ -1,12 +1,20 @@
-"""The package exports what it defines, and defines only what is used.
+"""The package exports what it defines, defines only what is used, and
+imports only what it declares.
 
 A public function or class that neither the package itself nor the
 benchmark under ``bench/`` refers to is API kept alive for the tests
 alone; independent cross-checks of that kind live in ``tests/``
-(``oracles.py``, ``bare_mode_oracle.py``).
+(``oracles.py``, ``bare_mode_oracle.py``).  At import time the package
+needs the standard library and its declared runtime dependencies, and
+nothing else: scipy is a test dependency, and loading it would double
+the start-up time of every ``entangle`` command.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +22,10 @@ import pytest
 import entangle
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: the syntax tree of every package module, by module name
+TREES = {path.stem: ast.parse(path.read_text())
+         for path in sorted((ROOT / "src" / "entangle").glob("*.py"))}
 
 
 def _names(nodes, strings=False):
@@ -34,10 +46,9 @@ def _names(nodes, strings=False):
 #: top-level statements of every package module but ``__init__``, with
 #: the module they belong to and the names each refers to.  Package
 #: strings do not count: a docstring naming a function is not a use.
-STATEMENTS = [(path.stem, node, _names([node]))
-              for path in sorted((ROOT / "src" / "entangle").glob("*.py"))
-              if path.name != "__init__.py"
-              for node in ast.parse(path.read_text()).body]
+STATEMENTS = [(module, node, _names([node]))
+              for module, tree in TREES.items() if module != "__init__"
+              for node in tree.body]
 
 #: what the benchmark refers to; it names its trace targets as
 #: ``(owner, "attribute")`` pairs
@@ -64,3 +75,52 @@ def test_every_public_definition_is_used(module, definition):
     assert definition.name in used, (
         f"{module}.{definition.name} is referenced by neither the package "
         "nor the benchmark")
+
+
+def _import_time_imports(tree):
+    """The import statements that run when the module is imported: all
+    but those inside a function body."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        pending.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_only_declared_dependencies(module):
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]}
+    for node in _import_time_imports(TREES[module]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            continue  # the package itself
+        names = ([node.module] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names])
+        for name in names:
+            top = name.split(".")[0]
+            assert top in sys.stdlib_module_names or top in declared, (
+                f"entangle.{module} line {node.lineno} imports {name!r}, which "
+                "is neither standard library nor a runtime dependency")
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # a fresh interpreter runs one point through the API and one through
+    # the CLI, then lists every module it loaded
+    script = ("import sys\n"
+              "from entangle import cli\n"
+              "from entangle.experiments import default_baseline\n"
+              "default_baseline().evaluate()\n"
+              "assert cli.main(['point', '--out', sys.argv[1]]) == 0\n"
+              "print(sorted(sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert "entangle.cli" in modules
+    loaded = [name for name in modules if name == "scipy" or name.startswith("scipy.")]
+    assert not loaded, f"importing and running entangle loads {loaded}"
