@@ -184,10 +184,17 @@ class Baseline:
         """Resolve to concrete :class:`SystemParams`.
 
         An overriding ``theta`` re-derives the geometry even when the
-        baseline pins ``(g, omega_c)`` explicitly.  Overrides may be
-        floats or columns (see :meth:`evaluate_all`); the result then
-        holds parameter columns.
+        baseline pins ``(g, omega_c)`` explicitly.  Like the config,
+        overrides give both of ``g`` and ``omega_c`` or neither, and not
+        beside ``theta``, so none is dropped.  Overrides may be floats
+        or columns (see :meth:`evaluate_all`); the result then holds
+        parameter columns.
         """
+        pair = ("g" in overrides) + ("omega_c" in overrides)
+        if pair == 1:
+            raise ParameterError("give both g and omega_c, or neither")
+        if pair and "theta" in overrides:
+            raise ParameterError("give either theta or the pair (g, omega_c)")
         eff = replace(self, **overrides)
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(

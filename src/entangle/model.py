@@ -84,48 +84,29 @@ def _first(value, flags):
     return value
 
 
-def _require(name, value, requirement, test):
-    """Raise :class:`ParameterError` unless ``value`` is finite and passes
-    ``test``; for a column, the message names the first failing entry."""
-    if isinstance(value, np.ndarray):
-        failed = ~(np.isfinite(value) & test(value))
+#: domain -> (lower bound, whether it is admitted), keyed by the domain
+#: words of ``experiments.Quantity``; no domain admits +-inf or NaN
+_DOMAINS = {
+    "finite": (-math.inf, False),
+    "positive": (0.0, False),
+    "non-negative": (0.0, True),
+}
+
+
+def _require(name, value, domain):
+    """Raise :class:`ParameterError` unless ``value`` lies in ``domain``;
+    for a column, the message names the first failing entry."""
+    low, closed = _DOMAINS[domain]
+    if isinstance(value, np.ndarray):  # one numpy pass
+        failed = ~((value >= low if closed else value > low) & (value < math.inf))
         if not failed.any():
             return
         value = _first(value, failed)
+    elif (low <= value < math.inf) if closed else (low < value < math.inf):
+        return  # a valid float, on one comparison chain
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
-    if not test(value):
-        raise ParameterError(f"{name} must be {requirement}, got {value!r}")
-
-
-def _is_any(value):
-    return True
-
-
-def _is_positive(value):
-    return value > 0.0
-
-
-def _is_non_negative(value):
-    return value >= 0.0
-
-
-# each check passes a valid float on one comparison chain and hands
-# columns and failures to _require
-
-def _require_finite(name, value):
-    if isinstance(value, np.ndarray) or not -math.inf < value < math.inf:
-        _require(name, value, "finite", _is_any)
-
-
-def _require_positive(name, value):
-    if isinstance(value, np.ndarray) or not 0.0 < value < math.inf:
-        _require(name, value, "positive", _is_positive)
-
-
-def _require_non_negative(name, value):
-    if isinstance(value, np.ndarray) or not 0.0 <= value < math.inf:
-        _require(name, value, "non-negative", _is_non_negative)
+    raise ParameterError(f"{name} must be {domain}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +152,10 @@ class SystemParams:
     def __post_init__(self):
         for name in ("omega_a", "omega_c", "omega_b", "omega_0",
                      "kappa_a", "kappa_c", "kappa_b", "g0"):
-            _require_positive(name, getattr(self, name))
-        _require_non_negative("g", self.g)
-        _require_non_negative("temperature", self.temperature)
-        _require_non_negative("drive_strength", self.drive_strength)
+            _require(name, getattr(self, name), "positive")
+        _require("g", self.g, "non-negative")
+        _require("temperature", self.temperature, "non-negative")
+        _require("drive_strength", self.drive_strength, "non-negative")
         if _any(self.omega_b > self.omega_a / 10.0):
             warnings.warn(
                 "omega_b is not small compared with omega_a; the dispersive "
@@ -240,8 +221,8 @@ def thermal_occupation(omega, temperature):
     underflows to 0); evaluates 1/expm1(x) with an overflow guard for
     deeply quantum modes (x > 700).
     """
-    _require_positive("omega", omega)
-    _require_non_negative("temperature", temperature)
+    _require("omega", omega, "positive")
+    _require("temperature", temperature, "non-negative")
     k_T = k_B * temperature
     cold = k_T == 0.0  # also below about 4e-301 K, where k_B T underflows
     # the select below discards what the stand-ins give: k_B T = 1 for a
@@ -285,11 +266,12 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
     n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
                       + params.kappa_c * c2 * (2.0 * n_c + 1.0))
                      / kappa_minus - 1.0)
+    delta_kappa = (params.kappa_c - params.kappa_a) * s * c
     # At theta = 0 or pi/2 the polaritons coincide with the bare modes;
-    # select the bare values so the identities kappa_plus == kappa_a,
-    # n_plus == n_a hold bitwise instead of through a multiply/divide
-    # round trip.
-    a_is_plus, c_is_plus = s2 == 0.0, c2 == 0.0
+    # select the bare values so kappa_plus == kappa_a, n_plus == n_a and
+    # delta_kappa == 0 hold bitwise.  The angle keys the selects, because
+    # cos(pi/2)**2 is 3.7e-33 in doubles, not 0.
+    a_is_plus, c_is_plus = theta == 0.0, theta == 0.5 * math.pi
     if _any(a_is_plus | c_is_plus):
         kappa_plus = m.where(a_is_plus, params.kappa_a,
                              m.where(c_is_plus, params.kappa_c, kappa_plus))
@@ -297,6 +279,7 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
         kappa_minus = m.where(a_is_plus, params.kappa_c,
                               m.where(c_is_plus, params.kappa_a, kappa_minus))
         n_minus = m.where(a_is_plus, n_c, m.where(c_is_plus, n_a, n_minus))
+        delta_kappa = m.where(a_is_plus | c_is_plus, 0.0, delta_kappa)
 
     return PolaritonBasis(
         theta=theta,
@@ -306,7 +289,7 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
         delta_minus=omega_minus - params.omega_0,
         kappa_plus=kappa_plus,
         kappa_minus=kappa_minus,
-        delta_kappa=(params.kappa_c - params.kappa_a) * s * c,
+        delta_kappa=delta_kappa,
         kappa_a=params.kappa_a,
         kappa_c=params.kappa_c,
         n_a=n_a,
@@ -325,9 +308,9 @@ def solve_g_omega_c_from_theta(theta, omega_a, omega_b):
     returns the closed form ``g = omega_b * sin(2 theta)``,
     ``omega_c = omega_a - 2 omega_b * cos(2 theta)``.
     """
-    _require_finite("theta", theta)
-    _require_positive("omega_a", omega_a)
-    _require_positive("omega_b", omega_b)
+    _require("theta", theta, "finite")
+    _require("omega_a", omega_a, "positive")
+    _require("omega_b", omega_b, "positive")
     outside = (theta <= 0.0) | (theta >= 0.5 * math.pi)
     if _any(outside):
         raise ParameterError(
@@ -372,9 +355,9 @@ def steady_state_amplitudes(basis: PolaritonBasis, omega_b, omega_drive,
     ``G_pm = 2i G0 <A_pm>`` and the polariton-b couplings follow from
     the theta weights of mode ``c`` in each polariton.
     """
-    _require_positive("omega_b", omega_b)
-    _require_non_negative("omega_drive", omega_drive)
-    _require_positive("g0", g0)
+    _require("omega_b", omega_b, "positive")
+    _require("omega_drive", omega_drive, "non-negative")
+    _require("g0", g0, "positive")
     amp_plus_u, amp_minus_u = _amplitudes_per_unit_drive(basis)
     amp_plus = omega_drive * amp_plus_u
     amp_minus = omega_drive * amp_minus_u
@@ -404,7 +387,7 @@ def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus):
     Uses the exact linearity of the amplitudes in Omega, so the returned
     value reproduces the target to rounding accuracy.
     """
-    _require_non_negative("target_abs_g_minus", target_abs_g_minus)
+    _require("target_abs_g_minus", target_abs_g_minus, "non-negative")
     pinned = target_abs_g_minus != 0.0
     if not _any(pinned):
         return 0.0 * target_abs_g_minus

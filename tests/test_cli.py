@@ -1,6 +1,8 @@
 """Config ingestion, output emission, and CLI exit behavior."""
 
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from entangle.config import (
     echo_config,
     parse_config,
 )
-from entangle.errors import ConfigError
+from entangle.errors import ConfigError, ParameterError
 from entangle.experiments import (
     GENERIC_PARAMS,
     PARAMS,
@@ -24,7 +26,7 @@ from entangle.experiments import (
     default_baseline,
     run_sweep,
 )
-from entangle.model import TWO_PI
+from entangle.model import TWO_PI, drive_for_target_g_minus, hybridize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -375,6 +377,55 @@ def test_registry_round_trip(kind, param):
     assert parse_config(echoed) == cfg
     assert all(entry in echoed.splitlines() for entry in expected)
     assert len(cfg.sweep.sweep_kind().axes) == len(expected)
+
+
+#: domain -> quoted values at its edges, each with whether it is inside;
+#: -1e-300 rather than a subnormal, which underflows to -0.0 K from mK
+_DOMAIN_EDGES = {"positive": [("1e-300", True), ("0", False)],
+                 "non-negative": [("0", True), ("-1e-300", False)],
+                 "inside (0, pi/2)": [("1e-300", True), ("0", False),
+                                      (repr(0.5 - 2**-54), True), ("0.5", False)]}
+
+#: (g, omega_c) are given as a pair: the quoted partner of each
+_PARTNERS = {"g": ("omega_c", 10.0162e9), "omega_c": ("g", 5.88e6)}
+
+
+def _api_check(field, value, partner):
+    """Give one angular value to the function that declares its domain."""
+    base = default_baseline()
+    if field == "target_g_minus":
+        drive_for_target_g_minus(hybridize(base.params()), value)
+    else:
+        with warnings.catch_warnings():  # a tiny omega_a leaves omega_b >> omega_a
+            warnings.simplefilter("ignore")
+            base.params(**{field: value}, **partner)
+
+
+@pytest.mark.parametrize("key, quoted, inside", [
+    (key, quoted, inside) for key, param in PARAMS.items()
+    for quoted, inside in _DOMAIN_EDGES[param.domain]])
+def test_config_and_api_agree_on_domain(key, quoted, inside):
+    param = PARAMS[key]
+    unit = {"Hz^2": ""}.get(param.unit, " " + param.unit)
+    text = f"[params]\n{key} = {quoted}{unit}\n"
+    partner = {}
+    if key in _PARTNERS:
+        other, value = _PARTNERS[key]
+        text += f"{other} = {value!r} Hz\n"
+        partner = {other: PARAMS[other].angular(value)}
+    angular = param.angular(float(quoted))
+    if inside:
+        parse_config(text)
+        _api_check(param.field, angular, partner)
+    else:
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert caught.value.location == 2
+        assert f"value must be {param.domain}" in str(caught.value)
+        words = ("strictly inside (0, pi/2)" if key == "theta"
+                 else f"must be {param.domain}")
+        with pytest.raises(ParameterError, match=re.escape(words)):
+            _api_check(param.field, angular, partner)
 
 
 def test_readme_config_example_parses_and_round_trips():

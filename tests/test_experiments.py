@@ -21,7 +21,7 @@ from entangle.experiments import (
     grid,
     run_sweep,
 )
-from entangle.model import TWO_PI
+from entangle.model import TWO_PI, solve_g_omega_c_from_theta
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
 from column_bounds import assert_record_close, assert_row_close, point_record
@@ -434,6 +434,46 @@ class TestStackedEvaluation:
             base.evaluate(theta=0.40 * math.pi, kappa_b=-TWO_PI)
         with pytest.raises(ParameterError, match="kappa_b must be positive"):
             list(base.evaluate_all(overrides))
+
+
+#: a (g, omega_c) override pair other than the baseline's geometry
+PAIR_G, PAIR_OMEGA_C = TWO_PI * 3e6, TWO_PI * 10.01e9
+
+
+class TestGeometryOverrides:
+    """Overrides obey the config's geometry rules, so none is dropped."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"g": PAIR_G}, "give both g and omega_c, or neither"),
+        ({"omega_c": PAIR_OMEGA_C}, "give both g and omega_c, or neither"),
+        ({"theta": 0.35 * math.pi, "g": PAIR_G},
+         "give both g and omega_c, or neither"),
+        ({"theta": 0.35 * math.pi, "g": PAIR_G, "omega_c": PAIR_OMEGA_C},
+         "give either theta or the pair (g, omega_c)"),
+    ], ids=["g", "omega_c", "theta-g", "theta-pair"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["theta_base", "pinned_base"])
+    def test_override_that_would_be_dropped_raises(self, base, overrides,
+                                                   message, pinned):
+        if pinned:
+            base = replace(base, g=TWO_PI * 5e6, omega_c=TWO_PI * 10.01e9)
+        with pytest.raises(ParameterError) as caught:
+            base.evaluate(**overrides)
+        assert str(caught.value) == message
+        with pytest.raises(ParameterError) as caught:
+            list(base.evaluate_all(overrides))
+        assert str(caught.value) == message
+
+    def test_full_pair_evaluates_its_geometry(self, base):
+        g, omega_c = solve_g_omega_c_from_theta(
+            0.35 * math.pi, base.omega_a, base.omega_b)
+        pair = base.evaluate(g=g, omega_c=omega_c)
+        assert pair.e_n_pp == base.evaluate(theta=0.35 * math.pi).e_n_pp
+        assert pair.e_n_pp != base.evaluate().e_n_pp
+        (stack,) = base.evaluate_all({"g": np.array([g, PAIR_G]),
+                                      "omega_c": np.array([omega_c, PAIR_OMEGA_C])})
+        assert stack.e_n_pp[0] == pytest.approx(pair.e_n_pp, rel=1e-11)
+        assert stack.e_n_pp[1] == pytest.approx(
+            base.evaluate(g=PAIR_G, omega_c=PAIR_OMEGA_C).e_n_pp, rel=1e-11)
 
 
 def _feasible_or_not(finite_values):

@@ -115,6 +115,48 @@ class TestSystemParams:
         assert [w.filename for w in caught] == [__file__]
 
 
+#: domain -> (a check of that domain through a public function, a value
+#: inside it)
+DOMAIN_CHECKS = {
+    "finite": (lambda v: solve_g_omega_c_from_theta(v, TWO_PI * 10e9, TWO_PI * 10e6),
+               0.4 * math.pi),
+    "positive": (lambda v: thermal_occupation(v, 0.01), TWO_PI * 10e6),
+    "non-negative": (lambda v: thermal_occupation(TWO_PI * 10e6, v), 0.01),
+}
+
+
+class TestDomainMessages:
+    """The exact text of the input checks, which the CLI prints on exit 3."""
+
+    @pytest.mark.parametrize("domain, bad, message", [
+        ("finite", math.inf, "theta must be finite, got inf"),
+        ("finite", -math.inf, "theta must be finite, got -inf"),
+        ("finite", math.nan, "theta must be finite, got nan"),
+        ("positive", 0.0, "omega must be positive, got 0.0"),
+        ("positive", math.inf, "omega must be finite, got inf"),
+        ("positive", -math.inf, "omega must be finite, got -inf"),
+        ("positive", math.nan, "omega must be finite, got nan"),
+        ("non-negative", -1e-300, "temperature must be non-negative, got -1e-300"),
+        ("non-negative", math.inf, "temperature must be finite, got inf"),
+        ("non-negative", -math.inf, "temperature must be finite, got -inf"),
+        ("non-negative", math.nan, "temperature must be finite, got nan"),
+    ])
+    @pytest.mark.parametrize("column", [False, True], ids=["float", "column"])
+    def test_message(self, domain, bad, message, column):
+        check, inside = DOMAIN_CHECKS[domain]
+        # in a column, a second failing entry follows the first one
+        second = math.inf if math.isnan(bad) else math.nan
+        with pytest.raises(ParameterError) as caught:
+            check(np.array([inside, bad, second]) if column else bad)
+        assert str(caught.value) == message
+
+    def test_signed_zeros_are_non_negative(self):
+        check, _ = DOMAIN_CHECKS["non-negative"]
+        assert check(0.0) == check(-0.0) == 0.0
+        assert check(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+        make_params(g=-0.0, temperature=-0.0, drive_strength=-0.0)
+
+
 class TestHybridize:
     def test_symmetric_detuning(self):
         p = make_params(omega_c=TWO_PI * 10e9, g=TWO_PI * 5e6)
@@ -138,16 +180,23 @@ class TestHybridize:
         assert math.pi / 4 < below.theta < math.pi / 2
 
     def test_decoupled_limit_is_bitwise_bare(self):
-        p = make_params(g=0.0, omega_c=TWO_PI * 9.9e9,
-                        kappa_a=TWO_PI * 1.3e6, kappa_c=TWO_PI * 0.4e6,
-                        temperature=0.2)
-        basis = hybridize(p)
-        assert basis.theta == 0.0
-        assert basis.kappa_plus == p.kappa_a
-        assert basis.kappa_minus == p.kappa_c
-        assert basis.n_plus == basis.n_a
-        assert basis.n_minus == basis.n_c
-        assert basis.delta_kappa == 0.0
+        # omega_c below omega_a gives theta = 0 (a is the upper polariton),
+        # above it theta = pi/2, where cos(theta)**2 is 3.7e-33, not 0
+        cases = [(9.9, 0.0, "a", "c"), (10.1, 0.5 * math.pi, "c", "a")]
+        for omega_c_ghz, theta, plus, minus in cases:
+            # one point, and a column of 20 points
+            points = [(0.0, 0.2), (np.zeros(20), np.geomspace(1e-3, 1.0, 20))]
+            for g, temperature in points:
+                p = make_params(g=g, omega_c=TWO_PI * omega_c_ghz * 1e9,
+                                kappa_a=TWO_PI * 1.3e6, kappa_c=TWO_PI * 0.4e6,
+                                temperature=temperature)
+                basis = hybridize(p)
+                assert np.all(basis.theta == theta)
+                assert np.all(basis.kappa_plus == getattr(p, "kappa_" + plus))
+                assert np.all(basis.kappa_minus == getattr(p, "kappa_" + minus))
+                assert np.all(basis.n_plus == getattr(basis, "n_" + plus))
+                assert np.all(basis.n_minus == getattr(basis, "n_" + minus))
+                assert np.all(basis.delta_kappa == 0.0)
 
     def test_dissipation_sum_conserved(self):
         p = make_params(kappa_a=TWO_PI * 0.7e6, kappa_c=TWO_PI * 2.3e6)
