@@ -23,15 +23,21 @@ import argparse
 import sys
 import time
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__, experiments
 from .config import RunConfig, echo_config, parse_config
 from .errors import ConfigError, EntangleError
 
-#: frozen record column order (after the per-sweep axis columns)
+#: frozen record column order (after the per-sweep axis columns); the
+#: three negativities lead it, and they are the curves of the plot data
 RECORD_COLUMNS = tuple(f.name for f in fields(experiments.SweepRecord)
                        if f.name != "axis")
+CURVES = RECORD_COLUMNS[:3]
+
+_record_values = attrgetter(*RECORD_COLUMNS)
+_curve_values = attrgetter(*CURVES)
 
 
 def _fmt(value):
@@ -42,14 +48,23 @@ def _fmt(value):
     return repr(float(value))
 
 
-def emit_records(result: experiments.SweepResult) -> str:
-    """Render a sweep result as CSV text with the frozen column order."""
-    header = ",".join(result.axis_names + RECORD_COLUMNS)
-    lines = [header]
-    for rec in result.records:
-        cells = [_fmt(a) for a in rec.axis]
-        cells += [_fmt(getattr(rec, name)) for name in RECORD_COLUMNS]
-        lines.append(",".join(cells))
+def _cells(result: experiments.SweepResult):
+    """Each record's CSV cells, its axis values first: shortest round-trip
+    decimals, ``true``/``false``, and empty for a missing negativity."""
+    return [[_fmt(a) for a in rec.axis] + [_fmt(v) for v in _record_values(rec)]
+            for rec in result.records]
+
+
+def emit_records(result: experiments.SweepResult, cells=None) -> str:
+    """Render a sweep result as CSV text with the frozen column order.
+
+    ``cells`` are the result's rendered cells when the caller already
+    has them (see :func:`write_outputs`).
+    """
+    if cells is None:
+        cells = _cells(result)
+    lines = [",".join(result.axis_names + RECORD_COLUMNS)]
+    lines += [",".join(row) for row in cells]
     return "\n".join(lines) + "\n"
 
 
@@ -74,43 +89,47 @@ def emit_metadata(result: experiments.SweepResult, cfg: RunConfig,
     return "\n".join(lines)
 
 
-def emit_plot_data(result: experiments.SweepResult, precision=None) -> str:
+def emit_plot_data(result: experiments.SweepResult, precision=None,
+                   cells=None) -> str:
     """Gnuplot-ready data blocks for one observable-per-curve plotting.
 
     1-D sweeps produce one two-column block per negativity curve,
     separated by double blank lines (gnuplot ``index`` convention); 2-D
     sweeps produce a nonuniform-matrix block per curve.  Unstable points
-    appear as ``nan`` (use ``set datafile missing "nan"``).
+    appear as ``nan`` (use ``set datafile missing "nan"``).  Numbers are
+    shortest round-trip decimals, the ``records.csv`` cells (reused from
+    ``cells`` when given), unless ``precision`` sets significant digits.
     """
+    n = len(result.axis_names)
     if precision is None:
         num = repr
+        if cells is None:
+            cells = _cells(result)
     else:
         num = lambda v: f"{v:.{precision}g}"  # noqa: E731
-
-    def cell(value):
-        return num(float(value)) if value is not None else "nan"
+        # laid out like the record cells, as far as the curves
+        cells = [[num(float(v)) if v is not None else ""
+                  for v in rec.axis + _curve_values(rec)]
+                 for rec in result.records]
 
     blocks = []
-    curves = ("e_n_pp", "e_n_mb", "e_n_pb")
-    if len(result.axis_names) <= 1:
-        for curve in curves:
+    if n <= 1:
+        labels = [" ".join(row[:n]) or "0" for row in cells]
+        for i, curve in enumerate(CURVES, n):
             rows = [f"# {result.kind}: {curve} vs {', '.join(result.axis_names) or 'point'}"]
-            for rec in result.records:
-                axis = " ".join(num(float(a)) for a in rec.axis) or "0"
-                rows.append(f"{axis} {cell(getattr(rec, curve))}")
+            rows += [f"{label} {row[i] or 'nan'}" for label, row in zip(labels, cells)]
             blocks.append("\n".join(rows))
     else:
         xs = sorted({rec.axis[0] for rec in result.records})
         ys = sorted({rec.axis[1] for rec in result.records})
-        for curve in curves:
-            value_at = {(rec.axis[0], rec.axis[1]): getattr(rec, curve)
-                        for rec in result.records}
+        row_at = {rec.axis: row for rec, row in zip(result.records, cells)}
+        for i, curve in enumerate(CURVES, n):
             rows = [f"# {result.kind}: {curve} matrix "
                     f"({result.axis_names[0]} down, {result.axis_names[1]} across)",
                     " ".join([str(len(ys))] + [num(float(y)) for y in ys])]
             for x in xs:
                 rows.append(" ".join([num(float(x))]
-                                     + [cell(value_at[(x, y)]) for y in ys]))
+                                     + [row_at[x, y][i] or "nan" for y in ys]))
             blocks.append("\n".join(rows))
     return ("\n\n\n").join(blocks) + "\n"
 
@@ -118,15 +137,20 @@ def emit_plot_data(result: experiments.SweepResult, precision=None) -> str:
 def write_outputs(result, cfg, out_dir, elapsed=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    formats = cfg.output.formats
+    formats, precision = cfg.output.formats, cfg.output.precision
     (out / "resolved_config.cfg").write_text(echo_config(cfg))
+    # each record's numbers are rendered once, for records.csv and for
+    # the plot data at shortest round-trip precision alike
+    cells = (_cells(result)
+             if "csv" in formats or ("dat" in formats and precision is None)
+             else None)
     if "csv" in formats:
-        (out / "records.csv").write_text(emit_records(result))
+        (out / "records.csv").write_text(emit_records(result, cells))
     if "meta" in formats:
         (out / "metadata.txt").write_text(emit_metadata(result, cfg, elapsed))
     if "dat" in formats:
         (out / f"plot_{result.kind}.dat").write_text(
-            emit_plot_data(result, cfg.output.precision))
+            emit_plot_data(result, precision, cells))
 
 
 def _parse_overrides(pairs):

@@ -33,6 +33,7 @@ from .model import (
     EffectiveCouplings,
     PolaritonBasis,
     SystemParams,
+    _amplitudes_per_unit_drive,
     _math_for,
     drive_for_target_g_minus,
     hybridize,
@@ -214,16 +215,21 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
 
 
 def _model_layer(params, target_g_minus):
-    """Basis, couplings and drive strength (model layer, floats or columns)."""
+    """Basis, couplings and drive strength (model layer, floats or columns).
+
+    A calibrated drive computes the amplitudes per unit drive once, for
+    the calibration and the couplings alike.
+    """
     basis = _stage("hybridize", hybridize, params)
     if target_g_minus is None:
-        drive = params.drive_strength
+        drive, amplitudes = params.drive_strength, None
     else:
+        amplitudes = _stage("drive calibration", _amplitudes_per_unit_drive, basis)
         drive = _stage("drive calibration", drive_for_target_g_minus,
-                       basis, target_g_minus)
+                       basis, target_g_minus, amplitudes)
     couplings = _stage(
         "steady-state amplitudes", steady_state_amplitudes,
-        basis, params.omega_b, drive / params.g0, params.g0,
+        basis, params.omega_b, drive / params.g0, params.g0, amplitudes,
     )
     return basis, couplings, drive
 

@@ -42,9 +42,14 @@ from .model import TWO_PI, SystemParams, solve_g_omega_c_from_theta
 EN_THRESHOLD = 1e-4
 
 #: grid points per stacked pipeline call.  It changes no record; it
-#: bounds the stacked arrays (256 took about 1 MB more peak memory on
-#: the 200-point theta sweep than 64, for no measurable speed)
-CHUNK_SIZE = 64
+#: bounds the stacked arrays.  Each call pays a fixed 0.2-0.3 ms for the
+#: column checks, the fill, the kernel wrappers and the record assembly,
+#: so 256 runs the 200-point theta, 200-point g_minus and 33-point
+#: detuning grids in one call and a 60x60 grid in 15.  The stacked
+#: temporaries stay near 1 MB: from 64 to 256 the tracemalloc peak of
+#: one default theta sweep went 476 -> 965 KB, and of temp_kappa_b
+#: 1995 -> 2982 KB
+CHUNK_SIZE = 256
 
 
 # -- parameter table ---------------------------------------------------------

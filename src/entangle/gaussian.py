@@ -169,11 +169,13 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
         # row NaN, which the checks below send to the dense solve
         U_inv = np.stack([_inverse_or_nan(u) for u in U])
     # a (nearly) defective row may overflow or turn NaN here; the same
-    # checks send it to the dense solve
+    # checks send it to the dense solve.  X is divided in place and freed
+    # early, which lowers the peak memory of a full stack
     with np.errstate(all="ignore"):
-        D_eig = U_inv @ D @ U_inv.conj().swapaxes(1, 2)
-        X = -D_eig / (lam[:, :, None] + lam.conj()[:, None, :])
+        X = -(U_inv @ D @ U_inv.conj().swapaxes(1, 2))
+        X /= lam[:, :, None] + lam.conj()[:, None, :]
         V = (U @ X @ U.conj().swapaxes(1, 2)).real
+        del X
         V = 0.5 * (V + V.swapaxes(1, 2))
         resid = np.linalg.norm(R @ V + V @ R.swapaxes(1, 2) + D, axis=(1, 2))
         cond = np.linalg.norm(U, axis=(1, 2)) * np.linalg.norm(U_inv, axis=(1, 2))

@@ -214,21 +214,33 @@ class EffectiveCouplings:
     g_minus_b: complex
 
 
+#: at or below this x = hbar omega / k_B T the occupation 1/expm1(x),
+#: which is 1/x there, overflows (x is 0 once hbar omega underflows)
+_X_MIN = 2.0 ** -1024
+
+
 def thermal_occupation(omega, temperature):
     """Equilibrium Bose occupation of a mode at ``omega`` (rad/s).
 
     Exactly 0 at ``temperature = 0`` (and wherever ``k_B T``
     underflows to 0); evaluates 1/expm1(x) with an overflow guard for
-    deeply quantum modes (x > 700).
+    deeply quantum modes (x > 700).  A mode so far in the classical
+    limit that the occupation overflows is a :class:`ParameterError`.
     """
     _require("omega", omega, "positive")
     _require("temperature", temperature, "non-negative")
     k_T = k_B * temperature
     cold = k_T == 0.0  # also below about 4e-301 K, where k_B T underflows
-    # the select below discards what the stand-ins give: k_B T = 1 for a
-    # cold mode, x = 700 beyond the guard
-    x = hbar * omega / (k_T + cold)
-    m = _math_for(x)
+    m = _math_for(omega, temperature)
+    # the select below discards what the stand-ins give: k_B T = 1 and
+    # x = 700 for a cold mode, x = 700 beyond the guard
+    x = m.where(cold, 700.0, hbar * omega / (k_T + cold))
+    overflow = x <= _X_MIN
+    if _any(overflow):
+        raise ParameterError(
+            f"omega = {_first(omega, overflow)!r} rad/s is too small at "
+            f"temperature {_first(temperature, overflow)!r} K: the thermal "
+            "occupation k_B T / (hbar omega) overflows")
     return m.where(cold | (x > 700.0), 0.0, 1.0 / m.expm1(m.minimum(x, 700.0)))
 
 
@@ -347,18 +359,20 @@ def _amplitudes_per_unit_drive(basis: PolaritonBasis):
 
 
 def steady_state_amplitudes(basis: PolaritonBasis, omega_b, omega_drive,
-                            g0=DEFAULT_G0) -> EffectiveCouplings:
+                            g0=DEFAULT_G0, amplitudes=None) -> EffectiveCouplings:
     """Approximate steady-state amplitudes and effective couplings.
 
     ``omega_drive`` is the mode-drive coupling Omega (rad/s).  The
     amplitudes are linear in Omega; the enhanced couplings are
     ``G_pm = 2i G0 <A_pm>`` and the polariton-b couplings follow from
-    the theta weights of mode ``c`` in each polariton.
+    the theta weights of mode ``c`` in each polariton.  ``amplitudes``
+    is :func:`_amplitudes_per_unit_drive` of ``basis`` when the caller
+    already has it.
     """
     _require("omega_b", omega_b, "positive")
     _require("omega_drive", omega_drive, "non-negative")
     _require("g0", g0, "positive")
-    amp_plus_u, amp_minus_u = _amplitudes_per_unit_drive(basis)
+    amp_plus_u, amp_minus_u = amplitudes or _amplitudes_per_unit_drive(basis)
     amp_plus = omega_drive * amp_plus_u
     amp_minus = omega_drive * amp_minus_u
 
@@ -381,17 +395,20 @@ def steady_state_amplitudes(basis: PolaritonBasis, omega_b, omega_drive,
     )
 
 
-def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus):
+def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus,
+                             amplitudes=None):
     """Drive strength ``G0 * Omega`` that realizes a target ``|G_-|``.
 
     Uses the exact linearity of the amplitudes in Omega, so the returned
-    value reproduces the target to rounding accuracy.
+    value reproduces the target to rounding accuracy.  ``amplitudes`` is
+    :func:`_amplitudes_per_unit_drive` of ``basis`` when the caller
+    already has it.
     """
     _require("target_abs_g_minus", target_abs_g_minus, "non-negative")
     pinned = target_abs_g_minus != 0.0
     if not _any(pinned):
         return 0.0 * target_abs_g_minus
-    _, amp_minus_u = _amplitudes_per_unit_drive(basis)
+    _, amp_minus_u = amplitudes or _amplitudes_per_unit_drive(basis)
     per_unit = abs(amp_minus_u)
     if _any(pinned & (per_unit == 0.0)):
         raise ParameterError(

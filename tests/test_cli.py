@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entangle.cli import emit_plot_data, emit_records, main
+from entangle.cli import (
+    emit_metadata,
+    emit_plot_data,
+    emit_records,
+    main,
+    write_outputs,
+)
 from entangle.config import (
     OutputBlock,
     ParamsConfig,
@@ -552,6 +558,37 @@ class TestEmission:
                        .replace("e", "")) <= 6
 
 
+class TestWriteOutputs:
+    """``write_outputs`` renders each record's numbers once for all files;
+    the files are what the standalone emitters give."""
+
+    @pytest.mark.parametrize("entries", [
+        # 1-D: the low angles are unstable
+        [("sweep.start", "0.1pi"), ("sweep.stop", "0.44pi"), ("sweep.count", "9")],
+        # 2-D: a strong drive leaves part of the grid unstable
+        [("sweep.kind", "kappa_grid"), ("params.g_minus", "4.5MHz"),
+         ("sweep.start", "0.1MHz"), ("sweep.stop", "10MHz"), ("sweep.count", "3"),
+         ("sweep.start2", "0.1MHz"), ("sweep.stop2", "10MHz"), ("sweep.count2", "4")],
+    ], ids=["1d", "2d"])
+    @pytest.mark.parametrize("precision", [None, 3])
+    def test_files_equal_standalone_emitters(self, tmp_path, entries, precision):
+        if precision is not None:
+            entries = entries + [("output.precision", str(precision))]
+        cfg = parse_config("", entries)
+        result = run_sweep(cfg.baseline(), cfg.sweep)
+        assert {rec.stable for rec in result.records} == {True, False}
+        write_outputs(result, cfg, tmp_path)
+        files = {
+            "records.csv": emit_records(result),
+            f"plot_{result.kind}.dat": emit_plot_data(result, precision),
+            "metadata.txt": emit_metadata(result, cfg),
+            "resolved_config.cfg": echo_config(cfg),
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        for name, text in files.items():
+            assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
 class TestExitCodes:
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -590,6 +627,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: [Lyapunov solve]")
         assert "||D||_F overflows" in err
+        assert not (out / "records.csv").exists()
+
+    def test_overflowing_occupation_exits_3(self, tmp_path, capsys):
+        # hbar omega_a / k_B T underflows to 0 at 10 mK: once a
+        # ZeroDivisionError traceback with exit 1
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("[sweep]\nkind = point\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="omega_b is not small"):
+            code = main(["run", str(cfg), "--set", "params.omega_a=1e-300",
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: [hybridize] omega = ")
+        assert "the thermal occupation k_B T / (hbar omega) overflows" in err
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("entry", ["params.kappa_b=1e400Hz",

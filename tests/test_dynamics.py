@@ -249,6 +249,24 @@ class TestRunPipeline:
             local = 0.5 * (diffs[i - 1] + diffs[i + 1])
             assert diffs[i] <= 10.0 * local + 1e-6
 
+    def test_calibrated_drive_computes_amplitudes_once(self, monkeypatch):
+        # the drive calibration and the couplings share one evaluation of
+        # the amplitudes per unit drive
+        import entangle.dynamics as dyn
+        import entangle.model as model_mod
+        calls = []
+        amplitudes = model_mod._amplitudes_per_unit_drive
+
+        def counting(basis):
+            calls.append(basis)
+            return amplitudes(basis)
+
+        for module in (dyn, model_mod):
+            monkeypatch.setattr(module, "_amplitudes_per_unit_drive", counting,
+                                raising=False)
+        run_pipeline(reference_params(0.40), target_g_minus=TWO_PI * 2e6)
+        assert len(calls) == 1
+
     def test_stage_context_in_errors(self, monkeypatch):
         import entangle.dynamics as dyn
 

@@ -1,6 +1,7 @@
 """Sweep behaviors: optima, instability regions, robustness thresholds."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,21 @@ from column_bounds import assert_record_close, assert_row_close, point_record
 @pytest.fixture(scope="module")
 def base():
     return default_baseline()
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """Sizes of the stacks :func:`run_pipelines` evaluates, in call order."""
+    sizes = []
+    run_pipelines = experiments.run_pipelines
+
+    def counting(*args):
+        result = run_pipelines(*args)
+        sizes.append(result.size)
+        return result
+
+    monkeypatch.setattr(experiments, "run_pipelines", counting)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -283,20 +299,11 @@ class TestTempKappaBSweep:
         assert summary["t_crit_mk"] == self.line_crossing(base, 0, 100.0, temps)
         assert summary["kappa_b_crit_hz"] == self.line_crossing(base, 1, 10.0, kappa_bs)
 
-    def test_default_grid_reads_the_100_hz_line_from_the_grid(self, base, monkeypatch):
+    def test_default_grid_reads_the_100_hz_line_from_the_grid(self, base, stack_sizes):
         # the default kappa_b axis starts at exactly 100 Hz: 3600 grid
         # points plus the 60-point 10 mK line, not a second 100 Hz line
-        evaluated = []
-        run_pipelines = experiments.run_pipelines
-
-        def counting(*args):
-            result = run_pipelines(*args)
-            evaluated.append(result.size)
-            return result
-
-        monkeypatch.setattr(experiments, "run_pipelines", counting)
         run_sweep(base, SweepSpec("temp_kappa_b"))
-        assert sum(evaluated) == 3660
+        assert sum(stack_sizes) == 3660
 
     def test_threshold_refinement_within_one_coarse_step(self, base):
         kb_axis = SweepAxis(1e2, 2e2, 2, "log")
@@ -416,6 +423,23 @@ class TestStackedEvaluation:
         for i, (t, g) in enumerate(zip(theta, g_minus)):
             point = base.evaluate(theta=t, target_g_minus=g)
             assert_row_close(chunks[i // 4], i % 4, point, base.omega_b)
+
+    @pytest.mark.parametrize("kind", ["theta", "g_minus", "detuning"])
+    def test_default_line_is_one_stack(self, base, kind, stack_sizes):
+        run_sweep(base, SweepSpec(kind))
+        assert stack_sizes == [SWEEPS[kind].defaults[0].count]
+
+    def test_default_theta_sweep_peak_memory(self, base):
+        # CHUNK_SIZE trades calls for stacked temporaries; one default
+        # theta sweep, a single 200-point stack, peaks near 0.97 MB
+        run_sweep(base, SweepSpec("theta"))  # one-time allocations
+        tracemalloc.start()
+        try:
+            run_sweep(base, SweepSpec("theta"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_shared_overrides_are_one_point(self, base):
         (result,) = base.evaluate_all({"theta": 0.40 * math.pi})

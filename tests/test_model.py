@@ -69,6 +69,20 @@ class TestThermalOccupation:
         assert columns.tolist()[:2] == [0.0, 0.0]
         assert columns[2] == pytest.approx(thermal_occupation(TWO_PI * 10e9, 0.01))
 
+    def test_cold_mode_of_any_frequency_is_zero(self):
+        # hbar omega underflows to 0; a cold mode once divided by it anyway
+        assert thermal_occupation(1e-300, 0.0) == 0.0
+        assert thermal_occupation(np.array([1e-300, TWO_PI * 10e9]), 0.0).tolist() == [0.0, 0.0]
+
+    def test_overflowing_occupation_is_a_parameter_error(self):
+        # hbar omega / k_B T underflows to 0 at 10 mK: the point path once
+        # raised ZeroDivisionError, the column path a numpy divide warning
+        message = r"^omega = 1e-300 rad/s is too small at temperature 0.01 K: "
+        with pytest.raises(ParameterError, match=message):
+            thermal_occupation(1e-300, 0.01)
+        with pytest.raises(ParameterError, match=message):
+            thermal_occupation(np.array([TWO_PI * 10e6, 1e-300, 1e-310]), 0.01)
+
     def test_monotone_in_temperature(self):
         omega = TWO_PI * 10e6
         temps = np.linspace(0.001, 1.0, 40)
