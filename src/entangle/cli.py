@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import fields
@@ -193,26 +194,30 @@ def _execute(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The command-line parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="entangle",
         description="Stationary polariton entanglement via a dispersively "
                     "coupled third mode: parameter sweeps and plot-ready data.")
     sub = parser.add_subparsers(dest="command", required=True)
+    entries = argparse.ArgumentParser(add_help=False)  # shared by run and point
+    entries.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                         help="override a config entry (repeatable; wins over file)")
+    entries.add_argument("--out", help="output directory (overrides [output] dir)")
 
-    run_p = sub.add_parser("run", help="run the sweep described by a config file")
+    run_p = sub.add_parser("run", parents=[entries],
+                           help="run the sweep described by a config file")
     run_p.add_argument("config", help="path to the run configuration")
-    run_p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="override a config entry (repeatable; wins over file)")
-    run_p.add_argument("--out", help="output directory (overrides [output] dir)")
-
-    point_p = sub.add_parser("point", help="evaluate a single parameter point")
-    point_p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    point_p.add_argument("--out", help="output directory")
-
+    sub.add_parser("point", parents=[entries],
+                   help="evaluate a single parameter point")
     sub.add_parser("list-sweeps", help="list available sweep kinds")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list-sweeps":
         for kind in experiments.SWEEPS:

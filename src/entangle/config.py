@@ -1,53 +1,31 @@
 """Run-configuration parsing, defaults, and canonical echo.
 
-The config format is plain sectioned key = value text in the units the
-experimental parameters are usually quoted in: ordinary frequency with
-Hz/kHz/MHz/GHz (or mHz) suffixes, temperature in mK (or K), and angles
-as multiples of pi::
-
-    [params]
-    omega_a = 10 GHz
-    kappa_a = 1 MHz
-    temperature = 10 mK
-    theta = 0.40 pi
-
-    [sweep]
-    kind = theta
-    start = 0.26 pi
-    stop = 0.49 pi
-    count = 200
-
-    [output]
-    dir = out
-
-The ``[params]`` keys, their units, domains and defaults are the
-entries of :data:`entangle.experiments.PARAMS`.  Unknown sections or
-keys, values outside a key's domain (every value must be finite),
-invalid sweep axes and sweep grids the parameters cannot realize are
-rejected with the line number of the entry, or the ``section.key`` of an
-override; missing keys take the defaults of the feasible
-cavity-magnomechanics parameter set.  The ``[sweep]`` block parses to
-the :class:`entangle.experiments.SweepSpec` the run executes.
+The config is sectioned ``key = value`` text (``[params]``, ``[sweep]``
+and ``[output]``; README "Config format" has an example) in the units
+the experimental parameters are usually quoted in.  This module owns the
+entry syntax, the ``[output]`` section and the location of every fault.
+The ``[params]`` keys with their units, domains and defaults are the
+entries of :data:`entangle.experiments.PARAMS`, and each unit's
+suffixes, echo and conversion an entry of
+:data:`entangle.experiments.UNITS`.  Unknown sections or keys, values
+outside a key's domain (every value must be finite), invalid sweep axes
+and sweep grids the parameters cannot realize are rejected with the
+line number of the entry, or the ``section.key`` of an override; missing
+keys take the defaults of the feasible cavity-magnomechanics parameter
+set.  An override value obeys the rules of a file value: non-empty, one
+line and no ``#``.  The ``[sweep]`` block parses to the
+:class:`entangle.experiments.SweepSpec` the run executes.
 :func:`echo_config` renders a config back to parseable text such that
 ``parse_config(echo_config(cfg)) == cfg``.
 """
 
 from __future__ import annotations
 
-import math
-import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, make_dataclass, replace
 
 from . import experiments
 from .errors import ConfigError, ParameterError
-
-_FREQ_FACTORS = {"": 1.0, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9,
-                 "mHz": 1e-3}
-_TEMP_FACTORS = {"": 1.0, "mK": 1.0, "K": 1e3}
-
-_VALUE_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z]*)$")
-
 
 ParamsConfig = make_dataclass(
     "ParamsConfig",
@@ -83,37 +61,29 @@ class RunConfig:
         return experiments.quoted_baseline(vars(self.params))
 
 
-# -- value converters --------------------------------------------------------
+# -- entries ---------------------------------------------------------------
 
-def _split_value(raw, line):
-    m = _VALUE_RE.match(raw)
-    if m is None:
-        raise ConfigError(f"malformed number {raw!r}", line)
-    return float(m.group(1)), m.group(2)
+@contextmanager
+def _at(location, prefix=""):
+    """Report a :class:`ParameterError` raised inside as a config error at
+    ``location``: a line number or the ``section.key`` of an override."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(prefix + str(exc), location) from None
 
 
-def _freq(raw, line):
-    value, suffix = _split_value(raw, line)
-    if suffix not in _FREQ_FACTORS:
+def _value(key, raw, location):
+    """The stripped value of one entry, file line or override alike: it
+    must be non-empty, one line and free of ``#``, or its echo would not
+    parse back to it."""
+    value = raw.strip()
+    if not value:
+        raise ConfigError(f"empty value for {key!r}", location)
+    if "#" in value or value.splitlines() != [value]:
         raise ConfigError(
-            f"expected a frequency (Hz/kHz/MHz/GHz), got suffix {suffix!r}", line)
-    return value * _FREQ_FACTORS[suffix]
-
-
-def _temperature(raw, line):
-    value, suffix = _split_value(raw, line)
-    if suffix not in _TEMP_FACTORS:
-        raise ConfigError(f"expected a temperature (mK or K), got {suffix!r}", line)
-    return value * _TEMP_FACTORS[suffix]
-
-
-def _angle_pi(raw, line):
-    value, suffix = _split_value(raw, line)
-    if suffix == "pi":
-        return value
-    if suffix == "":
-        return value / math.pi  # bare angles are radians
-    raise ConfigError(f"expected an angle ('x pi' or radians), got {suffix!r}", line)
+            f"value for {key!r} must be one line without '#', got {value!r}", location)
+    return value
 
 
 def _integer(raw, line):
@@ -121,19 +91,6 @@ def _integer(raw, line):
         return int(raw)
     except ValueError:
         raise ConfigError(f"expected an integer, got {raw!r}", line) from None
-
-
-def _bare(raw, line):
-    value, suffix = _split_value(raw, line)
-    if suffix:
-        raise ConfigError(f"expected a bare number, got suffix {suffix!r}", line)
-    return value
-
-
-def _scale_name(raw, line):
-    if raw not in ("linear", "log"):
-        raise ConfigError(f"scale must be linear or log, got {raw!r}", line)
-    return raw
 
 
 def _formats(raw, line):
@@ -153,38 +110,8 @@ def _precision(raw, line):
     return value
 
 
-#: quoted unit -> (parser of a raw value, unit suffix of its echo)
-_UNITS = {
-    "Hz": (_freq, " Hz"),
-    "Hz^2": (_bare, ""),
-    "mK": (_temperature, " mK"),
-    "pi": (_angle_pi, " pi"),
-}
-
-#: domain -> test of a finite quoted value
-_DOMAINS = {
-    "finite": lambda v: True,
-    "positive": lambda v: v > 0.0,
-    "non-negative": lambda v: v >= 0.0,
-    "inside (0, pi/2)": lambda v: 0.0 < v < 0.5,
-}
-
-
-def _quoted(quantity, raw, line):
-    """Parse a raw value in the quantity's unit and check its domain."""
-    value = _UNITS[quantity.unit][0](raw, line)
-    # a finite quoted value can still overflow in angular units
-    if not math.isfinite(quantity.angular(value)):
-        raise ConfigError(f"value must be finite, got {raw!r}", line)
-    if not _DOMAINS[quantity.domain](value):
-        raise ConfigError(f"value must be {quantity.domain}, got {raw!r}", line)
-    return value
-
-
-#: keys of one sweep axis (the second axis adds a "2"); start and stop
-#: take the unit and domain of the axis line they sweep
-_AXIS_KEYS = {"start": None, "stop": None, "count": _integer,
-              "scale": _scale_name}
+#: keys of one sweep axis (the second axis adds a "2")
+_AXIS_KEYS = ("start", "stop", "count", "scale")
 _SWEEP_KEYS = {"kind", "param", *_AXIS_KEYS, *(key + "2" for key in _AXIS_KEYS)}
 
 _OUTPUT_KEYS = {
@@ -217,16 +144,15 @@ def parse_config(text, overrides=()) -> RunConfig:
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not value:
-            raise ConfigError(f"empty value for {key!r}", lineno)
-        entries[(section, key)] = (value, lineno)
+        key = key.strip()
+        entries[(section, key)] = (_value(key, value, lineno), lineno)
 
     for spec, value in overrides:
         if "." not in spec:
             raise ConfigError(f"override must look like section.key, got {spec!r}")
         section, _, key = (part.strip() for part in spec.partition("."))
-        entries[(section, key)] = (str(value).strip(), f"{section}.{key}")
+        location = f"{section}.{key}"
+        entries[(section, key)] = (_value(key, str(value), location), location)
 
     return _build_config(entries)
 
@@ -250,11 +176,9 @@ def _build_config(entries):
     param_entry = take("sweep", "param")
     kind = kind_entry[0] if kind_entry else "theta"
     param = param_entry[0] if param_entry else None
-    try:
+    entry = param_entry if kind in experiments.SWEEPS else kind_entry
+    with _at(entry[1] if entry else None):
         sweep = experiments.SweepSpec(kind, param=param)
-    except ParameterError as exc:
-        entry = param_entry if kind in experiments.SWEEPS else kind_entry
-        raise ConfigError(str(exc), entry[1] if entry else None) from None
     axis_lines = sweep.sweep_kind().axes
 
     axes = {}  # SweepSpec field -> SweepAxis
@@ -263,18 +187,22 @@ def _build_config(entries):
     grid_location = kind_entry[1] if kind_entry else None
     for index, suffix in enumerate(("", "2")):
         axis, located = {}, {}  # axis key -> value, location of its entry
-        for key, convert in _AXIS_KEYS.items():
+        for key in _AXIS_KEYS:
             entry = take("sweep", key + suffix)
             if entry is None:
                 continue
+            raw, line = entry
             if index >= len(axis_lines):
                 raise ConfigError(
-                    f"{key + suffix!r} does not apply to a {kind!r} sweep", entry[1])
-            if convert is None:
-                axis[key] = _quoted(axis_lines[index], *entry)
-            else:
-                axis[key] = convert(*entry)
-            located[key] = entry[1]
+                    f"{key + suffix!r} does not apply to a {kind!r} sweep", line)
+            if key == "count":
+                axis[key] = _integer(raw, line)
+            elif key == "scale":
+                axis[key] = raw  # checked with the whole axis
+            else:  # the endpoints take the unit and domain of their line
+                with _at(line):
+                    axis[key] = axis_lines[index].parse(raw)
+            located[key] = line
         if not axis:
             continue
         if not {"start", "stop", "count"} <= axis.keys():
@@ -294,17 +222,10 @@ def _build_config(entries):
     for key, param in experiments.PARAMS.items():
         entry = take("params", key)
         if entry is not None:
-            quoted[key] = _quoted(param, *entry)
-    if ("g" in quoted) != ("omega_c" in quoted):
-        raise ConfigError("give both g and omega_c, or neither")
-    if "g" in quoted:
-        if "theta" in quoted:
-            raise ConfigError("give either theta or the pair (g, omega_c)")
-        quoted["theta"] = None
-    if "drive_strength" in quoted:
-        if "g_minus" in quoted:
-            raise ConfigError("give either g_minus or drive_strength")
-        quoted["g_minus"] = None
+            with _at(entry[1]):
+                quoted[key] = param.parse(entry[0])
+    with _at(None):
+        quoted = experiments.settle_partners(quoted)
     params = ParamsConfig(**{experiments.PARAMS[key].column: value
                              for key, value in quoted.items()})
 
@@ -318,11 +239,9 @@ def _build_config(entries):
 
     # a grid the baseline cannot realize: a generic sweep with no axis,
     # a detuning axis below the splitting floor
-    try:
+    with _at(grid_location, "invalid sweep block: "):
         sweep.sweep_kind().overrides(experiments.quoted_baseline(vars(params)),
                                      sweep.resolved_axes())
-    except ParameterError as exc:
-        raise ConfigError(f"invalid sweep block: {exc}", grid_location) from None
 
     assert not entries
     return RunConfig(params=params, sweep=sweep, output=output)
@@ -336,7 +255,7 @@ def echo_config(cfg: RunConfig) -> str:
     for key, param in experiments.PARAMS.items():
         value = getattr(p, param.column)
         if value is not None:
-            lines.append(f"{key} = {value!r}{_UNITS[param.unit][1]}")
+            lines.append(f"{key} = {value!r}{experiments.UNITS[param.unit].echo}")
 
     lines.append("")
     lines.append("[sweep]")
@@ -345,7 +264,7 @@ def echo_config(cfg: RunConfig) -> str:
         lines.append(f"param = {s.param}")
     for line, axis, suffix in zip(s.sweep_kind().axes, (s.axis, s.axis2), ("", "2")):
         if axis is not None:
-            unit = _UNITS[line.unit][1]
+            unit = experiments.UNITS[line.unit].echo
             lines.append(f"start{suffix} = {axis.start!r}{unit}")
             lines.append(f"stop{suffix} = {axis.stop!r}{unit}")
             lines.append(f"count{suffix} = {axis.count}")

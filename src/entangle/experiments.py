@@ -2,9 +2,10 @@
 
 Every physical parameter is one :class:`Quantity` entry of
 :data:`PARAMS`, keyed by its config name: quoted column, baseline field,
-unit, domain and default.  The config layer parses, checks and echoes
-``[params]`` from it, and every conversion from quoted to angular units
-goes through :data:`TO_ANGULAR`.
+unit, domain and default; each unit is one :class:`Unit` entry of
+:data:`UNITS`.  The config layer parses and echoes ``[params]`` and the
+sweep axes from them, and every conversion from quoted to angular units
+goes through :meth:`Quantity.angular`.
 
 Every sweep kind is one :class:`SweepKind` entry of :data:`SWEEPS`: its
 axes (CSV column, :class:`Baseline` field, reporting unit), its default
@@ -27,6 +28,7 @@ parameter set itself is angular (rad/s), matching the model layer.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -54,15 +56,48 @@ CHUNK_SIZE = 256
 
 # -- parameter table ---------------------------------------------------------
 
-#: quoted unit -> conversion of a quoted value to the baseline's angular/SI
-#: unit.  The products keep their order: ``v * TWO_PI * TWO_PI`` and
-#: ``v * TWO_PI**2`` differ in the last bit for about 27% of values.
-TO_ANGULAR = {
-    "Hz": lambda v: v * TWO_PI,
-    "Hz^2": lambda v: v * TWO_PI * TWO_PI,
-    "mK": lambda v: v * 1e-3,
-    "pi": lambda v: v * math.pi,
+def _times(factor):
+    return lambda v: v * factor
+
+
+class Unit(NamedTuple):
+    """A quoted unit: each config suffix with the conversion of the number
+    it follows, what an error for another suffix says the value should
+    be, the suffix of its echo and its conversion to angular/SI units."""
+
+    suffixes: dict[str, Callable[[float], float]]
+    expected: str
+    echo: str
+    angular: Callable[[float], float]
+
+
+#: every quoted unit.  The products keep their order: ``v * TWO_PI *
+#: TWO_PI`` and ``v * TWO_PI**2`` differ in the last bit for about 27% of
+#: values, and a bare angle is ``v / pi``, not ``v * (1 / pi)``.
+UNITS = {
+    "Hz": Unit({"": _times(1.0), "Hz": _times(1.0), "kHz": _times(1e3),
+                "MHz": _times(1e6), "GHz": _times(1e9), "mHz": _times(1e-3)},
+               "a frequency (Hz/kHz/MHz/GHz), got suffix", " Hz",
+               lambda v: v * TWO_PI),
+    "Hz^2": Unit({"": _times(1.0)}, "a bare number, got suffix", "",
+                 lambda v: v * TWO_PI * TWO_PI),
+    "mK": Unit({"": _times(1.0), "mK": _times(1.0), "K": _times(1e3)},
+               "a temperature (mK or K), got", " mK", lambda v: v * 1e-3),
+    "pi": Unit({"pi": lambda v: v, "": lambda v: v / math.pi},  # bare: radians
+               "an angle ('x pi' or radians), got", " pi", lambda v: v * math.pi),
 }
+
+#: domain -> test of a finite quoted value
+_DOMAINS = {
+    "finite": lambda v: True,
+    "positive": lambda v: v > 0.0,
+    "non-negative": lambda v: v >= 0.0,
+    "inside (0, pi/2)": lambda v: 0.0 < v < 0.5,
+}
+
+#: a config value: a number, then a unit suffix
+_VALUE_RE = re.compile(
+    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z]*)$")
 
 
 class Quantity(NamedTuple):
@@ -70,8 +105,8 @@ class Quantity(NamedTuple):
 
     ``column`` names it in the config's quoted parameter record and in
     CSV headers; ``field`` is its :class:`Baseline` field (None where a
-    point map resolves the axis).  ``unit`` is a key of
-    :data:`TO_ANGULAR`.  ``domain`` names the finite values it admits:
+    point map resolves the axis).  ``unit`` is a key of :data:`UNITS`.
+    ``domain`` names the finite values it admits (see :data:`_DOMAINS`):
     ``positive``, ``non-negative``, ``finite`` or ``inside (0, pi/2)``.
     ``default`` is the quoted default; ``sweepable`` marks the keys a
     generic sweep can vary.  ``unset`` stands in for the quoted value
@@ -91,7 +126,25 @@ class Quantity(NamedTuple):
         """The :class:`Baseline` field value of a quoted value."""
         if quoted is None:
             quoted = self.unset
-        return None if quoted is None else TO_ANGULAR[self.unit](quoted)
+        return None if quoted is None else UNITS[self.unit].angular(quoted)
+
+    def parse(self, raw):
+        """The quoted value of config text ``raw``: a number and one of the
+        unit's suffixes, finite in angular units and inside the domain.
+        Raises :class:`ParameterError` naming the rule ``raw`` breaks."""
+        m = _VALUE_RE.match(raw)
+        if m is None:
+            raise ParameterError(f"malformed number {raw!r}")
+        unit, suffix = UNITS[self.unit], m.group(2)
+        if suffix not in unit.suffixes:
+            raise ParameterError(f"expected {unit.expected} {suffix!r}")
+        value = unit.suffixes[suffix](float(m.group(1)))
+        # a finite quoted value can still overflow in angular units
+        if not math.isfinite(unit.angular(value)):
+            raise ParameterError(f"value must be finite, got {raw!r}")
+        if not _DOMAINS[self.domain](value):
+            raise ParameterError(f"value must be {self.domain}, got {raw!r}")
+        return value
 
 
 #: every ``[params]`` key, in the order the config echo lists them
@@ -190,16 +243,11 @@ class Baseline:
 
         An overriding ``theta`` re-derives the geometry even when the
         baseline pins ``(g, omega_c)`` explicitly.  Like the config,
-        overrides give both of ``g`` and ``omega_c`` or neither, and not
-        beside ``theta``, so none is dropped.  Overrides may be floats
-        or columns (see :meth:`evaluate_all`); the result then holds
-        parameter columns.
+        overrides follow :func:`check_geometry`, so none is dropped.
+        Overrides may be floats or columns (see :meth:`evaluate_all`);
+        the result then holds parameter columns.
         """
-        pair = ("g" in overrides) + ("omega_c" in overrides)
-        if pair == 1:
-            raise ParameterError("give both g and omega_c, or neither")
-        if pair and "theta" in overrides:
-            raise ParameterError("give either theta or the pair (g, omega_c)")
+        check_geometry(overrides)
         eff = replace(self, **overrides)
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
@@ -251,9 +299,36 @@ class Baseline:
 
     def _point(self, overrides):
         """``(SystemParams, target_g_minus)`` of one override set (floats or
-        columns)."""
-        return (self.params(**overrides),
-                overrides.get("target_g_minus", self.target_g_minus))
+        columns); a target would drop an overriding ``drive_strength``."""
+        target = overrides.get("target_g_minus", self.target_g_minus)
+        if target is not None and "drive_strength" in overrides:
+            raise ParameterError(
+                "give either target_g_minus or drive_strength "
+                "(target_g_minus=None pins the drive)")
+        return self.params(**overrides), target
+
+
+def check_geometry(given):
+    """Raise :class:`ParameterError` unless the names ``given`` hold both
+    of ``g`` and ``omega_c`` or neither, and not beside ``theta``."""
+    pair = ("g" in given) + ("omega_c" in given)
+    if pair == 1:
+        raise ParameterError("give both g and omega_c, or neither")
+    if pair and "theta" in given:
+        raise ParameterError("give either theta or the pair (g, omega_c)")
+
+
+def settle_partners(quoted):
+    """The given quoted ``[params]`` values (by :data:`PARAMS` key), with
+    the either-or partner each one replaces cleared to None: theta beside
+    ``(g, omega_c)``, g_minus beside drive_strength."""
+    check_geometry(quoted)
+    if "drive_strength" in quoted and "g_minus" in quoted:
+        raise ParameterError("give either g_minus or drive_strength")
+    for given, partner in (("g", "theta"), ("drive_strength", "g_minus")):
+        if given in quoted:
+            quoted = {**quoted, partner: None}
+    return quoted
 
 
 def quoted_baseline(quoted) -> Baseline:
@@ -345,7 +420,7 @@ class SweepKind:
     from grid points (a tuple of axis values: floats for one point, or
     columns for many) to overrides of :meth:`Baseline.evaluate` or
     :meth:`Baseline.evaluate_all`; without it each axis value, converted
-    by :data:`TO_ANGULAR`, overrides its line's field.
+    by :meth:`Quantity.angular`, overrides its line's field.
     ``summary(base, axes, records)`` returns extra summary entries.
     """
 
@@ -358,9 +433,8 @@ class SweepKind:
         """The map from a grid point of ``axes`` to evaluate overrides."""
         if self.point_map is not None:
             return self.point_map(base, axes)
-        converts = [(line.field, TO_ANGULAR[line.unit]) for line in self.axes]
-        return lambda point: {field: convert(v)
-                              for (field, convert), v in zip(converts, point)}
+        return lambda point: {line.field: line.angular(v)
+                              for line, v in zip(self.axes, point)}
 
 
 def _detuning_map(base, axes):

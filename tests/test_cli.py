@@ -29,6 +29,7 @@ from entangle.experiments import (
     SWEEPS,
     SweepAxis,
     SweepSpec,
+    UNITS,
     default_baseline,
     run_sweep,
 )
@@ -76,7 +77,7 @@ class TestParseConfig:
 
     def test_bare_angle_is_radians(self):
         cfg = parse_config("[params]\ntheta = 1.1\n")
-        assert cfg.params.theta_pi == pytest.approx(1.1 / math.pi)
+        assert cfg.params.theta_pi == 1.1 / math.pi
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -200,6 +201,20 @@ class TestParseConfig:
     def test_negative_precision_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 2.*precision"):
             parse_config("[output]\nprecision = -1\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("", "empty value for 'dir'"),
+        ("  ", "empty value for 'dir'"),
+        ("runs/#3", "value for 'dir' must be one line without '#', got 'runs/#3'"),
+        ("runs\n3", r"value for 'dir' must be one line without '#', got 'runs\n3'"),
+    ], ids=["empty", "blank", "hash", "newline"])
+    def test_override_value_obeys_the_file_rules(self, value, message):
+        # such a value once reached the run, echoed as an entry that does
+        # not parse back to it
+        with pytest.raises(ConfigError) as caught:
+            parse_config("", [("output.dir", value)])
+        assert caught.value.location == "output.dir"
+        assert str(caught.value) == f"override output.dir: {message}"
 
     def test_overrides_win_over_file(self):
         cfg = parse_config("[params]\nkappa_a = 1 MHz\n",
@@ -383,6 +398,42 @@ def test_registry_round_trip(kind, param):
     assert parse_config(echoed) == cfg
     assert all(entry in echoed.splitlines() for entry in expected)
     assert len(cfg.sweep.sweep_kind().axes) == len(expected)
+
+
+#: (unit, suffix) -> a [params] key in that unit, its entry and the
+#: value it parses to, as the product the conversion computes (which is
+#: not always the decimal: 1.003 kHz is 1002.9999999999999 Hz)
+SUFFIXES = {
+    ("Hz", ""): ("kappa_b", "120", 120.0),
+    ("Hz", "Hz"): ("kappa_c", "1.3 Hz", 1.3),
+    ("Hz", "kHz"): ("kappa_a", "1.003 kHz", 1.003 * 1e3),
+    ("Hz", "MHz"): ("omega_b", "1.007 MHz", 1.007 * 1e6),
+    ("Hz", "GHz"): ("omega_a", "0.267 GHz", 0.267 * 1e9),
+    ("Hz", "mHz"): ("g0", "1.3 mHz", 1.3 * 1e-3),
+    ("mK", ""): ("temperature", "37.1", 37.1),
+    ("mK", "mK"): ("temperature", "37.1 mK", 37.1),
+    ("mK", "K"): ("temperature", "1.009 K", 1.009 * 1e3),
+    ("pi", "pi"): ("theta", "0.385 pi", 0.385),
+    # radians: 1.2 / pi is one bit away from 1.2 * (1 / pi)
+    ("pi", ""): ("theta", "1.2", 1.2 / math.pi),
+    ("Hz^2", ""): ("drive_strength", "1.25e4", 1.25e4),
+}
+
+
+def test_every_unit_suffix_has_a_case():
+    assert set(SUFFIXES) == {(name, suffix) for name, unit in UNITS.items()
+                             for suffix in unit.suffixes}
+
+
+@pytest.mark.parametrize("unit, suffix", list(SUFFIXES))
+def test_every_suffix_parses_and_echoes_to_the_same_bits(unit, suffix):
+    key, entry, expected = SUFFIXES[unit, suffix]
+    assert PARAMS[key].unit == unit
+    cfg = parse_config(f"[params]\n{key} = {entry}\n")
+    value = getattr(cfg.params, PARAMS[key].column)
+    assert value.hex() == expected.hex()
+    echoed = getattr(parse_config(echo_config(cfg)).params, PARAMS[key].column)
+    assert echoed.hex() == expected.hex()
 
 
 #: domain -> quoted values at its edges, each with whether it is inside;
@@ -677,6 +728,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "config error: override sweep.kind: invalid sweep block: "
             "generic sweeps need an explicit axis\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--set", "output.dir="], "empty value for 'dir'"),
+        (["--out", ""], "empty value for 'dir'"),
+        (["--set", "output.dir=runs/#3"],
+         "value for 'dir' must be one line without '#', got 'runs/#3'"),
+    ], ids=["set-empty", "out-empty", "set-hash"])
+    def test_bad_output_dir_exits_2_writing_nothing(self, args, message, tmp_path,
+                                                    monkeypatch, capsys):
+        # the empty directory once wrote every file into the working
+        # directory, and the '#' one echoed a dir that parses as 'runs/'
+        monkeypatch.chdir(tmp_path)
+        assert main(["point"] + args) == 2
+        assert capsys.readouterr().err == (
+            f"config error: override output.dir: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import entangle.cli as cli_mod

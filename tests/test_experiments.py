@@ -500,6 +500,40 @@ class TestGeometryOverrides:
             base.evaluate(g=PAIR_G, omega_c=PAIR_OMEGA_C).e_n_pp, rel=1e-11)
 
 
+class TestDriveOverrides:
+    """A ``drive_strength`` override beside a target |G_-| would be dropped
+    for the calibrated drive, so it raises; with the target cleared it
+    sets the drive."""
+
+    MESSAGE = ("give either target_g_minus or drive_strength "
+               "(target_g_minus=None pins the drive)")
+
+    @pytest.mark.parametrize("overrides", [
+        {"drive_strength": 1e20},
+        {"drive_strength": 1e20, "target_g_minus": TWO_PI * 1e6},
+    ], ids=["baseline-target", "overriding-target"])
+    def test_beside_a_target_raises(self, base, overrides):
+        with pytest.raises(ParameterError) as caught:
+            base.evaluate(**overrides)
+        assert str(caught.value) == self.MESSAGE
+        columns = {name: np.full(3, value) for name, value in overrides.items()}
+        with pytest.raises(ParameterError) as caught:
+            list(base.evaluate_all(columns))
+        assert str(caught.value) == self.MESSAGE
+
+    def test_with_the_target_cleared_sets_the_drive(self, base):
+        calibrated = base.evaluate()
+        drive = 0.5 * calibrated.drive_strength
+        point = base.evaluate(drive_strength=drive, target_g_minus=None)
+        assert point.drive_strength == drive
+        assert point.e_n_pp != calibrated.e_n_pp
+        (stack,) = base.evaluate_all({"drive_strength": np.array([drive, drive]),
+                                      "target_g_minus": None})
+        assert stack.e_n_pp.tolist() == pytest.approx([point.e_n_pp] * 2, rel=1e-11)
+        pinned = replace(base, target_g_minus=None)
+        assert pinned.evaluate(drive_strength=drive).e_n_pp == point.e_n_pp
+
+
 def _feasible_or_not(finite_values):
     """Mostly feasible draws, sometimes a value outside the domain."""
     return st.one_of(finite_values, finite_values, finite_values,

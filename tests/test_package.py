@@ -1,6 +1,9 @@
 """The package exports what it defines, defines only what is used, and
 imports only what it declares.
 
+A module-level private definition that no other package statement
+refers to is dead code.
+
 A public function or class that neither the package itself nor the
 benchmark under ``bench/`` refers to is API kept alive for the tests
 alone; independent cross-checks of that kind live in ``tests/``
@@ -60,6 +63,29 @@ PUBLIC = [(module, node) for module, node, _ in STATEMENTS
           and not node.name.startswith("_")]
 
 
+
+def _defined(node):
+    """Names a top-level statement binds: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+#: every module-level private definition: (module, statement, name)
+PRIVATE = [(module, node, name)
+           for module, tree in TREES.items() for node in tree.body
+           for name in _defined(node)
+           if name.startswith("_") and not name.startswith("__")]
+
+#: names each top-level statement of every package module refers to
+ALL_STATEMENTS = [(node, _names([node])) for tree in TREES.values()
+                  for node in tree.body]
+
+
 @pytest.mark.parametrize("name", entangle.__all__)
 def test_every_export_resolves(name):
     assert hasattr(entangle, name)
@@ -75,6 +101,14 @@ def test_every_public_definition_is_used(module, definition):
     assert definition.name in used, (
         f"{module}.{definition.name} is referenced by neither the package "
         "nor the benchmark")
+
+
+def test_no_private_definition_is_dead():
+    # a helper that a refactor left behind still reads as a rule in force
+    dead = [f"{module}.{name}" for module, definition, name in PRIVATE
+            if not any(name in names for node, names in ALL_STATEMENTS
+                       if node is not definition)]
+    assert not dead, f"referenced by no other package statement: {dead}"
 
 
 def _import_time_imports(tree):
