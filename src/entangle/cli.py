@@ -42,6 +42,8 @@ _curve_values = attrgetter(*CURVES)
 
 
 def _fmt(value):
+    if type(value) is float:  # all cells but the stable flag and missing E_N
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -13,7 +13,8 @@ and sweep grids the parameters cannot realize are rejected with the
 line number of the entry, or the ``section.key`` of an override; missing
 keys take the defaults of the feasible cavity-magnomechanics parameter
 set.  An override value obeys the rules of a file value: non-empty, one
-line and no ``#``.  The ``[sweep]`` block parses to the
+line and no ``#``; so does each field of an :class:`OutputBlock` built
+through the API, in its echo.  The ``[sweep]`` block parses to the
 :class:`entangle.experiments.SweepSpec` the run executes.
 :func:`echo_config` renders a config back to parseable text such that
 ``parse_config(echo_config(cfg)) == cfg``.
@@ -41,24 +42,6 @@ fixes the geometry; exactly one of ``g_minus_hz`` or
 values because the echo cannot be rebuilt from the baseline:
 ``(v * 2pi) / 2pi`` differs from ``v`` for about 14% of Hz values.
 """
-
-
-@dataclass(frozen=True)
-class OutputBlock:
-    directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "meta", "dat")
-    precision: int | None = None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    params: ParamsConfig = ParamsConfig()
-    sweep: experiments.SweepSpec = experiments.SweepSpec()
-    output: OutputBlock = OutputBlock()
-
-    def baseline(self) -> experiments.Baseline:
-        """Convert the parameter block to the angular-unit baseline."""
-        return experiments.quoted_baseline(vars(self.params))
 
 
 # -- entries ---------------------------------------------------------------
@@ -114,11 +97,45 @@ def _precision(raw, line):
 _AXIS_KEYS = ("start", "stop", "count", "scale")
 _SWEEP_KEYS = {"kind", "param", *_AXIS_KEYS, *(key + "2" for key in _AXIS_KEYS)}
 
+#: ``[output]`` key -> (OutputBlock field, parse of the entry value, echo)
 _OUTPUT_KEYS = {
-    "dir": ("directory", None),
-    "formats": ("formats", _formats),
-    "precision": ("precision", _precision),
+    "dir": ("directory", lambda raw, line: raw, str),
+    "formats": ("formats", _formats, ",".join),
+    "precision": ("precision", _precision, str),
 }
+
+
+@dataclass(frozen=True)
+class OutputBlock:
+    """Where a run writes which files, and the significant digits of its
+    plot data (None: shortest round trip).
+
+    A block built through the API obeys the entry rules of a parsed one:
+    the echo of each field must parse back to it, so
+    ``parse_config(echo_config(cfg)) == cfg`` holds for every config.
+    """
+
+    directory: str = "out"
+    formats: tuple[str, ...] = ("csv", "meta", "dat")
+    precision: int | None = None
+
+    def __post_init__(self):
+        for key, (name, parse, echo) in _OUTPUT_KEYS.items():
+            value = getattr(self, name)
+            if value is not None and parse(_value(key, echo(value), None), None) != value:
+                raise ConfigError(
+                    f"{key} = {echo(value)} does not read back as {value!r}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    params: ParamsConfig = ParamsConfig()
+    sweep: experiments.SweepSpec = experiments.SweepSpec()
+    output: OutputBlock = OutputBlock()
+
+    def baseline(self) -> experiments.Baseline:
+        """Convert the parameter block to the angular-unit baseline."""
+        return experiments.quoted_baseline(vars(self.params))
 
 
 def parse_config(text, overrides=()) -> RunConfig:
@@ -230,11 +247,10 @@ def _build_config(entries):
                              for key, value in quoted.items()})
 
     output_values = {}
-    for key, (field_name, convert) in _OUTPUT_KEYS.items():
+    for key, (field_name, parse, _) in _OUTPUT_KEYS.items():
         entry = take("output", key)
         if entry is not None:
-            raw, line = entry
-            output_values[field_name] = raw if convert is None else convert(raw, line)
+            output_values[field_name] = parse(*entry)
     output = OutputBlock(**output_values)
 
     # a grid the baseline cannot realize: a generic sweep with no axis,
@@ -273,9 +289,9 @@ def echo_config(cfg: RunConfig) -> str:
 
     lines.append("")
     lines.append("[output]")
-    lines.append(f"dir = {o.directory}")
-    lines.append(f"formats = {','.join(o.formats)}")
-    if o.precision is not None:
-        lines.append(f"precision = {o.precision}")
+    for key, (name, _, echo) in _OUTPUT_KEYS.items():
+        value = getattr(o, name)
+        if value is not None:
+            lines.append(f"{key} = {echo(value)}")
     lines.append("")
     return "\n".join(lines)

@@ -9,12 +9,14 @@ formula runs once on the columns, one table of ``(row, column)`` slots
 per matrix fills the ``(N, 6, 6)`` drift and diffusion, and each
 ``gaussian`` kernel (eigendecomposition, eigenbasis Lyapunov solve with
 its dense fallback, closed-form negativities) runs once for the stack.
-:func:`run_pipeline` evaluates one point with the model layer on Python
-floats and the same fill and kernels on the stack of one.  Column
-arithmetic is elementwise, so a point gives the same bits in any stack;
-against :func:`run_pipeline` it differs only where numpy's ``expm1``,
-``arctan2``, ``hypot``, complex multiply or ``abs`` round differently
-from :mod:`math` and CPython's.
+:func:`run_pipeline` evaluates one point with the model layer and the
+negativities on Python floats, and the fill, the eigendecomposition and
+the Lyapunov solve on the stack of one; the negativities are one body
+for floats and columns (see :mod:`entangle.gaussian`), so they add no
+rounding difference.  Column arithmetic is elementwise, so a point gives
+the same bits in any stack; against :func:`run_pipeline` it differs only
+where numpy's ``expm1``, ``arctan2``, ``hypot``, complex multiply or
+``abs`` round differently from :mod:`math` and CPython's.
 
 Both matrices are nondimensionalized by ``omega_b`` before the solve so
 entries span roughly 1e-5..1; the covariance matrix is unchanged by
@@ -177,16 +179,17 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
 
     If ``target_g_minus`` (rad/s) is given, the drive strength is
     derived so |G_-| hits the target; otherwise ``params.drive_strength``
-    is used directly.  The model layer runs on floats, the numerics on
-    the stack of one.
+    is used directly.  The model layer and the negativities run on
+    floats, the drift spectrum and the Lyapunov solve on the stack of one.
     """
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, covs, e_n = _steady_states(params, basis, couplings, 1)
+    max_re, stable, covs = _steady_states(params, basis, couplings, 1)
     max_re_eig = max_re[0].item() * params.omega_b
     if not stable.size:
         return PipelineResult(basis, couplings, drive, False, max_re_eig,
                               None, None, None, None)
-    e_n_pp, e_n_pb, e_n_mb = e_n[0].tolist()  # PAIR_CHOICES order
+    e_n_pp, e_n_pb, e_n_mb = _stage(  # PAIR_CHOICES order
+        "log-negativity", gaussian.pair_log_negativities, covs[0].ravel().tolist())
     return PipelineResult(basis, couplings, drive, True, max_re_eig,
                           gaussian.GaussianState(covs[0]), e_n_pp, e_n_mb, e_n_pb)
 
@@ -204,11 +207,14 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, solved, values = _steady_states(params, basis, couplings, size)
+    max_re, stable, solved = _steady_states(params, basis, couplings, size)
     covs = np.full((size, 6, 6), np.nan)
     covs[stable] = solved
     e_n = np.full((size, 3), np.nan)
-    e_n[stable] = values
+    if stable.size:
+        blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
+        e_n[stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
+                             blocks).reshape(-1, 3)
     e_n_pp, e_n_pb, e_n_mb = e_n.T  # PAIR_CHOICES order
     return PipelineColumns(size, basis, couplings, drive, max_re < 0.0,
                            max_re * params.omega_b, covs, e_n_pp, e_n_mb, e_n_pb)
@@ -235,15 +241,13 @@ def _model_layer(params, target_g_minus):
 
 
 def _steady_states(params, basis, couplings, size):
-    """Stability, covariances and negativities of ``size`` points.
+    """Stability and covariances of ``size`` points.
 
-    Returns ``(max_re, stable, covs, e_n)``: the largest real part of
-    each drift spectrum in units of ``omega_b``, the indices of the
-    stable points, and their ``(n, 6, 6)`` covariances and ``(n, 3)``
-    negativities in :data:`gaussian.PAIR_CHOICES` order.  Negativities
-    exist iff a point is stable, and they are finite: the kernels raise
-    :class:`NumericalError` rather than return a covariance that misses
-    the residual contract or negativities whose determinants overflow.
+    Returns ``(max_re, stable, covs)``: the largest real part of each
+    drift spectrum in units of ``omega_b``, the indices of the stable
+    points, and their ``(n, 6, 6)`` covariances (None if there is none).
+    The Lyapunov kernel raises :class:`NumericalError` rather than return
+    a covariance that misses the residual contract.
     """
     omega_b = np.asarray(params.omega_b)[..., None, None]
     drifts = _fill(_DRIFT_SLOTS, _drift_entries(
@@ -255,13 +259,13 @@ def _steady_states(params, basis, couplings, size):
     max_re = lam.real.max(axis=1)
     stable = np.flatnonzero(max_re < 0.0)
     if not stable.size:
-        return max_re, stable, None, None
+        return max_re, stable, None
+    if stable.size < size:
+        drifts, diffusions = drifts[stable], diffusions[stable]
+        lam, U = lam[stable], U[stable]
     covs = _stage("Lyapunov solve", gaussian.solve_lyapunov_stacked,
-                  drifts[stable], diffusions[stable], (lam[stable], U[stable]))
-    blocks = gaussian.pair_blocks(covs).reshape(-1, 4, 4)
-    e_n = _stage("log-negativity", gaussian.log_negativity_stacked,
-                 blocks).reshape(-1, 3)
-    return max_re, stable, covs, e_n
+                  drifts, diffusions, (lam, U))
+    return max_re, stable, covs
 
 
 def _stage(name, fn, *args):

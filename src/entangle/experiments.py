@@ -31,6 +31,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -205,6 +206,9 @@ def axis_fault(start, stop, count, scale):
     or None: the config layer reports the line of that field."""
     if count < 2:
         return "count", f"axis needs at least 2 points, got {count}"
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            return name, f"axis {name} must be finite, got {value!r}"
     if not start < stop:
         return "stop", f"axis start must be below stop, got [{start}, {stop}]"
     if scale not in ("linear", "log"):
@@ -243,12 +247,18 @@ class Baseline:
 
         An overriding ``theta`` re-derives the geometry even when the
         baseline pins ``(g, omega_c)`` explicitly.  Like the config,
-        overrides follow :func:`check_geometry`, so none is dropped.
-        Overrides may be floats or columns (see :meth:`evaluate_all`);
-        the result then holds parameter columns.
+        overrides follow :func:`check_geometry`, so none is dropped, and
+        one that is not a field raises :class:`TypeError`.  Overrides may
+        be floats or columns (see :meth:`evaluate_all`); the result then
+        holds parameter columns.
         """
         check_geometry(overrides)
-        eff = replace(self, **overrides)
+        fields = vars(self)
+        unknown = overrides.keys() - fields.keys()
+        if unknown:
+            raise TypeError("Baseline.params() got an unexpected keyword "
+                            f"argument {min(unknown)!r}")
+        eff = SimpleNamespace(**{**fields, **overrides})
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
                 eff.theta, eff.omega_a, eff.omega_b)

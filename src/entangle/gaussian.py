@@ -13,14 +13,17 @@ whose eigenvector matrix has a Frobenius condition number above 1e3
 re-solved by the dense vectorized n^2-unknown system with one
 refinement pass, and raises :class:`NumericalError` if that misses the
 contract too, or if ``||D||_F`` overflows so the contract cannot be
-checked.  :func:`log_negativity_stacked` takes the logarithmic
-negativity of stacked two-mode blocks from closed-form 2x2 block
-determinants, and raises :class:`NumericalError` where those would
-overflow.
+checked.  The logarithmic negativity of a two-mode block comes from
+closed-form 2x2 block determinants, and raises :class:`NumericalError`
+where those would overflow.
 
-:func:`stability`, :func:`solve_lyapunov` and :func:`log_negativity`
-are the one-point views of these kernels.  Every row of a stacked call
-runs the same arithmetic as the one-point call on that row, so the two
+:func:`stability` and :func:`solve_lyapunov` are the one-point views of
+the stacked kernels: a stack of one.  The negativity has one body for
+both: :func:`log_negativity` and :func:`pair_log_negativities` run it
+on Python floats, which one point needs without the dispatch of about
+fifty tiny numpy calls, and :func:`log_negativity_stacked` runs it on
+columns with one entry per matrix.  Every row of a stacked call runs
+the same arithmetic as the one-point call on that row, so the two
 agree bit for bit.
 
 Quadrature ordering is fixed globally as (X+, Y+, X-, Y-, Xb, Yb) and
@@ -31,7 +34,10 @@ conditioning; the covariance matrix itself is dimensionless either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +53,11 @@ PAIR_CHOICES = ("+-", "+b", "-b")
 _PAIR_INDEX = np.array([MODE_SLOTS[pair[0]] + MODE_SLOTS[pair[1]]
                         for pair in PAIR_CHOICES])
 
+#: each pair's 16 block entries, row by row, from the 36 of a 6x6
+#: covariance stored row by row
+_PAIR_ENTRIES = [itemgetter(*(6 * i + j for i in slots for j in slots))
+                 for slots in _PAIR_INDEX.tolist()]
+
 # negativities this small above the separability boundary are rounding,
 # not entanglement
 _CLAMP_TOL = 1e-10
@@ -58,16 +69,6 @@ _LYAPUNOV_RESIDUAL_RTOL = 1e-9
 # the eigenvector matrix a row goes to the dense solve (the physical
 # grids stay below about 130; 6 is a unitary U)
 _EIGENBASIS_COND_MAX = 1e3
-
-# rows (r, r + 1) and columns (p, q) of the 2x2 minors of a 4x4 matrix:
-# the six column pairs on rows (0, 1), then the same six on rows (2, 3).
-# The column pair complementary to pair k is pair 5 - k, and
-# _LAPLACE_SIGN is the sign of the permutation (p, q, complement)
-_MINOR_R = np.repeat([0, 2], 6)
-_MINOR_R1 = _MINOR_R + 1
-_MINOR_P = np.tile([0, 0, 0, 1, 1, 2], 2)
-_MINOR_Q = np.tile([1, 2, 3, 2, 3, 3], 2)
-_LAPLACE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 # largest two-mode covariance entry s the negativity accepts: the
 # determinants are quartic in the entries and |Sigma^2 - 4 det V| stays
@@ -102,7 +103,7 @@ def drift_spectra(drifts):
     every ``lam[i].real`` is strictly negative.
     """
     R = np.asarray(drifts, dtype=float)
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise ParameterError("drift matrix has non-finite entries")
     try:
         lam, U = np.linalg.eig(R)
@@ -118,7 +119,7 @@ def drift_spectra(drifts):
     # numpy returns real arrays when the whole stack has real spectra;
     # always going complex keeps each row's arithmetic independent of
     # the other rows
-    return lam.astype(complex), U.astype(complex)
+    return lam.astype(complex, copy=False), U.astype(complex, copy=False)
 
 
 def stability(drift):
@@ -177,9 +178,9 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
         V = (U @ X @ U.conj().swapaxes(1, 2)).real
         del X
         V = 0.5 * (V + V.swapaxes(1, 2))
-        resid = np.linalg.norm(R @ V + V @ R.swapaxes(1, 2) + D, axis=(1, 2))
-        cond = np.linalg.norm(U, axis=(1, 2)) * np.linalg.norm(U_inv, axis=(1, 2))
-        d_norm = np.linalg.norm(D, axis=(1, 2))
+        resid = _frobenius(R @ V + V @ R.swapaxes(1, 2) + D)
+        cond = _frobenius(U) * _frobenius(U_inv)
+        d_norm = _frobenius(D)
     if not np.isfinite(d_norm).all():
         raise NumericalError(
             "the residual contract cannot be checked: ||D||_F overflows "
@@ -201,6 +202,12 @@ def solve_lyapunov(drift, diffusion):
     R = np.asarray(drift, dtype=float)
     D = np.asarray(diffusion, dtype=float)
     return solve_lyapunov_stacked(R[None], D[None])[0]
+
+
+def _frobenius(x):
+    """Frobenius norm of each matrix of an ``(N, n, n)`` stack: the
+    formula of ``np.linalg.norm(x, axis=(1, 2))``, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
 
 
 def _inverse_or_nan(matrix):
@@ -271,62 +278,134 @@ def pair_blocks(covs):
     return V[:, _PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
 
 
-def log_negativity_stacked(covs4):
-    """Logarithmic negativities of a stack of two-mode covariance matrices.
+def _float_scale(v):
+    """max(1, |v|) over Python floats, NaN if any entry is NaN: ``max``
+    skips a NaN that is not first, a sum of magnitudes keeps it."""
+    mags = list(map(abs, v))
+    total = sum(mags)
+    return total if math.isnan(total) else max(1.0, *mags)
 
-    Row-wise E_N = max[0, -ln(2 eta)], with eta the smallest symplectic
-    eigenvalue of the partially transposed state, evaluated from the
-    closed-form 2x2 block determinants and the Laplace expansion of the
-    4x4 determinant along the first mode's rows.  Rounding overshoots
-    just above the separability boundary are clamped to exactly 0.
+
+def _select(condition, if_true, if_false):
+    return if_true if condition else if_false
+
+
+#: (upper, lower) flat indices of the mirrored off-diagonal entries of a
+#: 4x4 matrix stored row by row
+_UPPER, _LOWER = zip(*((4 * i + j, 4 * j + i)
+                       for i in range(4) for j in range(i + 1, 4)))
+
+#: the operations :func:`_log_negativity` runs on one matrix of floats
+_FLOAT_OPS = SimpleNamespace(
+    scale=_float_scale,
+    asymmetry=lambda v: max(abs(v[i] - v[j]) for i, j in zip(_UPPER, _LOWER)),
+    any=bool, all=bool, isfinite=math.isfinite, max=float,
+    first=lambda values, flags: values,
+    maximum=max, sqrt=math.sqrt, log=lambda x: float(np.log(x)), where=_select)
+
+#: the same operations on columns with one entry per matrix
+_COLUMN_OPS = SimpleNamespace(
+    scale=lambda v: np.maximum(np.abs(v).max(axis=0), 1.0),
+    asymmetry=lambda v: np.abs(v[list(_UPPER)] - v[list(_LOWER)]).max(axis=0),
+    any=np.any, all=np.all, isfinite=np.isfinite, max=np.max,
+    first=lambda values, flags: values[flags][0],
+    maximum=np.maximum, sqrt=np.sqrt, log=np.log, where=np.where)
+
+
+def _log_negativity(v, m):
+    """E_N = max[0, -ln(2 eta)] of the two-mode covariance whose 16
+    entries, row by row, are ``v``: Python floats with ``m`` =
+    :data:`_FLOAT_OPS`, or columns with one entry per matrix with
+    :data:`_COLUMN_OPS`.
+
+    ``eta`` is the smallest symplectic eigenvalue of the partially
+    transposed state, from the closed-form 2x2 block determinants and the
+    Laplace expansion of the 4x4 determinant along the first mode's rows.
+    Each step is the same IEEE operation on a float and on a column entry,
+    so both give the same bits: the six Laplace terms are summed left to
+    right, as numpy reduces six elements, ``math.sqrt`` is correctly
+    rounded like numpy's, and the logarithm is numpy's on both.
     """
-    V = np.asarray(covs4, dtype=float)
-    if V.ndim != 3 or V.shape[1:] != (4, 4):
-        raise ParameterError(f"expected 4x4 covariance matrices, got {V.shape}")
-    scale = np.maximum(np.abs(V).max(axis=(1, 2)), 1.0)
-    if not (scale <= _ENTRY_MAX).all():  # NaN fails too
-        if not np.isfinite(scale).all():
+    scale = m.scale(v)
+    if not m.all(scale <= _ENTRY_MAX):  # NaN fails too
+        if not m.all(m.isfinite(scale)):
             raise NumericalError("two-mode covariance matrix has non-finite entries")
         raise NumericalError(
-            f"covariance entries up to {scale.max():.3e} overflow the block "
+            f"covariance entries up to {m.max(scale):.3e} overflow the block "
             f"determinants (at most {_ENTRY_MAX:g})")
-    if (np.abs(V - V.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10 * scale).any():
+    if m.any(m.asymmetry(v) > 1e-10 * scale):
         raise NumericalError("two-mode covariance matrix is not symmetric")
 
-    minors = (V[:, _MINOR_R, _MINOR_P] * V[:, _MINOR_R1, _MINOR_Q]
-              - V[:, _MINOR_R, _MINOR_Q] * V[:, _MINOR_R1, _MINOR_P])
-    top, low = minors[:, :6], minors[:, 6:]
-    det_plus, det_cross, det_minus = top[:, 0], top[:, 5], low[:, 5]
-    det_full = (_LAPLACE_SIGN * top * low[:, ::-1]).sum(axis=1)
-    sigma = det_plus + det_minus - 2.0 * det_cross
+    (v00, v01, v02, v03, v10, v11, v12, v13,
+     v20, v21, v22, v23, v30, v31, v32, v33) = v
+    # 2x2 minors on the columns (p, q) of the first mode's rows (t_pq)
+    # and of the second mode's rows (l_pq)
+    t01 = v00 * v11 - v01 * v10
+    t02 = v00 * v12 - v02 * v10
+    t03 = v00 * v13 - v03 * v10
+    t12 = v01 * v12 - v02 * v11
+    t13 = v01 * v13 - v03 * v11
+    t23 = v02 * v13 - v03 * v12
+    l01 = v20 * v31 - v21 * v30
+    l02 = v20 * v32 - v22 * v30
+    l03 = v20 * v33 - v23 * v30
+    l12 = v21 * v32 - v22 * v31
+    l13 = v21 * v33 - v23 * v31
+    l23 = v22 * v33 - v23 * v32
+    # det V with the complementary minor of each column pair; t01, l23
+    # and t23 are det A, det B and det C of the blocks [[A, C], [C^T, B]]
+    det_full = (t01 * l23 - t02 * l13 + t03 * l12
+                + t12 * l03 - t13 * l02 + t23 * l01)
+    sigma = t01 + l23 - 2.0 * t23
 
     disc = sigma * sigma - 4.0 * det_full
     bad = disc < -1e-10
-    if bad.any():
+    if m.any(bad):
         raise NumericalError(
             "inconsistent covariance matrix: "
-            f"Sigma^2 - 4 det V = {disc[bad][0]:g} < 0"
+            f"Sigma^2 - 4 det V = {m.first(disc, bad):g} < 0"
         )
-    denom = sigma + np.sqrt(np.maximum(disc, 0.0))
-    if (denom <= 0.0).any():
+    denom = sigma + m.sqrt(m.maximum(disc, 0.0))
+    if m.any(denom <= 0.0):
         raise NumericalError("covariance matrix has non-positive Sigma")
     # eta^2 = (Sigma - sqrt(disc)) / 2 rewritten to avoid cancellation
     eta_sq = 2.0 * det_full / denom
     bad = eta_sq <= 0.0
-    if bad.any():
+    if m.any(bad):
         raise NumericalError(
-            f"non-positive symplectic eigenvalue (det V4 = {det_full[bad][0]:g})"
+            f"non-positive symplectic eigenvalue (det V4 = {m.first(det_full, bad):g})"
         )
-    two_eta = 2.0 * np.sqrt(eta_sq)
-    return np.where(two_eta >= 1.0 - _CLAMP_TOL, 0.0, -np.log(two_eta))
+    two_eta = 2.0 * m.sqrt(eta_sq)
+    # rounding overshoots just above the separability boundary are 0
+    return m.where(two_eta >= 1.0 - _CLAMP_TOL, 0.0, -m.log(two_eta))
+
+
+def log_negativity_stacked(covs4):
+    """Logarithmic negativities of a stack of two-mode covariance matrices.
+
+    The column instance of :func:`_log_negativity`: one entry per matrix.
+    """
+    V = np.asarray(covs4, dtype=float)
+    if V.ndim != 3 or V.shape[1:] != (4, 4):
+        raise ParameterError(f"expected 4x4 covariance matrices, got {V.shape}")
+    return _log_negativity(V.reshape(-1, 16).T, _COLUMN_OPS)
 
 
 def log_negativity(cov4):
     """Logarithmic negativity of a two-mode covariance matrix.
 
-    The one-point view of :func:`log_negativity_stacked`.
+    The float instance of :func:`_log_negativity`; it gives the same bits
+    as the row of :func:`log_negativity_stacked`.
     """
     V4 = np.asarray(cov4, dtype=float)
     if V4.shape != (4, 4):
         raise ParameterError(f"expected a 4x4 covariance matrix, got {V4.shape}")
-    return float(log_negativity_stacked(V4[None])[0])
+    return _log_negativity(V4.ravel().tolist(), _FLOAT_OPS)
+
+
+def pair_log_negativities(cov):
+    """Negativities of the pairs :data:`PAIR_CHOICES` of one 6x6
+    covariance given as its 36 Python floats, row by row
+    (``cov.ravel().tolist()``): the float instance on each block, with no
+    array built per block."""
+    return [_log_negativity(block(cov), _FLOAT_OPS) for block in _PAIR_ENTRIES]

@@ -355,6 +355,31 @@ class TestEchoRoundTrip:
             "start2 = 100 Hz\nstop2 = 1 MHz\ncount2 = 20\nscale2 = log\n")
         assert parse_config(echo_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("output", [
+        OutputBlock(directory="runs/θ sweep 1", formats=("dat",), precision=0),
+        OutputBlock(formats=("meta", "csv", "csv"), precision=12),
+    ], ids=["dir-and-precision", "repeated-format"])
+    def test_api_output_block_round_trip(self, output):
+        cfg = RunConfig(output=output)
+        assert parse_config(echo_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"directory": "a#b"}, "value for 'dir' must be one line without '#'"),
+        ({"directory": ""}, "empty value for 'dir'"),
+        ({"directory": "a\nb"}, "value for 'dir' must be one line without '#'"),
+        ({"directory": " a"}, "dir =  a does not read back as ' a'"),
+        ({"formats": ()}, "empty value for 'formats'"),
+        ({"formats": ("csv", "png")}, "unknown output format 'png'"),
+        ({"formats": ("csv,dat",)}, "does not read back as ('csv,dat',)"),
+        ({"precision": -1}, "precision must be non-negative"),
+        ({"precision": 2.0}, "expected an integer, got '2.0'"),
+    ], ids=["hash", "empty-dir", "two-lines", "blank-edge", "no-format",
+            "unknown-format", "comma-format", "negative-precision",
+            "float-precision"])
+    def test_api_output_block_obeys_the_entry_rules(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            OutputBlock(**fields)
+
 
 def _registry_cases():
     for kind in SWEEPS:

@@ -6,6 +6,7 @@ the linearized right-hand side there, map back, and compare with R @ u.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
 from entangle.errors import NumericalError
 from entangle.experiments import default_baseline
-from entangle.gaussian import solve_lyapunov
+from entangle.gaussian import log_negativity_stacked, pair_blocks, solve_lyapunov
 from entangle.model import (
     TWO_PI,
     drive_for_target_g_minus,
@@ -277,6 +278,46 @@ class TestRunPipeline:
         with pytest.raises(NumericalError,
                            match=r"^\[steady-state amplitudes\] denominator vanished$"):
             run_pipeline(reference_params(0.40), target_g_minus=TWO_PI * 2e6)
+
+    def test_point_negativities_equal_the_stacked_kernel(self):
+        # 64 seeded draws in the (theta, |G_-|) box of a single-point
+        # caller: the float instance of the closed form gives the bits of
+        # the column instance
+        rng = random.Random(13)
+        base = default_baseline()
+        stable = 0
+        for _ in range(64):
+            theta = (0.26 + 0.23 * rng.random()) * math.pi
+            res = run_pipeline(base.params(theta=theta),
+                               target_g_minus=TWO_PI * 6e6 * rng.random())
+            if res.stable:
+                stable += 1
+                stacked = log_negativity_stacked(pair_blocks(res.state.cov[None])[0])
+                assert [res.e_n_pp, res.e_n_pb, res.e_n_mb] == stacked.tolist()
+        assert stable >= 32
+
+    @pytest.mark.parametrize("theta_pi, expected", [
+        (0.40, {"eig": 1, "inv": 1, "eigvalsh": 1}),
+        (0.20, {"eig": 1}),
+    ], ids=["stable", "unstable"])
+    def test_linalg_calls_of_one_point(self, monkeypatch, theta_pi, expected):
+        # one eigendecomposition decides stability and serves the solve;
+        # the residual contract needs no np.linalg.norm
+        calls = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counting(name, fn))
+        res = default_baseline().evaluate(theta=theta_pi * math.pi)
+        assert res.stable == (theta_pi == 0.40)
+        assert calls == expected
 
 
 class TestBareModeOracle:

@@ -88,6 +88,16 @@ class TestSweepAxis:
         with pytest.raises(ParameterError):
             SweepAxis(1.0, 2.0, 5, "cubic")
 
+    @pytest.mark.parametrize("start, stop, field", [
+        (0.3, math.inf, "stop"), (-math.inf, 0.4, "start"),
+        (math.nan, 0.4, "start"), (0.3, math.nan, "stop"),
+    ])
+    def test_non_finite_endpoint_names_its_field(self, start, stop, field):
+        assert experiments.axis_fault(start, stop, 3, "linear") == (
+            field, f"axis {field} must be finite, got {(start, stop)[field == 'stop']!r}")
+        with pytest.raises(ParameterError, match=f"axis {field} must be finite"):
+            run_sweep(default_baseline(), SweepSpec("theta", SweepAxis(start, stop, 3)))
+
 
 class TestThetaSweep:
     def test_record_count_and_monotone_axis(self, theta_sweep):
@@ -486,6 +496,12 @@ class TestGeometryOverrides:
         with pytest.raises(ParameterError) as caught:
             list(base.evaluate_all(overrides))
         assert str(caught.value) == message
+
+    def test_unknown_override_raises_type_error(self, base):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'thet'"):
+            base.evaluate(thet=0.35 * math.pi)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'omega'"):
+            base.params(omega=1.0, theta=0.35 * math.pi)
 
     def test_full_pair_evaluates_its_geometry(self, base):
         g, omega_c = solve_g_omega_c_from_theta(

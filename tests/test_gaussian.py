@@ -315,6 +315,29 @@ class TestStackedKernelProperties:
                     for V in covs for pair in PAIR_CHOICES]
         assert e_n.tolist() == expected
 
+    @pytest.mark.parametrize("V, message", [
+        (1e100 * np.eye(4), "covariance entries up to 1.000e+100 overflow"),
+        (np.diag([0.5, 0.5, np.nan, 0.5]), "has non-finite entries"),
+        (0.5 * np.eye(4) + np.triu(np.full((4, 4), 0.3), 1),
+         "two-mode covariance matrix is not symmetric"),
+        (np.array([[4.0, 2.0, -1.0, 1.0], [2.0, 0.0, 1.0, -2.0],
+                   [-1.0, 1.0, -2.0, 2.0], [1.0, -2.0, 2.0, -6.0]]),
+         "Sigma^2 - 4 det V = -32 < 0"),
+        (np.diag([1.0, -1.0, 1.0, -1.0]), "covariance matrix has non-positive Sigma"),
+        (np.array([[1.0, 0.0, 0.9, 0.0], [0.0, 1.0, 0.0, 0.0],
+                   [0.9, 0.0, 0.01, 0.0], [0.0, 0.0, 0.0, 0.01]]),
+         "non-positive symplectic eigenvalue (det V4 = -0.008)"),
+    ], ids=["overflow", "nan", "asymmetric", "disc", "sigma", "eta"])
+    def test_stacked_and_one_point_calls_fail_alike(self, V, message):
+        # the failing matrix follows a valid one, so the stacked call
+        # reports the row it meets first
+        with pytest.raises(NumericalError) as one_point:
+            log_negativity(V)
+        with pytest.raises(NumericalError) as stacked:
+            log_negativity_stacked(np.stack([0.5 * np.eye(4), V]))
+        assert message in str(one_point.value)
+        assert str(stacked.value) == str(one_point.value)
+
 
 # -- stability ---------------------------------------------------------------
 
