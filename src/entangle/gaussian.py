@@ -12,10 +12,16 @@ whose eigenvector matrix has a Frobenius condition number above 1e3
 (a defective or nearly defective drift, where eigenvalues coalesce), is
 re-solved by the dense vectorized n^2-unknown system with one
 refinement pass, and raises :class:`NumericalError` if that misses the
-contract too, or if ``||D||_F`` overflows so the contract cannot be
-checked.  The logarithmic negativity of a two-mode block comes from
-closed-form 2x2 block determinants, and raises :class:`NumericalError`
-where those would overflow.
+contract too, or if ``||D||_F`` overflows (an infinite entry included)
+so the contract cannot be checked.  The logarithmic negativity of a
+two-mode block comes from closed-form 2x2 block determinants, and raises
+:class:`NumericalError` where those would overflow.
+
+Each kernel step is one call of a LAPACK gufunc of numpy
+(``numpy.linalg._umath_linalg``), whose ``np.linalg`` wrapper would cost
+as much again in checks and casts on one small matrix.  A matrix the
+gufunc cannot factor comes back NaN in its own row.  The tests hold each
+call to its wrapper's bits; the rare dense fallback keeps ``np.linalg``.
 
 :func:`stability` and :func:`solve_lyapunov` are the one-point views of
 the stacked kernels: a stack of one.  The negativity has one body for
@@ -40,6 +46,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import NumericalError, ParameterError
 
@@ -103,23 +110,18 @@ def drift_spectra(drifts):
     every ``lam[i].real`` is strictly negative.
     """
     R = np.asarray(drifts, dtype=float)
+    if R.ndim != 3 or R.shape[1] != R.shape[2]:
+        raise ParameterError(f"drift matrix must be square, got shape {R.shape[1:]}")
     if not np.isfinite(R).all():
         raise ParameterError("drift matrix has non-finite entries")
-    try:
-        lam, U = np.linalg.eig(R)
-    except np.linalg.LinAlgError as exc:
-        for row in R:  # name the first matrix that does not converge
-            try:
-                np.linalg.eig(row)
-            except np.linalg.LinAlgError:
-                break
+    # complex output for every stack keeps each row independent of the rest
+    with np.errstate(invalid="ignore"):
+        lam, U = _lapack.eig(R, signature="d->DD")
+    if np.isnan(lam).any():  # a row that does not converge comes back NaN
+        row = R[np.isnan(lam).any(axis=1).argmax()]
         raise NumericalError(
-            f"eigensolver failed to converge on drift matrix:\n{row!r}"
-        ) from exc
-    # numpy returns real arrays when the whole stack has real spectra;
-    # always going complex keeps each row's arithmetic independent of
-    # the other rows
-    return lam.astype(complex, copy=False), U.astype(complex, copy=False)
+            f"eigensolver failed to converge on drift matrix:\n{row!r}")
+    return lam, U
 
 
 def stability(drift):
@@ -147,10 +149,22 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
     D = np.asarray(diffusions, dtype=float)
     if R.ndim != 3 or R.shape[1] != R.shape[2] or D.shape != R.shape:
         raise ParameterError("drift and diffusion must be square and equal-size")
-    d_scale = np.maximum(np.abs(D).max(axis=(1, 2)), 1.0)
-    if (np.abs(D - D.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10 * d_scale).any():
+    with np.errstate(over="ignore"):
+        d_norm = _frobenius(D)
+    if not np.isfinite(d_norm).all():
+        if np.isnan(d_norm).any() and not np.isinf(D).any():
+            raise NumericalError("diffusion matrix has NaN entries")
+        raise NumericalError(  # inf noise also leaves NaN where infinities cancel
+            "the residual contract cannot be checked: ||D||_F overflows "
+            f"(diffusion entries up to {np.nanmax(np.abs(D)):.3e})")
+    # max(1, |D_ij|) of each matrix, shaped to broadcast against the stack
+    d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
+    if (np.abs(D - D.swapaxes(1, 2)) > 1e-10 * d_scale).any():
         raise ParameterError("diffusion matrix must be symmetric")
-    if (np.linalg.eigvalsh(D).min(axis=1) < -1e-12 * d_scale).any():
+    # ascending eigenvalues; a row that does not converge is NaN and fails
+    with np.errstate(invalid="ignore"):
+        d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
+    if not (d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]).all():
         raise ParameterError("diffusion matrix must be positive semidefinite")
 
     lam, U = drift_spectra(R) if spectra is None else spectra
@@ -163,16 +177,12 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
             "no stationary state exists"
         )
 
-    try:
-        U_inv = np.linalg.inv(U)
-    except np.linalg.LinAlgError:
-        # a singular eigenvector matrix (a defective drift) leaves its
-        # row NaN, which the checks below send to the dense solve
-        U_inv = np.stack([_inverse_or_nan(u) for u in U])
-    # a (nearly) defective row may overflow or turn NaN here; the same
-    # checks send it to the dense solve.  X is divided in place and freed
-    # early, which lowers the peak memory of a full stack
+    # a (nearly) defective row may overflow or turn NaN here, and a
+    # singular eigenvector matrix leaves its row NaN; the checks below
+    # send such a row to the dense solve.  X is divided in place and
+    # freed early, which lowers the peak memory of a full stack
     with np.errstate(all="ignore"):
+        U_inv = _lapack.inv(U, signature="D->D")
         X = -(U_inv @ D @ U_inv.conj().swapaxes(1, 2))
         X /= lam[:, :, None] + lam.conj()[:, None, :]
         V = (U @ X @ U.conj().swapaxes(1, 2)).real
@@ -180,15 +190,11 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
         V = 0.5 * (V + V.swapaxes(1, 2))
         resid = _frobenius(R @ V + V @ R.swapaxes(1, 2) + D)
         cond = _frobenius(U) * _frobenius(U_inv)
-        d_norm = _frobenius(D)
-    if not np.isfinite(d_norm).all():
-        raise NumericalError(
-            "the residual contract cannot be checked: ||D||_F overflows "
-            f"(diffusion entries up to {d_scale.max():.3e})")
     accepted = ((resid <= _LYAPUNOV_RESIDUAL_RTOL * d_norm)
                 & (cond <= _EIGENBASIS_COND_MAX))
-    for i in np.flatnonzero(~accepted):
-        V[i] = _solve_lyapunov_dense(R[i], D[i])
+    if not accepted.all():
+        for i in np.flatnonzero(~accepted):
+            V[i] = _solve_lyapunov_dense(R[i], D[i])
     return V
 
 
@@ -208,13 +214,6 @@ def _frobenius(x):
     """Frobenius norm of each matrix of an ``(N, n, n)`` stack: the
     formula of ``np.linalg.norm(x, axis=(1, 2))``, without its dispatch."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
-
-
-def _inverse_or_nan(matrix):
-    try:
-        return np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        return np.full_like(matrix, np.nan)
 
 
 def _solve_lyapunov_dense(R, D):

@@ -705,6 +705,18 @@ class TestExitCodes:
         assert "||D||_F overflows" in err
         assert not (out / "records.csv").exists()
 
+    def test_noise_overflowing_to_inf_exits_3(self, tmp_path, capsys):
+        # at 1e303 K the polariton noise overflows to inf: once a
+        # LinAlgError traceback with exit 1
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("[sweep]\nkind = point\n[params]\ntemperature = 1e303 K\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: [Lyapunov solve] the residual contract cannot be "
+            "checked: ||D||_F overflows (diffusion entries up to inf)\n")
+        assert not (out / "records.csv").exists()
+
     def test_overflowing_occupation_exits_3(self, tmp_path, capsys):
         # hbar omega_a / k_B T underflows to 0 at 10 mK: once a
         # ZeroDivisionError traceback with exit 1

@@ -7,10 +7,12 @@ the linearized right-hand side there, map back, and compare with R @ u.
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from entangle import gaussian
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
 from entangle.errors import NumericalError
 from entangle.experiments import default_baseline
@@ -297,12 +299,13 @@ class TestRunPipeline:
         assert stable >= 32
 
     @pytest.mark.parametrize("theta_pi, expected", [
-        (0.40, {"eig": 1, "inv": 1, "eigvalsh": 1}),
+        (0.40, {"eig": 1, "inv": 1, "eigvalsh_lo": 1}),
         (0.20, {"eig": 1}),
     ], ids=["stable", "unstable"])
     def test_linalg_calls_of_one_point(self, monkeypatch, theta_pi, expected):
         # one eigendecomposition decides stability and serves the solve;
-        # the residual contract needs no np.linalg.norm
+        # the kernels call the LAPACK gufuncs directly, and the residual
+        # contract needs no np.linalg.norm
         calls = {}
 
         def counting(name, fn):
@@ -314,7 +317,11 @@ class TestRunPipeline:
         for name in np.linalg.__all__:
             fn = getattr(np.linalg, name)
             if callable(fn) and not isinstance(fn, type):
-                monkeypatch.setattr(np.linalg, name, counting(name, fn))
+                monkeypatch.setattr(np.linalg, name,
+                                    counting(f"np.linalg.{name}", fn))
+        monkeypatch.setattr(gaussian, "_lapack", SimpleNamespace(**{
+            name: counting(name, getattr(gaussian._lapack, name))
+            for name in ("eig", "inv", "eigvalsh_lo")}))
         res = default_baseline().evaluate(theta=theta_pi * math.pi)
         assert res.stable == (theta_pi == 0.40)
         assert calls == expected

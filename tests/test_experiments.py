@@ -645,3 +645,18 @@ class TestOverflowingNoise:
             base.evaluate(temperature=temperature)
         with pytest.raises(NumericalError, match=rf"\[{stage}\].*overflow"):
             list(base.evaluate_all({"temperature": [0.01, temperature]}))
+
+    @pytest.mark.parametrize("temperature", [1e301, 1e303, 1e304])
+    def test_noise_overflowing_to_inf_names_the_overflow(self, base, temperature):
+        # the polariton noise kappa (2n + 1) overflows to inf while n is
+        # still finite; it once stopped with numpy's LinAlgError
+        with pytest.raises(NumericalError, match=r"^\[Lyapunov solve\] .*"
+                           r"\|\|D\|\|_F overflows \(diffusion entries up to inf\)$"):
+            base.evaluate(temperature=temperature, theta=0.4 * math.pi)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_column_noise_overflowing_to_inf_names_the_overflow(self, base):
+        # the column model layer warns on the overflow, unlike the float one
+        with pytest.raises(NumericalError, match=r"\|\|D\|\|_F overflows"):
+            list(base.evaluate_all({"temperature": [0.01, 1e303]}))

@@ -8,6 +8,7 @@ Routh-Hurwitz criterion on the characteristic polynomial.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +200,31 @@ class TestSolveLyapunov:
         with pytest.raises(NumericalError, match="overflows"):
             solve_lyapunov(-np.eye(6), 1e300 * np.eye(6))
 
+    def test_infinite_diffusion_is_an_overflow(self):
+        # thermal noise that overflows to inf in the model layer leaves inf
+        # on the diagonal and NaN where two infinite terms cancel; it once
+        # stopped in the eigensolver with a LinAlgError
+        D = np.diag([np.inf, np.inf, np.inf, np.inf, 1.0, 1.0])
+        D[0, 2] = D[2, 0] = D[1, 3] = D[3, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"\|\|D\|\|_F overflows "
+                           r"\(diffusion entries up to inf\)"):
+            solve_lyapunov(-np.eye(6), D)
+
+    def test_nan_diffusion_is_named_not_an_overflow(self):
+        D = np.eye(6)
+        D[4, 5] = D[5, 4] = np.nan
+        with pytest.raises(NumericalError,
+                           match=r"^diffusion matrix has NaN entries$"):
+            solve_lyapunov(-np.eye(6), D)
+
+    def test_nan_diffusion_eigenvalue_fails_the_psd_check(self, monkeypatch):
+        # a diffusion whose eigenvalues do not converge comes back NaN,
+        # which must not pass as positive semidefinite
+        monkeypatch.setattr(gaussian, "_lapack", SimpleNamespace(
+            eigvalsh_lo=lambda a, signature: np.full(a.shape[:2], np.nan)))
+        with pytest.raises(ParameterError, match="positive semidefinite"):
+            solve_lyapunov(-np.eye(6), np.eye(6))
+
     def test_empty_stack(self):
         # a chunk whose points are all unstable hands the kernels nothing
         empty = np.zeros((0, 6, 6))
@@ -250,7 +276,7 @@ class TestDenseFallback:
     def test_singular_eigenvector_matrix_takes_dense_solve(self):
         R, D = random_stable_system(np.random.default_rng(8))
         lam, U = drift_spectra(np.stack([R, R]))
-        U[1, :, 0] = 0.0  # the batched inverse now raises for the stack
+        U[1, :, 0] = 0.0  # singular: the inverse turns this row NaN
         V = solve_lyapunov_stacked(np.stack([R, R]), np.stack([D, D]), (lam, U))
         assert np.array_equal(V[0], solve_lyapunov(R, D))
         assert np.array_equal(V[1], gaussian._solve_lyapunov_dense(R, D))
@@ -339,6 +365,66 @@ class TestStackedKernelProperties:
         assert str(stacked.value) == str(one_point.value)
 
 
+# -- LAPACK gufuncs against the np.linalg wrappers ---------------------------
+
+class TestLapackGufuncs:
+    """The kernels call numpy's LAPACK gufuncs, not the ``np.linalg``
+    wrappers; the wrappers are the reference, bit for bit.  A numpy that
+    renames the private gufunc module fails here."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["complex", "real"])
+    def test_eig_matches_numpy(self, symmetric):
+        # numpy's wrapper returns real arrays for a stack whose spectra are
+        # all real; cast to complex they are the gufunc's complex output
+        R = np.random.default_rng(21).standard_normal((16, 6, 6))
+        if symmetric:
+            R = R + R.swapaxes(1, 2)
+        ref_lam, ref_U = np.linalg.eig(R)
+        assert (ref_lam.dtype == float) == symmetric
+        lam, U = drift_spectra(R)
+        self.assert_same_bits(lam, ref_lam.astype(complex))
+        self.assert_same_bits(U, ref_U.astype(complex))
+
+    def test_inv_matches_numpy_and_a_singular_row_turns_nan_alone(self):
+        rng = np.random.default_rng(23)
+        U = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        U[2, :, 3] = 0.0
+        with np.errstate(all="ignore"):
+            U_inv = gaussian._lapack.inv(U, signature="D->D")
+        assert np.isnan(U_inv[2]).all()
+        regular = [0, 1, 3, 4]
+        self.assert_same_bits(U_inv[regular], np.linalg.inv(U[regular]))
+
+    def test_eigvalsh_matches_numpy(self):
+        B = np.random.default_rng(24).standard_normal((16, 6, 6))
+        D = B @ B.swapaxes(1, 2)
+        self.assert_same_bits(gaussian._lapack.eigvalsh_lo(D, signature="d->d"),
+                              np.linalg.eigvalsh(D))
+
+    def test_non_converged_row_is_named(self, monkeypatch):
+        # a row whose eigenvalues do not converge comes back NaN; the error
+        # shows that row's matrix, not the first of the stack
+        rng = np.random.default_rng(25)
+        R = np.stack([random_stable_system(rng)[0] for _ in range(3)])
+        eig = gaussian._lapack.eig
+
+        def eig_failing_on_row_1(a, signature):
+            lam, U = eig(a, signature=signature)
+            lam[1] = U[1] = np.nan
+            return lam, U
+
+        monkeypatch.setattr(gaussian, "_lapack",
+                            SimpleNamespace(eig=eig_failing_on_row_1))
+        with pytest.raises(NumericalError, match="failed to converge") as info:
+            drift_spectra(R)
+        assert str(info.value).endswith(f":\n{R[1]!r}")
+
+
 # -- stability ---------------------------------------------------------------
 
 class TestStability:
@@ -353,6 +439,13 @@ class TestStability:
         R[0, 0] = np.nan
         with pytest.raises(ParameterError):
             stability(R)
+
+    @pytest.mark.parametrize("drift", [np.ones((2, 3)), np.ones(3)],
+                             ids=["2x3", "vector"])
+    def test_non_square_rejected(self, drift):
+        # once reported as an eigensolver that failed to converge
+        with pytest.raises(ParameterError, match="drift matrix must be square"):
+            stability(drift)
 
     def test_agrees_with_routh_hurwitz_on_randoms(self):
         rng = np.random.default_rng(42)
