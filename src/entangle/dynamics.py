@@ -5,22 +5,23 @@ the matching diffusion matrix from the model layer, then composes
 hybridization, drive calibration, the Lyapunov solve, and the
 logarithmic negativity of all three mode pairs.  :func:`run_pipelines`
 does this for a stack of points given as parameter columns: each model
-formula runs once on the columns, one table of ``(row, column)`` slots
-per matrix fills the ``(N, 6, 6)`` drift and diffusion, and each
-``gaussian`` kernel (eigendecomposition, eigenbasis Lyapunov solve with
-its dense fallback, closed-form negativities) runs once for the stack.
-:func:`run_pipeline` evaluates one point with the model layer and the
-negativities on Python floats, and the fill, the eigendecomposition and
-the Lyapunov solve on the stack of one; the negativities are one body
-for floats and columns (see :mod:`entangle.gaussian`), so they add no
-rounding difference.  Column arithmetic is elementwise, so a point gives
-the same bits in any stack; against :func:`run_pipeline` it differs only
-where numpy's ``expm1``, ``arctan2``, ``hypot``, complex multiply or
-``abs`` round differently from :mod:`math` and CPython's.
+formula runs once on the columns, one table of slots fills the drift
+and the diffusion of every point, and each ``gaussian`` kernel
+(eigendecomposition, eigenbasis Lyapunov solve with its dense fallback,
+closed-form negativities) runs once for the stack.  :func:`run_pipeline`
+evaluates one point with the model layer and the negativities on Python
+floats, and the fill, the eigendecomposition and the Lyapunov solve on
+the stack of one; the negativities are one body for floats and columns
+(see :mod:`entangle.gaussian`), so they add no rounding difference.
+Column arithmetic is elementwise, so a point gives the same bits in any
+stack; against :func:`run_pipeline` it differs only where numpy's
+``expm1``, ``arctan2``, ``hypot``, complex multiply or ``abs`` round
+differently from :mod:`math` and CPython's.
 
-Both matrices are nondimensionalized by ``omega_b`` before the solve so
-entries span roughly 1e-5..1; the covariance matrix is unchanged by
-this rescaling and reported diagnostics are converted back to rad/s.
+Both matrices are nondimensionalized by ``omega_b`` (each entry divided
+before it is placed: the bits of dividing the matrix) so entries span
+roughly 1e-5..1; the covariance matrix is unchanged by this rescaling
+and reported diagnostics are converted back to rad/s.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .model import (
     EffectiveCouplings,
     PolaritonBasis,
     SystemParams,
+    _COLUMN_MATH,
+    _FLOAT_MATH,
     _amplitudes_per_unit_drive,
     _math_for,
     drive_for_target_g_minus,
@@ -108,6 +111,9 @@ _DIFFUSION_SLOTS = np.ravel_multi_index(tuple(zip(*(
     (0, 2), (2, 0), (1, 3), (3, 1),
 ))), (6, 6))
 
+#: the drift's slots in the first matrix of a pair, the diffusion's in the second
+_PAIR_SLOTS = np.concatenate([_DRIFT_SLOTS, 36 + _DIFFUSION_SLOTS])
+
 
 def build_drift(basis: PolaritonBasis, couplings: EffectiveCouplings,
                 omega_b, kappa_b):
@@ -118,7 +124,7 @@ def build_drift(basis: PolaritonBasis, couplings: EffectiveCouplings,
     entries are the dissipative -delta_kappa terms.  The one-point view
     of the stacked fill :func:`run_pipelines` uses.
     """
-    return _fill(_DRIFT_SLOTS, _drift_entries(basis, couplings, omega_b, kappa_b))[0]
+    return _fill(_DRIFT_SLOTS, _drift_entries(basis, couplings, omega_b, kappa_b))[0, 0]
 
 
 def _drift_entries(basis, couplings, omega_b, kappa_b):
@@ -147,7 +153,7 @@ def build_diffusion(basis: PolaritonBasis, kappa_b, n_b):
     and stays finite at theta = pi/4.  The one-point view of the stacked
     fill :func:`run_pipelines` uses.
     """
-    return _fill(_DIFFUSION_SLOTS, _diffusion_entries(basis, kappa_b, n_b))[0]
+    return _fill(_DIFFUSION_SLOTS, _diffusion_entries(basis, kappa_b, n_b))[0, 0]
 
 
 def _diffusion_entries(basis, kappa_b, n_b):
@@ -161,17 +167,17 @@ def _diffusion_entries(basis, kappa_b, n_b):
     return (dp, dp, dm, dm, db, db, cross, cross, cross, cross)
 
 
-def _fill(slots, entries, size=1):
-    """``(size, 6, 6)`` matrices with ``entries`` at the flat indices
-    ``slots`` and zeros elsewhere.  Entries are floats, columns of
-    ``size``, or both mixed; one fancy assignment places them all."""
+def _fill(slots, entries, size=1, scale=1.0):
+    """``(size, k, 6, 6)`` matrices, zero but for ``entries / scale`` at the
+    flat indices ``slots`` of each point's k matrices (the last slot lies in
+    the last).  Entries are floats, columns of ``size``, or both mixed."""
     try:
         values = np.array(entries)
     except ValueError:  # floats mixed with columns
         values = np.array(np.broadcast_arrays(*entries))
-    out = np.zeros((size, 36))
-    out[:, slots] = values.T
-    return out.reshape(size, 6, 6)
+    out = np.zeros((size, 36 * (slots[-1] // 36 + 1)))
+    out[:, slots] = (values / scale).T
+    return out.reshape(size, -1, 6, 6)
 
 
 def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
@@ -183,7 +189,7 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
     floats, the drift spectrum and the Lyapunov solve on the stack of one.
     """
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, covs = _steady_states(params, basis, couplings, 1)
+    max_re, stable, covs = _steady_states(params, basis, couplings, 1, _FLOAT_MATH)
     max_re_eig = max_re[0].item() * params.omega_b
     if not stable.size:
         return PipelineResult(basis, couplings, drive, False, max_re_eig,
@@ -207,7 +213,8 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, solved = _steady_states(params, basis, couplings, size)
+    max_re, stable, solved = _steady_states(
+        params, basis, couplings, size, _COLUMN_MATH)
     covs = np.full((size, 6, 6), np.nan)
     covs[stable] = solved
     e_n = np.full((size, 3), np.nan)
@@ -240,8 +247,8 @@ def _model_layer(params, target_g_minus):
     return basis, couplings, drive
 
 
-def _steady_states(params, basis, couplings, size):
-    """Stability and covariances of ``size`` points.
+def _steady_states(params, basis, couplings, size, m):
+    """Stability and covariances of ``size`` points (``m``: their math).
 
     Returns ``(max_re, stable, covs)``: the largest real part of each
     drift spectrum in units of ``omega_b``, the indices of the stable
@@ -249,22 +256,20 @@ def _steady_states(params, basis, couplings, size):
     The Lyapunov kernel raises :class:`NumericalError` rather than return
     a covariance that misses the residual contract.
     """
-    omega_b = np.asarray(params.omega_b)[..., None, None]
-    drifts = _fill(_DRIFT_SLOTS, _drift_entries(
-        basis, couplings, params.omega_b, params.kappa_b), size) / omega_b
-    diffusions = _fill(_DIFFUSION_SLOTS, _diffusion_entries(
-        basis, params.kappa_b, basis.n_b), size) / omega_b
+    with m.quiet():  # the Lyapunov solve names noise that overflows to inf
+        noise = _diffusion_entries(basis, params.kappa_b, basis.n_b)
+    pairs = _fill(_PAIR_SLOTS, _drift_entries(
+        basis, couplings, params.omega_b, params.kappa_b) + noise, size, params.omega_b)
 
-    lam, U = gaussian.drift_spectra(drifts)
-    max_re = lam.real.max(axis=1)
-    stable = np.flatnonzero(max_re < 0.0)
+    lam, U = gaussian.drift_spectra(pairs[:, 0])
+    max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
+    stable = (max_re < 0.0).nonzero()[0]
     if not stable.size:
         return max_re, stable, None
     if stable.size < size:
-        drifts, diffusions = drifts[stable], diffusions[stable]
-        lam, U = lam[stable], U[stable]
+        pairs, lam, U = pairs[stable], lam[stable], U[stable]
     covs = _stage("Lyapunov solve", gaussian.solve_lyapunov_stacked,
-                  drifts, diffusions, (lam, U))
+                  pairs[:, 0], pairs[:, 1], (lam, U))
     return max_re, stable, covs
 
 

@@ -18,10 +18,13 @@ two-mode block comes from closed-form 2x2 block determinants, and raises
 :class:`NumericalError` where those would overflow.
 
 Each kernel step is one call of a LAPACK gufunc of numpy
-(``numpy.linalg._umath_linalg``), whose ``np.linalg`` wrapper would cost
-as much again in checks and casts on one small matrix.  A matrix the
-gufunc cannot factor comes back NaN in its own row.  The tests hold each
-call to its wrapper's bits; the rare dense fallback keeps ``np.linalg``.
+(``numpy.linalg._umath_linalg``), and each reduction a ufunc call, whose
+``np.linalg`` and method wrappers would cost as much again on one small
+matrix.  A matrix the gufunc cannot factor comes back NaN in its own
+row.  The tests hold each call to its wrapper's bits; the rare dense
+fallback keeps ``np.linalg``.  The gates are cheap beside the calls:
+LAPACK's eigenvectors have unit norm, so ``||U||_F = sqrt(n)``, and the
+symmetrized ``V`` is exactly symmetric, so ``V R^T = (R V)^T``.
 
 :func:`stability` and :func:`solve_lyapunov` are the one-point views of
 the stacked kernels: a stack of one.  The negativity has one body for
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -52,6 +56,10 @@ from .errors import NumericalError, ParameterError
 
 #: quadrature slots of each mode in the global ordering
 MODE_SLOTS = {"+": (0, 1), "-": (2, 3), "b": (4, 5)}
+
+#: ``ndarray.all`` and ``any`` over every axis, without their Python wrappers
+_all = partial(np.logical_and.reduce, axis=None)
+_any = partial(np.logical_or.reduce, axis=None)
 
 #: valid mode-pair selectors for two-mode reduction
 PAIR_CHOICES = ("+-", "+b", "-b")
@@ -85,10 +93,8 @@ _ENTRY_MAX = 1e76
 
 @dataclass
 class GaussianState:
-    """Steady-state Gaussian state of the three-mode fluctuations.
-
-    ``cov`` is the 6x6 covariance matrix (vacuum = identity/2).
-    """
+    """Steady-state Gaussian state of the three-mode fluctuations:
+    ``cov`` is the 6x6 covariance matrix (vacuum = identity/2)."""
 
     cov: np.ndarray
 
@@ -112,26 +118,21 @@ def drift_spectra(drifts):
     R = np.asarray(drifts, dtype=float)
     if R.ndim != 3 or R.shape[1] != R.shape[2]:
         raise ParameterError(f"drift matrix must be square, got shape {R.shape[1:]}")
-    if not np.isfinite(R).all():
+    if not _all(np.isfinite(R)):
         raise ParameterError("drift matrix has non-finite entries")
     # complex output for every stack keeps each row independent of the rest
     with np.errstate(invalid="ignore"):
         lam, U = _lapack.eig(R, signature="d->DD")
-    if np.isnan(lam).any():  # a row that does not converge comes back NaN
-        row = R[np.isnan(lam).any(axis=1).argmax()]
-        raise NumericalError(
-            f"eigensolver failed to converge on drift matrix:\n{row!r}")
+    if _any(np.isnan(lam)):  # a row that does not converge comes back NaN
+        raise NumericalError("eigensolver failed to converge on drift matrix:\n"
+                             f"{R[np.isnan(lam).any(axis=1).argmax()]!r}")
     return lam, U
 
 
 def stability(drift):
-    """Spectral stability of a drift matrix.
-
-    Returns ``(stable, max_re_eig)`` where ``stable`` is True iff every
-    eigenvalue has a strictly negative real part.
-    """
-    lam, _ = drift_spectra(np.asarray(drift, dtype=float)[None])
-    max_re = float(lam.real.max())
+    """Spectral stability of a drift matrix: ``(stable, max_re_eig)``,
+    ``stable`` iff every eigenvalue has a strictly negative real part."""
+    max_re = float(drift_spectra(np.asarray(drift, dtype=float)[None])[0].real.max())
     return max_re < 0.0, max_re
 
 
@@ -142,78 +143,73 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
     strictly stable.  ``spectra`` is :func:`drift_spectra` of ``drifts``
     when the caller already has it.  Each row is solved in the drift's
     eigenbasis, symmetrized and checked against ``1e-9 * ||D||_F``; rows
-    that miss the contract, or whose eigenvector matrix is too badly
+    that miss the contract, or whose unit-norm eigenvectors are too badly
     conditioned to trust, fall back to the dense vectorized solve.
     """
     R = np.asarray(drifts, dtype=float)
     D = np.asarray(diffusions, dtype=float)
     if R.ndim != 3 or R.shape[1] != R.shape[2] or D.shape != R.shape:
         raise ParameterError("drift and diffusion must be square and equal-size")
-    with np.errstate(over="ignore"):
-        d_norm = _frobenius(D)
-    if not np.isfinite(d_norm).all():
-        if np.isnan(d_norm).any() and not np.isinf(D).any():
-            raise NumericalError("diffusion matrix has NaN entries")
-        raise NumericalError(  # inf noise also leaves NaN where infinities cancel
-            "the residual contract cannot be checked: ||D||_F overflows "
-            f"(diffusion entries up to {np.nanmax(np.abs(D)):.3e})")
-    # max(1, |D_ij|) of each matrix, shaped to broadcast against the stack
-    d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
-    if (np.abs(D - D.swapaxes(1, 2)) > 1e-10 * d_scale).any():
-        raise ParameterError("diffusion matrix must be symmetric")
-    # ascending eigenvalues; a row that does not converge is NaN and fails
-    with np.errstate(invalid="ignore"):
-        d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
-    if not (d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]).all():
-        raise ParameterError("diffusion matrix must be positive semidefinite")
-
-    lam, U = drift_spectra(R) if spectra is None else spectra
-    max_re = lam.real.max(axis=1)
-    unstable = ~(max_re < 0.0)
-    if unstable.any():
-        raise ParameterError(
-            "drift matrix is not strictly stable "
-            f"(max Re eig = {max_re[unstable][0]:g}); "
-            "no stationary state exists"
-        )
-
-    # a (nearly) defective row may overflow or turn NaN here, and a
-    # singular eigenvector matrix leaves its row NaN; the checks below
-    # send such a row to the dense solve.  X is divided in place and
-    # freed early, which lowers the peak memory of a full stack
+    # an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly) defective
+    # or singular row turn inf or NaN, which the checks and gates decide
     with np.errstate(all="ignore"):
+        d_norm = _frobenius(D)
+        if not _all(np.isfinite(d_norm)):
+            if np.isnan(d_norm).any() and not np.isinf(D).any():
+                raise NumericalError("diffusion matrix has NaN entries")
+            raise NumericalError(  # inf noise also leaves NaN where infinities cancel
+                "the residual contract cannot be checked: ||D||_F overflows "
+                f"(diffusion entries up to {np.nanmax(np.abs(D)):.3e})")
+        # max(1, |D_ij|) of each matrix, shaped to broadcast against the stack
+        d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
+        if _any(np.abs(D - D.swapaxes(1, 2)) > 1e-10 * d_scale):
+            raise ParameterError("diffusion matrix must be symmetric")
+        # ascending eigenvalues; a row that does not converge is NaN and fails
+        d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
+        if not _all(d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]):
+            raise ParameterError("diffusion matrix must be positive semidefinite")
+
+        lam, U = drift_spectra(R) if spectra is None else spectra
+        if lam.shape != R.shape[:2] or U.shape != R.shape:
+            raise ParameterError(f"spectra of shapes {lam.shape} and {U.shape} "
+                                 f"do not match the drift stack {R.shape}")
+        if not _all(lam.real < 0.0):
+            max_re = lam.real.max(axis=1)
+            raise ParameterError(
+                "drift matrix is not strictly stable (max Re eig = "
+                f"{max_re[~(max_re < 0.0)][0]:g}); no stationary state exists")
+
+        # X is divided in place and freed early (a lower peak for a full stack);
+        # -D's sign enters with the factor -0.5: IEEE rounding is sign-symmetric
         U_inv = _lapack.inv(U, signature="D->D")
-        X = -(U_inv @ D @ U_inv.conj().swapaxes(1, 2))
+        X = U_inv @ D @ U_inv.conj().swapaxes(1, 2)
         X /= lam[:, :, None] + lam.conj()[:, None, :]
         V = (U @ X @ U.conj().swapaxes(1, 2)).real
         del X
-        V = 0.5 * (V + V.swapaxes(1, 2))
-        resid = _frobenius(R @ V + V @ R.swapaxes(1, 2) + D)
-        cond = _frobenius(U) * _frobenius(U_inv)
+        V = -0.5 * (V + V.swapaxes(1, 2))
+        RV = R @ V
+        resid = _frobenius(RV + RV.swapaxes(1, 2) + D)
+        cond = math.sqrt(R.shape[1]) * _frobenius(U_inv.view(float))
     accepted = ((resid <= _LYAPUNOV_RESIDUAL_RTOL * d_norm)
                 & (cond <= _EIGENBASIS_COND_MAX))
-    if not accepted.all():
+    if not _all(accepted):
         for i in np.flatnonzero(~accepted):
             V[i] = _solve_lyapunov_dense(R[i], D[i])
     return V
 
 
 def solve_lyapunov(drift, diffusion):
-    """Solve R V + V R^T = -D for the stationary covariance V.
-
-    The one-point view of :func:`solve_lyapunov_stacked`: eigenbasis
-    solve, dense fallback, symmetrized result with its residual checked
-    against ``1e-9 * ||D||_F``.
-    """
-    R = np.asarray(drift, dtype=float)
-    D = np.asarray(diffusion, dtype=float)
-    return solve_lyapunov_stacked(R[None], D[None])[0]
+    """Solve R V + V R^T = -D for the stationary covariance V: the
+    one-point view of :func:`solve_lyapunov_stacked`, with its eigenbasis
+    solve, dense fallback and residual contract."""
+    return solve_lyapunov_stacked(np.asarray(drift, dtype=float)[None],
+                                  np.asarray(diffusion, dtype=float)[None])[0]
 
 
 def _frobenius(x):
-    """Frobenius norm of each matrix of an ``(N, n, n)`` stack: the
-    formula of ``np.linalg.norm(x, axis=(1, 2))``, without its dispatch."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
+    """Frobenius norm of each matrix of a real ``(N, n, m)`` stack, or of a
+    complex one as its ``view(float)``, without ``np.linalg.norm``'s dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=(1, 2)))
 
 
 def _solve_lyapunov_dense(R, D):
@@ -285,10 +281,6 @@ def _float_scale(v):
     return total if math.isnan(total) else max(1.0, *mags)
 
 
-def _select(condition, if_true, if_false):
-    return if_true if condition else if_false
-
-
 #: (upper, lower) flat indices of the mirrored off-diagonal entries of a
 #: 4x4 matrix stored row by row
 _UPPER, _LOWER = zip(*((4 * i + j, 4 * j + i)
@@ -300,7 +292,8 @@ _FLOAT_OPS = SimpleNamespace(
     asymmetry=lambda v: max(abs(v[i] - v[j]) for i, j in zip(_UPPER, _LOWER)),
     any=bool, all=bool, isfinite=math.isfinite, max=float,
     first=lambda values, flags: values,
-    maximum=max, sqrt=math.sqrt, log=lambda x: float(np.log(x)), where=_select)
+    maximum=max, sqrt=math.sqrt, log=lambda x: float(np.log(x)),
+    where=lambda condition, if_true, if_false: if_true if condition else if_false)
 
 #: the same operations on columns with one entry per matrix
 _COLUMN_OPS = SimpleNamespace(

@@ -26,6 +26,7 @@ millikelvin.  Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,20 +49,19 @@ k_B = 1.380649e-23
 DEFAULT_G0 = TWO_PI * 1e-3
 
 
-def _select(condition, if_true, if_false):
-    return if_true if condition else if_false
-
-
-#: the functions a formula calls, on Python floats
+#: the functions a formula calls, on Python floats, which overflow silently
 _FLOAT_MATH = SimpleNamespace(
     atan2=math.atan2, hypot=math.hypot, sin=math.sin, cos=math.cos,
-    expm1=math.expm1, maximum=max, minimum=min, where=_select)
+    expm1=math.expm1, maximum=max, minimum=min,
+    where=lambda condition, if_true, if_false: if_true if condition else if_false,
+    quiet=contextlib.nullcontext)
 
 #: the same functions on parameter columns (numpy spells atan2 arctan2
-#: before 2.0)
+#: before 2.0); ``quiet`` makes numpy overflow silently too
 _COLUMN_MATH = SimpleNamespace(
     atan2=np.arctan2, hypot=np.hypot, sin=np.sin, cos=np.cos,
-    expm1=np.expm1, maximum=np.maximum, minimum=np.minimum, where=np.where)
+    expm1=np.expm1, maximum=np.maximum, minimum=np.minimum, where=np.where,
+    quiet=lambda: np.errstate(over="ignore", invalid="ignore"))
 
 
 def _math_for(*values):
@@ -272,12 +272,14 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
 
     kappa_plus = params.kappa_a * c2 + params.kappa_c * s2
     kappa_minus = params.kappa_a * s2 + params.kappa_c * c2
-    n_plus = 0.5 * ((params.kappa_a * c2 * (2.0 * n_a + 1.0)
-                     + params.kappa_c * s2 * (2.0 * n_c + 1.0))
-                    / kappa_plus - 1.0)
-    n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
-                      + params.kappa_c * c2 * (2.0 * n_c + 1.0))
-                     / kappa_minus - 1.0)
+    # the Lyapunov solve names inf noise (kappa_plus: a column if a rate or theta is)
+    with _math_for(kappa_plus, n_a, n_c).quiet():
+        n_plus = 0.5 * ((params.kappa_a * c2 * (2.0 * n_a + 1.0)
+                         + params.kappa_c * s2 * (2.0 * n_c + 1.0))
+                        / kappa_plus - 1.0)
+        n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
+                          + params.kappa_c * c2 * (2.0 * n_c + 1.0))
+                         / kappa_minus - 1.0)
     delta_kappa = (params.kappa_c - params.kappa_a) * s * c
     # At theta = 0 or pi/2 the polaritons coincide with the bare modes;
     # select the bare values so kappa_plus == kappa_a, n_plus == n_a and

@@ -717,6 +717,21 @@ class TestExitCodes:
             "checked: ||D||_F overflows (diffusion entries up to inf)\n")
         assert not (out / "records.csv").exists()
 
+    def test_sweep_noise_overflowing_to_inf_prints_one_error_line(
+            self, tmp_path, capsys):
+        # the column model layer once printed seven RuntimeWarning lines
+        # before the error; pytest turns any warning into an exception
+        out = tmp_path / "out"
+        code = main(["run", "/dev/null", "--set", "sweep.kind=generic",
+                     "--set", "sweep.param=temperature",
+                     "--set", "sweep.start=1e302 K", "--set", "sweep.stop=1e303 K",
+                     "--set", "sweep.count=3", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical error: [Lyapunov solve] the residual contract cannot be "
+            "checked: ||D||_F overflows (diffusion entries up to inf)\n")
+        assert not (out / "records.csv").exists()
+
     def test_overflowing_occupation_exits_3(self, tmp_path, capsys):
         # hbar omega_a / k_B T underflows to 0 at 10 mK: once a
         # ZeroDivisionError traceback with exit 1

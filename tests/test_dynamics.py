@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from entangle import gaussian
+from entangle import dynamics, gaussian
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
 from entangle.errors import NumericalError
 from entangle.experiments import default_baseline
@@ -167,6 +167,44 @@ class TestBuildDiffusion:
         assert np.allclose(V, 0.5 * np.eye(6), rtol=0, atol=1e-12)
 
 
+class TestFill:
+    """One fill places the drift and the diffusion, each entry divided by
+    omega_b before it is placed."""
+
+    @staticmethod
+    def two_fills_divided_afterwards(entries, size, omega_b):
+        """The drift and the diffusion filled apart, then divided."""
+        out = []
+        for flat, values in ((dynamics._DRIFT_SLOTS, entries[:24]),
+                             (dynamics._DIFFUSION_SLOTS, entries[24:])):
+            matrices = np.zeros((size, 36))
+            matrices[:, flat] = np.array(np.broadcast_arrays(*values)).T
+            out.append(matrices.reshape(size, 6, 6)
+                       / np.asarray(omega_b)[..., None, None])
+        return out
+
+    @pytest.mark.parametrize("kind, scale_column", [
+        ("float", False), ("column", False), ("column", True),
+        ("mixed", False), ("mixed", True),
+    ])
+    def test_fused_fill_gives_the_bits_of_two_fills(self, kind, scale_column):
+        rng = np.random.default_rng(31)
+        size = 1 if kind == "float" else 5
+        entries = [-0.0, 0.0, 1e-300, -np.inf] + rng.standard_normal(30).tolist()
+        if kind != "float":
+            columns = range(34) if kind == "column" else range(0, 34, 3)
+            for i in columns:
+                entries[i] = entries[i] * rng.uniform(0.5, 2.0, size)
+        omega_b = (rng.uniform(1e6, 1e8, size) if scale_column
+                   else 2.0 * math.pi * 1e7)
+        pairs = dynamics._fill(dynamics._PAIR_SLOTS, entries, size, omega_b)
+        drifts, diffusions = pairs[:, 0], pairs[:, 1]
+        expected = self.two_fills_divided_afterwards(entries, size, omega_b)
+        assert drifts.tobytes() == expected[0].tobytes()
+        assert diffusions.tobytes() == expected[1].tobytes()
+        assert drifts.shape == diffusions.shape == (size, 6, 6)
+
+
 class TestRunPipeline:
     def test_zero_drive_thermal_product_state(self):
         p = reference_params()
@@ -299,13 +337,14 @@ class TestRunPipeline:
         assert stable >= 32
 
     @pytest.mark.parametrize("theta_pi, expected", [
-        (0.40, {"eig": 1, "inv": 1, "eigvalsh_lo": 1}),
-        (0.20, {"eig": 1}),
+        (0.40, {"eig": 1, "inv": 1, "eigvalsh_lo": 1, "errstate": 2}),
+        (0.20, {"eig": 1, "errstate": 1}),
     ], ids=["stable", "unstable"])
     def test_linalg_calls_of_one_point(self, monkeypatch, theta_pi, expected):
         # one eigendecomposition decides stability and serves the solve;
-        # the kernels call the LAPACK gufuncs directly, and the residual
-        # contract needs no np.linalg.norm
+        # the kernels call the LAPACK gufuncs directly, the residual
+        # contract needs no np.linalg.norm, and drift_spectra and the
+        # solve each enter one np.errstate
         calls = {}
 
         def counting(name, fn):
@@ -322,6 +361,7 @@ class TestRunPipeline:
         monkeypatch.setattr(gaussian, "_lapack", SimpleNamespace(**{
             name: counting(name, getattr(gaussian._lapack, name))
             for name in ("eig", "inv", "eigvalsh_lo")}))
+        monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
         res = default_baseline().evaluate(theta=theta_pi * math.pi)
         assert res.stable == (theta_pi == 0.40)
         assert calls == expected

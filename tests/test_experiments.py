@@ -654,9 +654,8 @@ class TestOverflowingNoise:
                            r"\|\|D\|\|_F overflows \(diffusion entries up to inf\)$"):
             base.evaluate(temperature=temperature, theta=0.4 * math.pi)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_column_noise_overflowing_to_inf_names_the_overflow(self, base):
-        # the column model layer warns on the overflow, unlike the float one
+        # the column model layer once warned on the overflow, unlike the
+        # float one; warnings are errors here
         with pytest.raises(NumericalError, match=r"\|\|D\|\|_F overflows"):
             list(base.evaluate_all({"temperature": [0.01, 1e303]}))

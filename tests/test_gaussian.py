@@ -8,6 +8,7 @@ Routh-Hurwitz criterion on the characteristic polynomial.
 """
 
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from scipy.integrate import solve_ivp
 from entangle import gaussian
 
 from entangle.errors import NumericalError, ParameterError
+from entangle.experiments import SweepSpec, default_baseline, run_sweep
 from entangle.gaussian import (
     PAIR_CHOICES,
     GaussianState,
@@ -280,6 +282,141 @@ class TestDenseFallback:
         V = solve_lyapunov_stacked(np.stack([R, R]), np.stack([D, D]), (lam, U))
         assert np.array_equal(V[0], solve_lyapunov(R, D))
         assert np.array_equal(V[1], gaussian._solve_lyapunov_dense(R, D))
+
+
+
+# -- the eigenbasis gates ----------------------------------------------------
+
+def point_api_draws(seed, grid=16):
+    """The (theta, |G_-|) calls of the benchmark's ``point_api`` workload:
+    one seeded draw in each cell of a grid x grid partition of the box."""
+    rng = random.Random(seed)
+    calls = [((0.26 + 0.23 * (i + rng.random()) / grid) * math.pi,
+              2.0 * math.pi * 6e6 * (j + rng.random()) / grid)
+             for i in range(grid) for j in range(grid)]
+    rng.shuffle(calls)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def pipeline_stacks():
+    """Every drift stack the pipeline hands ``drift_spectra``, and every
+    ``(drifts, diffusions, spectra)`` it hands the Lyapunov solve, on the
+    ``point_api`` box (seeds 1 and 7) and the default theta grid."""
+    spectra_calls, solve_calls = [], []
+    spectra, solve = gaussian.drift_spectra, gaussian.solve_lyapunov_stacked
+
+    def recording_spectra(R):
+        spectra_calls.append(R)
+        return spectra(R)
+
+    def recording_solve(R, D, pair):
+        solve_calls.append((R, D, pair))
+        return solve(R, D, pair)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "drift_spectra", recording_spectra)
+        mp.setattr(gaussian, "solve_lyapunov_stacked", recording_solve)
+        base = default_baseline()
+        for seed in (1, 7):
+            for theta, g_minus in point_api_draws(seed):
+                base.evaluate(theta=theta, target_g_minus=g_minus)
+        run_sweep(base, SweepSpec("theta"))
+    assert len(spectra_calls) > 512 and len(solve_calls) > 256
+    return SimpleNamespace(drifts=spectra_calls, solves=solve_calls)
+
+
+def parent_accepted(R, D, lam, U):
+    """Rows the eigenbasis solve keeps, by the gates' defining formulas:
+    the residual with two products and both Frobenius norms of the
+    condition number from ``np.linalg.norm``."""
+    with np.errstate(all="ignore"):
+        U_inv = gaussian._lapack.inv(U, signature="D->D")
+        X = -(U_inv @ D @ U_inv.conj().swapaxes(1, 2))
+        X /= lam[:, :, None] + lam.conj()[:, None, :]
+        V = (U @ X @ U.conj().swapaxes(1, 2)).real
+        V = 0.5 * (V + V.swapaxes(1, 2))
+        resid = np.linalg.norm(R @ V + V @ R.swapaxes(1, 2) + D, axis=(1, 2))
+        cond = (np.linalg.norm(U, axis=(1, 2))
+                * np.linalg.norm(U_inv, axis=(1, 2)))
+    return (resid <= 1e-9 * np.linalg.norm(D, axis=(1, 2))) & (cond <= 1e3)
+
+
+def gate_cases():
+    """The near-defective drifts of the dense-fallback tests, and a stack
+    whose second eigenvector matrix is singular."""
+    cases = []
+    for R in (TestDenseFallback.JORDAN, TestDenseFallback.NEAR_JORDAN):
+        cases.append((R[None], np.eye(6)[None], drift_spectra(R[None])))
+    R, D = random_stable_system(np.random.default_rng(8))
+    lam, U = drift_spectra(np.stack([R, R]))
+    U[1, :, 0] = 0.0
+    cases.append((np.stack([R, R]), np.stack([D, D]), (lam, U)))
+    return cases
+
+
+class TestEigenbasisGates:
+    """The condition gate takes ``||U||_F = sqrt(n)`` from LAPACK's
+    unit-norm eigenvectors, and the residual one product ``R V``; both
+    must decide every row as the defining formulas do."""
+
+    @staticmethod
+    def assert_unit_eigenvectors(R):
+        _, U = drift_spectra(R)
+        np.testing.assert_allclose(np.linalg.norm(U, axis=(1, 2)),
+                                   math.sqrt(R.shape[1]), rtol=1e-12, atol=0.0)
+
+    def test_pipeline_eigenvectors_have_unit_norm(self, pipeline_stacks):
+        for R in pipeline_stacks.drifts:
+            self.assert_unit_eigenvectors(R)
+
+    @pytest.mark.parametrize("symmetric", [False, True],
+                             ids=["complex_pairs", "all_real"])
+    def test_random_eigenvectors_have_unit_norm(self, symmetric):
+        R = np.random.default_rng(27).standard_normal((16, 6, 6))
+        if symmetric:
+            R = R + R.swapaxes(1, 2)
+        lam, _ = drift_spectra(R)
+        assert (lam.imag == 0.0).all() == symmetric
+        self.assert_unit_eigenvectors(R)
+
+    def test_near_defective_eigenvectors_have_unit_norm(self):
+        self.assert_unit_eigenvectors(np.stack([TestDenseFallback.JORDAN,
+                                                TestDenseFallback.NEAR_JORDAN]))
+
+    @staticmethod
+    def kernel_accepted(R, D, spectra, monkeypatch):
+        # a row the gates reject comes back as the dense solve's NaN stand-in
+        monkeypatch.setattr(gaussian, "_solve_lyapunov_dense",
+                            lambda R, D: np.full(R.shape, np.nan))
+        V = solve_lyapunov_stacked(R, D, spectra)
+        return ~np.isnan(V).any(axis=(1, 2))
+
+    def test_pipeline_rows_decide_as_the_defining_formulas(
+            self, pipeline_stacks, monkeypatch):
+        for R, D, (lam, U) in pipeline_stacks.solves:
+            assert np.array_equal(self.kernel_accepted(R, D, (lam, U), monkeypatch),
+                                  parent_accepted(R, D, lam, U))
+
+    def test_rejected_rows_decide_as_the_defining_formulas(self, monkeypatch):
+        for R, D, (lam, U) in gate_cases():
+            expected = parent_accepted(R, D, lam, U)
+            assert not expected[-1]
+            assert np.array_equal(self.kernel_accepted(R, D, (lam, U), monkeypatch),
+                                  expected)
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)],
+                             ids=["one_row", "eigenvectors_only"])
+    def test_spectra_must_match_the_drift_stack(self, rows):
+        # spectra of one row once broadcast over a three-row stack, and a
+        # row whose drift differed went quietly to the dense solve
+        rng = np.random.default_rng(26)
+        R, D = (np.stack(m) for m in zip(*(random_stable_system(rng)
+                                           for _ in range(3))))
+        lam, U = drift_spectra(R)
+        with pytest.raises(ParameterError, match=r"^spectra of shapes .* do not "
+                           r"match the drift stack \(3, 6, 6\)$"):
+            solve_lyapunov_stacked(R, D, (lam[rows], U[:1]))
 
 
 # -- stacked kernels: properties over random inputs --------------------------
