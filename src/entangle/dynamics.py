@@ -5,14 +5,15 @@ the matching diffusion matrix from the model layer, then composes
 hybridization, drive calibration, the Lyapunov solve, and the
 logarithmic negativity of all three mode pairs.  :func:`run_pipelines`
 does this for a stack of points given as parameter columns: each model
-formula runs once on the columns, one table of slots fills the drift
-and the diffusion of every point, and each ``gaussian`` kernel
-(eigendecomposition, eigenbasis Lyapunov solve with its dense fallback,
-closed-form negativities) runs once for the stack.  :func:`run_pipeline`
-evaluates one point with the model layer and the negativities on Python
-floats, and the fill, the eigendecomposition and the Lyapunov solve on
-the stack of one; the negativities are one body for floats and columns
-(see :mod:`entangle.gaussian`), so they add no rounding difference.
+formula runs once on the whole columns; then, on slices of at most
+:data:`CHUNK_SIZE` rows, one table of slots fills the drift and the
+diffusion, and each ``gaussian`` kernel (eigendecomposition, eigenbasis
+Lyapunov solve with its dense fallback, closed-form negativities) runs
+once per slice.  :func:`run_pipeline` evaluates one point with the
+model layer and the negativities on Python floats, and the fill, the
+eigendecomposition and the Lyapunov solve on the stack of one; the
+negativities are one body for floats and columns (see
+:mod:`entangle.gaussian`), so they add no rounding difference.
 Column arithmetic is elementwise, so a point gives the same bits in any
 stack; against :func:`run_pipeline` it differs only where numpy's
 ``expm1``, ``arctan2``, ``hypot``, complex multiply or ``abs`` round
@@ -27,6 +28,7 @@ and reported diagnostics are converted back to rad/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,6 +93,12 @@ class PipelineColumns:
     def column(self, value):
         """``value`` (a shared float or a column) as a ``(size,)`` array."""
         return np.broadcast_to(value, (self.size,))
+
+
+#: rows per kernel call of :func:`run_pipelines`: it changes no result
+#: and bounds the fill's and the kernels' temporaries (near 1 MB for 256
+#: rows), while the model layer runs once on the whole stack
+CHUNK_SIZE = 256
 
 
 #: (row, column) of every non-zero drift entry, in the order of the
@@ -205,23 +213,31 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
 
     ``params`` holds a column (or a shared float) per field, and
     ``target_g_minus`` is None, a float or a column.  The model layer
-    runs once per formula on the columns, the drift and diffusion are
-    filled as ``(N, 6, 6)`` stacks, and each ``gaussian`` kernel runs
-    once.  Stable points get the stationary covariance and the
-    negativities of the pairs (A+, A-), (A-, b), (A+, b); unstable
-    points are flagged.
+    runs once per formula on the whole columns; the drift and diffusion
+    are filled as ``(n, 6, 6)`` stacks and each ``gaussian`` kernel runs
+    on slices of at most :data:`CHUNK_SIZE` rows.  Stable points get the
+    stationary covariance and the negativities of the pairs (A+, A-),
+    (A-, b), (A+, b); unstable points are flagged.
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, solved = _steady_states(
-        params, basis, couplings, size, _COLUMN_MATH)
-    covs = np.full((size, 6, 6), np.nan)
-    covs[stable] = solved
-    e_n = np.full((size, 3), np.nan)
-    if stable.size:
-        blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
-        e_n[stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
-                             blocks).reshape(-1, 3)
+    # covs and e_n are allocated after the first solve, below its peak; a
+    # stack of no rows keeps these empty ones
+    max_re, covs, e_n = np.empty(size), np.empty((0, 6, 6)), np.empty((0, 3))
+    for start in range(0, size, CHUNK_SIZE):
+        rows = slice(start, start + CHUNK_SIZE)  # covs[rows] is a view: writes land
+        layers = [SimpleNamespace(**{  # getattr: a third of np.ndim's cost
+            name: value[rows] if getattr(value, "ndim", 0) else value
+            for name, value in vars(layer).items()}) for layer in (params, basis, couplings)]
+        max_re[rows], stable, solved = _steady_states(
+            *layers, min(CHUNK_SIZE, size - start), _COLUMN_MATH)
+        if not start:
+            covs, e_n = np.full((size, 6, 6), np.nan), np.full((size, 3), np.nan)
+        if stable.size:
+            covs[rows][stable] = solved
+            blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
+            e_n[rows][stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
+                                       blocks).reshape(-1, 3)
     e_n_pp, e_n_pb, e_n_mb = e_n.T  # PAIR_CHOICES order
     return PipelineColumns(size, basis, couplings, drive, max_re < 0.0,
                            max_re * params.omega_b, covs, e_n_pp, e_n_mb, e_n_pb)

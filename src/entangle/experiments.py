@@ -12,12 +12,12 @@ axes (CSV column, :class:`Baseline` field, reporting unit), its default
 grid, an optional point map and an optional summary hook.
 :func:`run_sweep` evaluates the grid as parameter columns (one array
 per varying :class:`Baseline` field) through
-:meth:`Baseline.evaluate_all`, which hands :data:`CHUNK_SIZE` points at
-a time to the stacked pipeline and builds the records from its result
-columns.  Instability is recorded as data (not an error).  Records are
-the same bits whatever the chunk size or evaluation order, and agree
-with :meth:`Baseline.evaluate` of their point, which runs the model
-layer on Python floats, to rounding.
+:meth:`Baseline.evaluate_all`, which hands the whole stack to the
+stacked pipeline, and builds the records from its one result.
+Instability is recorded as data (not an error).  Records are the same
+bits whatever the kernels' slice size or the evaluation order, and
+agree with :meth:`Baseline.evaluate` of their point, which runs the
+model layer on Python floats, to rounding.
 
 Axis values and record diagnostics use reporting units: ordinary
 frequency (Hz) for rates, couplings and detunings, millikelvin for
@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, replace
 from itertools import product
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,16 +43,6 @@ from .model import TWO_PI, SystemParams, solve_g_omega_c_from_theta
 #: records with E_N below this (or unstable) count as disentangled when
 #: extracting robustness thresholds; absorbs the separability clamp
 EN_THRESHOLD = 1e-4
-
-#: grid points per stacked pipeline call.  It changes no record; it
-#: bounds the stacked arrays.  Each call pays a fixed 0.2-0.3 ms for the
-#: column checks, the fill, the kernel wrappers and the record assembly,
-#: so 256 runs the 200-point theta, 200-point g_minus and 33-point
-#: detuning grids in one call and a 60x60 grid in 15.  The stacked
-#: temporaries stay near 1 MB: from 64 to 256 the tracemalloc peak of
-#: one default theta sweep went 476 -> 965 KB, and of temp_kappa_b
-#: 1995 -> 2982 KB
-CHUNK_SIZE = 256
 
 
 # -- parameter table ---------------------------------------------------------
@@ -277,35 +267,36 @@ class Baseline:
     def evaluate(self, **overrides) -> PipelineResult:
         return run_pipeline(*self._point(overrides))
 
-    def evaluate_all(self, overrides) -> Iterator[PipelineColumns]:
+    def evaluate_all(self, overrides) -> PipelineColumns:
         """Evaluate a stack of points given as override columns.
 
         ``overrides`` maps fields to columns (1-d array-likes of one
         length, one entry per point) or to a value every point shares;
-        with no column it is one point.  Yields one
-        :class:`PipelineColumns` per :data:`CHUNK_SIZE` points, in order,
-        as the results are consumed.  The results are the same bits
-        whatever the chunk size; they agree with :meth:`evaluate` of each
-        point to rounding, because the model layer runs on numpy for
-        columns and on :mod:`math` for the floats of one point.  A chunk
-        that raises is re-evaluated point by point, so the error is the
-        one :meth:`evaluate` raises at its first failing point.
+        with no column it is one point, and with empty columns none.
+        Returns one :class:`PipelineColumns` for the whole stack.  Its
+        columns are the same bits in any stack; they agree with
+        :meth:`evaluate` of each point to rounding, because the model
+        layer runs on numpy for columns and on :mod:`math` for the floats
+        of one point.  A stack that raises is re-evaluated point by
+        point, so the error is the one :meth:`evaluate` raises at its
+        first failing point; that replay may walk the whole stack, but
+        runs only on the error path.
         """
         columns = {name: np.asarray(value, dtype=float) if np.ndim(value) else value
                    for name, value in overrides.items()}
-        size = max((len(value) for value in columns.values() if np.ndim(value)),
-                   default=1)
-        for start in range(0, size, CHUNK_SIZE):
-            chunk = {name: value[start:start + CHUNK_SIZE] if np.ndim(value) else value
-                     for name, value in columns.items()}
-            try:
-                result = run_pipelines(*self._point(chunk))
-            except EntangleError:
-                for i in range(min(CHUNK_SIZE, size - start)):  # raises first
-                    self.evaluate(**{name: value[i].item() if np.ndim(value) else value
-                                     for name, value in chunk.items()})
-                raise
-            yield result
+        shapes = {name: value.shape for name, value in columns.items() if np.ndim(value)}
+        if len(set(shapes.values())) > 1 or any(len(s) > 1 for s in shapes.values()):
+            raise ParameterError(
+                "override columns must be 1-d and of one length, got "
+                + ", ".join(f"{name} of shape {shape}" for name, shape in shapes.items()))
+        (size,) = next(iter(shapes.values()), (1,))
+        try:
+            return run_pipelines(*self._point(columns))
+        except EntangleError:
+            for i in range(size):  # raises at the first failing point
+                self.evaluate(**{name: value[i].item() if np.ndim(value) else value
+                                 for name, value in columns.items()})
+            raise
 
     def _point(self, overrides):
         """``(SystemParams, target_g_minus)`` of one override set (floats or
@@ -378,27 +369,24 @@ class SweepRecord:
     delta_minus: float
 
     @classmethod
-    def from_columns(cls, points, results: Iterable[PipelineColumns]) -> list[SweepRecord]:
+    def from_columns(cls, points, result: PipelineColumns) -> list[SweepRecord]:
         """The records of ``points`` (axis tuples, in order) from the
-        stacked results that evaluated them (:meth:`Baseline.evaluate_all`)."""
-        records = []
-        for result in results:
-            column = result.column
-            stable = result.stable.tolist()
-            e_n = [[v if ok else None for v, ok in zip(values.tolist(), stable)]
-                   for values in (result.e_n_pp, result.e_n_mb, result.e_n_pb)]
-            records += [cls(*fields) for fields in zip(
-                points[len(records):len(records) + result.size],
-                *e_n,
-                stable,
-                result.max_re_eig.tolist(),
-                (np.abs(column(result.couplings.g_plus)) / TWO_PI).tolist(),
-                (np.abs(column(result.couplings.g_minus)) / TWO_PI).tolist(),
-                column(result.basis.theta).tolist(),
-                (column(result.basis.delta_plus) / TWO_PI).tolist(),
-                (column(result.basis.delta_minus) / TWO_PI).tolist(),
-            )]
-        return records
+        stacked result that evaluated them (:meth:`Baseline.evaluate_all`)."""
+        column = result.column
+        stable = result.stable.tolist()
+        e_n = [[v if ok else None for v, ok in zip(values.tolist(), stable)]
+               for values in (result.e_n_pp, result.e_n_mb, result.e_n_pb)]
+        return [cls(*fields) for fields in zip(
+            points,
+            *e_n,
+            stable,
+            result.max_re_eig.tolist(),
+            (np.abs(column(result.couplings.g_plus)) / TWO_PI).tolist(),
+            (np.abs(column(result.couplings.g_minus)) / TWO_PI).tolist(),
+            column(result.basis.theta).tolist(),
+            (column(result.basis.delta_plus) / TWO_PI).tolist(),
+            (column(result.basis.delta_minus) / TWO_PI).tolist(),
+        )]
 
 
 @dataclass(frozen=True)
@@ -508,27 +496,21 @@ def _first_below(base, axes, records, along, fixed):
 
     Where the other axis holds ``fixed`` exactly, the line is read from
     the grid records: the grid evaluated the same columns, so the values
-    are the same bits.  Otherwise the line is evaluated, as full columns
-    like the grid's, only up to the chunk holding its first crossing.
+    are the same bits.  Otherwise the line is evaluated as full columns,
+    like the grid's.
     """
     lines = SWEEPS["temp_kappa_b"].axes
     other = 1 - along
     values = axes[along].values()
     if fixed in axes[other].values():
-        on_line = [np.nan if rec.e_n_pp is None else rec.e_n_pp
-                   for rec in records if rec.axis[other] == fixed]
-        chunks = [np.array(on_line)]
+        e_n_pp = np.array([np.nan if rec.e_n_pp is None else rec.e_n_pp
+                           for rec in records if rec.axis[other] == fixed])
     else:
         overrides = {lines[along].field: lines[along].angular(values),
                      lines[other].field: lines[other].angular(np.full_like(values, fixed))}
-        chunks = (result.e_n_pp for result in base.evaluate_all(overrides))
-    start = 0
-    for e_n_pp in chunks:
-        below = ~(e_n_pp >= EN_THRESHOLD)  # NaN: unstable
-        if below.any():
-            return float(values[start + below.argmax()])
-        start += len(e_n_pp)
-    return None
+        e_n_pp = base.evaluate_all(overrides).e_n_pp
+    below = ~(e_n_pp >= EN_THRESHOLD)  # NaN: unstable
+    return float(values[below.argmax()]) if below.any() else None
 
 
 #: every sweep kind, in listing order

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle import experiments
+from entangle import dynamics, experiments, gaussian
 from entangle.cli import emit_records
 from entangle.errors import EntangleError, NumericalError, ParameterError
 from entangle.experiments import (
@@ -408,7 +408,7 @@ class TestStackedEvaluation:
         size = len(grid(spec.resolved_axes()))
         outputs = set()
         for chunk in (1, 7, size + 1):
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk)
+            monkeypatch.setattr(dynamics, "CHUNK_SIZE", chunk)
             result = run_sweep(base, spec)
             outputs.add((emit_records(result), repr(result.summary)))
         assert len(outputs) == 1
@@ -424,15 +424,15 @@ class TestStackedEvaluation:
                                 base.omega_b)
 
     def test_stacked_results_agree_with_point_results(self, base, monkeypatch):
-        monkeypatch.setattr(experiments, "CHUNK_SIZE", 4)
+        monkeypatch.setattr(dynamics, "CHUNK_SIZE", 4)
         theta = np.repeat([0.27, 0.33, 0.40, 0.46], 3) * math.pi
         g_minus = np.tile([0.0, 2e6, 5e6], 4) * TWO_PI
-        chunks = list(base.evaluate_all({"theta": theta, "target_g_minus": g_minus}))
-        assert [chunk.size for chunk in chunks] == [4, 4, 4]
-        assert {bool(s) for chunk in chunks for s in chunk.stable} == {True, False}
+        stack = base.evaluate_all({"theta": theta, "target_g_minus": g_minus})
+        assert stack.size == 12
+        assert {bool(s) for s in stack.stable} == {True, False}
         for i, (t, g) in enumerate(zip(theta, g_minus)):
             point = base.evaluate(theta=t, target_g_minus=g)
-            assert_row_close(chunks[i // 4], i % 4, point, base.omega_b)
+            assert_row_close(stack, i, point, base.omega_b)
 
     @pytest.mark.parametrize("kind", ["theta", "g_minus", "detuning"])
     def test_default_line_is_one_stack(self, base, kind, stack_sizes):
@@ -440,8 +440,8 @@ class TestStackedEvaluation:
         assert stack_sizes == [SWEEPS[kind].defaults[0].count]
 
     def test_default_theta_sweep_peak_memory(self, base):
-        # CHUNK_SIZE trades calls for stacked temporaries; one default
-        # theta sweep, a single 200-point stack, peaks near 0.97 MB
+        # dynamics.CHUNK_SIZE trades kernel calls for their temporaries;
+        # one default theta sweep, a single 200-row slice, peaks near 0.75 MB
         run_sweep(base, SweepSpec("theta"))  # one-time allocations
         tracemalloc.start()
         try:
@@ -452,7 +452,7 @@ class TestStackedEvaluation:
         assert peak < 2e6
 
     def test_shared_overrides_are_one_point(self, base):
-        (result,) = base.evaluate_all({"theta": 0.40 * math.pi})
+        result = base.evaluate_all({"theta": 0.40 * math.pi})
         assert result.size == 1
         point = base.evaluate(theta=0.40 * math.pi)
         assert result.e_n_pp.tolist() == [point.e_n_pp]
@@ -460,14 +460,76 @@ class TestStackedEvaluation:
 
     def test_chunk_error_is_that_of_the_first_failing_point(self, base):
         # point 1 has a negative rate and point 2 a degenerate angle; the
-        # columns resolve theta before they check the rates, so the chunk
+        # columns resolve theta before they check the rates, so the stack
         # is re-evaluated point by point to report point 1
         overrides = {"theta": np.array([0.40, 0.40, 0.0]) * math.pi,
                      "kappa_b": np.array([1.0, -1.0, 1.0]) * TWO_PI}
         with pytest.raises(ParameterError, match="kappa_b must be positive"):
             base.evaluate(theta=0.40 * math.pi, kappa_b=-TWO_PI)
         with pytest.raises(ParameterError, match="kappa_b must be positive"):
-            list(base.evaluate_all(overrides))
+            base.evaluate_all(overrides)
+
+    def test_replay_reports_a_failing_point_before_the_checked_slice(self, base,
+                                                                     monkeypatch):
+        # with 2-row slices, point 3 (second slice) has noise that overflows
+        # ||D||_F, which only the Lyapunov kernel sees, and point 4 (third
+        # slice) a negative rate, which the column checks of the whole stack
+        # see first; the replay walks the stack and reports point 3
+        monkeypatch.setattr(dynamics, "CHUNK_SIZE", 2)
+        temperature = np.array([0.01, 0.01, 0.01, 1e300, 0.01, 0.01])
+        kappa_b = TWO_PI * np.array([100.0, 100.0, 100.0, 100.0, -100.0, 100.0])
+        with pytest.raises(ParameterError, match="kappa_b must be positive"):
+            dynamics.run_pipelines(base.params(temperature=temperature, kappa_b=kappa_b),
+                                   base.target_g_minus)
+        with pytest.raises(NumericalError) as point:
+            base.evaluate(temperature=1e300, kappa_b=TWO_PI * 100.0)
+        with pytest.raises(NumericalError) as stack:
+            base.evaluate_all({"temperature": temperature, "kappa_b": kappa_b})
+        assert str(stack.value) == str(point.value)
+        assert "[Lyapunov solve]" in str(point.value)
+
+    def test_kernel_calls_of_the_default_temp_kappa_b_run_are_bounded(
+            self, base, monkeypatch, stack_sizes):
+        # the model layer sees each whole stack, every kernel at most
+        # dynamics.CHUNK_SIZE points (three two-mode blocks per point)
+        rows = {"drift_spectra": [], "solve_lyapunov_stacked": [],
+                "log_negativity_stacked": []}
+        for name, calls in rows.items():
+            def counting(matrices, *args, kernel=getattr(gaussian, name), calls=calls):
+                calls.append(len(matrices))
+                return kernel(matrices, *args)
+            monkeypatch.setattr(gaussian, name, counting)
+        run_sweep(base, SweepSpec("temp_kappa_b"))
+        assert stack_sizes == [3600, 60]
+        assert sum(rows["drift_spectra"]) == 3660
+        assert len(rows["drift_spectra"]) == 15 + 1
+        assert max(rows["drift_spectra"]) == dynamics.CHUNK_SIZE
+        assert max(rows["solve_lyapunov_stacked"]) <= dynamics.CHUNK_SIZE
+        assert max(rows["log_negativity_stacked"]) <= 3 * dynamics.CHUNK_SIZE
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"theta": [0.3 * math.pi, 0.4 * math.pi], "kappa_b": [1e3, 2e3, 3e3]},
+         "theta of shape (2,), kappa_b of shape (3,)"),
+        ({"theta": np.full(3, 0.4 * math.pi), "kappa_b": [1e3]},
+         "theta of shape (3,), kappa_b of shape (1,)"),
+        ({"theta": [[0.3 * math.pi, 0.4 * math.pi]], "kappa_b": 1e3},
+         "theta of shape (1, 2)"),
+    ], ids=["unequal", "length-1", "2-d"])
+    def test_bad_override_columns_are_named(self, base, overrides, named):
+        with pytest.raises(ParameterError) as caught:
+            base.evaluate_all(overrides)
+        assert str(caught.value) == (
+            "override columns must be 1-d and of one length, got " + named)
+
+    def test_empty_columns_are_an_empty_stack(self, base):
+        stack = base.evaluate_all({"theta": np.array([]), "kappa_b": []})
+        assert stack.size == 0
+        assert stack.covs.shape == (0, 6, 6)
+        assert stack.stable.shape == stack.max_re_eig.shape == stack.e_n_pb.shape == (0,)
+        assert SweepRecord.from_columns([], stack) == []
+        direct = dynamics.run_pipelines(base.params(theta=np.array([])),
+                                        base.target_g_minus)
+        assert direct.size == 0 and direct.covs.shape == (0, 6, 6)
 
 
 #: a (g, omega_c) override pair other than the baseline's geometry
@@ -494,7 +556,7 @@ class TestGeometryOverrides:
             base.evaluate(**overrides)
         assert str(caught.value) == message
         with pytest.raises(ParameterError) as caught:
-            list(base.evaluate_all(overrides))
+            base.evaluate_all(overrides)
         assert str(caught.value) == message
 
     def test_unknown_override_raises_type_error(self, base):
@@ -509,8 +571,8 @@ class TestGeometryOverrides:
         pair = base.evaluate(g=g, omega_c=omega_c)
         assert pair.e_n_pp == base.evaluate(theta=0.35 * math.pi).e_n_pp
         assert pair.e_n_pp != base.evaluate().e_n_pp
-        (stack,) = base.evaluate_all({"g": np.array([g, PAIR_G]),
-                                      "omega_c": np.array([omega_c, PAIR_OMEGA_C])})
+        stack = base.evaluate_all({"g": np.array([g, PAIR_G]),
+                                   "omega_c": np.array([omega_c, PAIR_OMEGA_C])})
         assert stack.e_n_pp[0] == pytest.approx(pair.e_n_pp, rel=1e-11)
         assert stack.e_n_pp[1] == pytest.approx(
             base.evaluate(g=PAIR_G, omega_c=PAIR_OMEGA_C).e_n_pp, rel=1e-11)
@@ -534,7 +596,7 @@ class TestDriveOverrides:
         assert str(caught.value) == self.MESSAGE
         columns = {name: np.full(3, value) for name, value in overrides.items()}
         with pytest.raises(ParameterError) as caught:
-            list(base.evaluate_all(columns))
+            base.evaluate_all(columns)
         assert str(caught.value) == self.MESSAGE
 
     def test_with_the_target_cleared_sets_the_drive(self, base):
@@ -543,8 +605,8 @@ class TestDriveOverrides:
         point = base.evaluate(drive_strength=drive, target_g_minus=None)
         assert point.drive_strength == drive
         assert point.e_n_pp != calibrated.e_n_pp
-        (stack,) = base.evaluate_all({"drive_strength": np.array([drive, drive]),
-                                      "target_g_minus": None})
+        stack = base.evaluate_all({"drive_strength": np.array([drive, drive]),
+                                   "target_g_minus": None})
         assert stack.e_n_pp.tolist() == pytest.approx([point.e_n_pp] * 2, rel=1e-11)
         pinned = replace(base, target_g_minus=None)
         assert pinned.evaluate(drive_strength=drive).e_n_pp == point.e_n_pp
@@ -592,9 +654,9 @@ class TestColumnProperties:
                 break
         if error is not None:
             with pytest.raises(type(error)):
-                list(base.evaluate_all(columns))
+                base.evaluate_all(columns)
             return
-        (stack,) = base.evaluate_all(columns)
+        stack = base.evaluate_all(columns)
         for row, point in enumerate(results):
             assert_row_close(stack, row, point, base.omega_b, e_n_rtol=None)
 
@@ -644,7 +706,7 @@ class TestOverflowingNoise:
         with pytest.raises(NumericalError, match=rf"\[{stage}\].*overflow"):
             base.evaluate(temperature=temperature)
         with pytest.raises(NumericalError, match=rf"\[{stage}\].*overflow"):
-            list(base.evaluate_all({"temperature": [0.01, temperature]}))
+            base.evaluate_all({"temperature": [0.01, temperature]})
 
     @pytest.mark.parametrize("temperature", [1e301, 1e303, 1e304])
     def test_noise_overflowing_to_inf_names_the_overflow(self, base, temperature):
@@ -658,4 +720,4 @@ class TestOverflowingNoise:
         # the column model layer once warned on the overflow, unlike the
         # float one; warnings are errors here
         with pytest.raises(NumericalError, match=r"\|\|D\|\|_F overflows"):
-            list(base.evaluate_all({"temperature": [0.01, 1e303]}))
+            base.evaluate_all({"temperature": [0.01, 1e303]})
