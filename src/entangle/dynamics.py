@@ -228,7 +228,8 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
         rows = slice(start, start + CHUNK_SIZE)  # covs[rows] is a view: writes land
         layers = [SimpleNamespace(**{  # getattr: a third of np.ndim's cost
             name: value[rows] if getattr(value, "ndim", 0) else value
-            for name, value in vars(layer).items()}) for layer in (params, basis, couplings)]
+            for name, value in fields.items()})
+            for fields in (vars(params), basis._asdict(), couplings._asdict())]
         max_re[rows], stable, solved = _steady_states(
             *layers, min(CHUNK_SIZE, size - start), _COLUMN_MATH)
         if not start:

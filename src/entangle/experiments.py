@@ -240,14 +240,15 @@ class Baseline:
         overrides follow :func:`check_geometry`, so none is dropped, and
         one that is not a field raises :class:`TypeError`.  Overrides may
         be floats or columns (see :meth:`evaluate_all`); the result then
-        holds parameter columns.
+        holds parameter columns, and columns that are not 1-d and of one
+        length raise :class:`ParameterError`.
         """
         check_geometry(overrides)
         fields = vars(self)
-        unknown = overrides.keys() - fields.keys()
-        if unknown:
+        if not overrides.keys() <= fields.keys():
             raise TypeError("Baseline.params() got an unexpected keyword "
-                            f"argument {min(unknown)!r}")
+                            f"argument {min(overrides.keys() - fields.keys())!r}")
+        _stack_size(overrides)
         eff = SimpleNamespace(**{**fields, **overrides})
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
@@ -284,16 +285,12 @@ class Baseline:
         """
         columns = {name: np.asarray(value, dtype=float) if np.ndim(value) else value
                    for name, value in overrides.items()}
-        shapes = {name: value.shape for name, value in columns.items() if np.ndim(value)}
-        if len(set(shapes.values())) > 1 or any(len(s) > 1 for s in shapes.values()):
-            raise ParameterError(
-                "override columns must be 1-d and of one length, got "
-                + ", ".join(f"{name} of shape {shape}" for name, shape in shapes.items()))
-        (size,) = next(iter(shapes.values()), (1,))
         try:
             return run_pipelines(*self._point(columns))
         except EntangleError:
-            for i in range(size):  # raises at the first failing point
+            # raises at the first failing point; bad columns raise their
+            # error again in _stack_size
+            for i in range(_stack_size(columns)):
                 self.evaluate(**{name: value[i].item() if np.ndim(value) else value
                                  for name, value in columns.items()})
             raise
@@ -307,6 +304,25 @@ class Baseline:
                 "give either target_g_minus or drive_strength "
                 "(target_g_minus=None pins the drive)")
         return self.params(**overrides), target
+
+
+def _stack_size(overrides):
+    """Points in the stack of ``overrides``: the length of its columns
+    (the non-scalar arrays), or 1 with none.  Raises
+    :class:`ParameterError`, naming each column's shape, unless the
+    columns are 1-d and of one length."""
+    for value in overrides.values():  # floats alone leave on this loop
+        if isinstance(value, np.ndarray) and value.ndim:
+            break
+    else:
+        return 1
+    shapes = {name: value.shape for name, value in overrides.items()
+              if isinstance(value, np.ndarray) and value.ndim}
+    if len(set(shapes.values())) > 1 or any(len(s) > 1 for s in shapes.values()):
+        raise ParameterError(
+            "override columns must be 1-d and of one length, got "
+            + ", ".join(f"{name} of shape {shape}" for name, shape in shapes.items()))
+    return next(iter(shapes.values()))[0]
 
 
 def check_geometry(given):

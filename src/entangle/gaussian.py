@@ -102,9 +102,12 @@ class GaussianState:
         V = np.asarray(self.cov, dtype=float)
         if V.shape != (6, 6):
             raise ParameterError(f"covariance must be 6x6, got {V.shape}")
-        scale = np.abs(V).max()
-        if np.abs(V - V.T).max() > 1e-10 * max(scale, 1.0):
-            raise NumericalError("covariance matrix is not symmetric")
+        # an exactly symmetric V, which the solve returns, passes the
+        # tolerance anyway; a NaN is unequal to itself and takes it
+        if not _all(V == V.T):
+            scale = np.abs(V).max()
+            if np.abs(V - V.T).max() > 1e-10 * max(scale, 1.0):
+                raise NumericalError("covariance matrix is not symmetric")
         self.cov = V
 
 
@@ -162,7 +165,9 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
                 f"(diffusion entries up to {np.nanmax(np.abs(D)):.3e})")
         # max(1, |D_ij|) of each matrix, shaped to broadcast against the stack
         d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
-        if _any(np.abs(D - D.swapaxes(1, 2)) > 1e-10 * d_scale):
+        # exact symmetry (what the fill builds) settles the check in one pass
+        D_T = D.swapaxes(1, 2)
+        if not _all(D == D_T) and _any(np.abs(D - D_T) > 1e-10 * d_scale):
             raise ParameterError("diffusion matrix must be symmetric")
         # ascending eigenvalues; a row that does not converge is NaN and fails
         d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
@@ -285,11 +290,22 @@ def _float_scale(v):
 #: 4x4 matrix stored row by row
 _UPPER, _LOWER = zip(*((4 * i + j, 4 * j + i)
                        for i in range(4) for j in range(i + 1, 4)))
+_UPPER_ENTRIES, _LOWER_ENTRIES = itemgetter(*_UPPER), itemgetter(*_LOWER)
+
+
+def _float_asymmetry(v):
+    """max |v_ij - v_ji| over Python floats: 0.0 at once where the mirrored
+    entries are equal as tuples, as the solve's symmetrized blocks are
+    (the scale check has already rejected a NaN or an infinity)."""
+    if _UPPER_ENTRIES(v) == _LOWER_ENTRIES(v):
+        return 0.0
+    return max(abs(v[i] - v[j]) for i, j in zip(_UPPER, _LOWER))
+
 
 #: the operations :func:`_log_negativity` runs on one matrix of floats
 _FLOAT_OPS = SimpleNamespace(
     scale=_float_scale,
-    asymmetry=lambda v: max(abs(v[i] - v[j]) for i, j in zip(_UPPER, _LOWER)),
+    asymmetry=_float_asymmetry,
     any=bool, all=bool, isfinite=math.isfinite, max=float,
     first=lambda values, flags: values,
     maximum=max, sqrt=math.sqrt, log=lambda x: float(np.log(x)),

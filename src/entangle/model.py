@@ -31,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,10 +165,10 @@ class SystemParams:
             )
 
 
-@dataclass(frozen=True)
-class PolaritonBasis:
+class PolaritonBasis(NamedTuple):
     """Derived hybridization quantities of the polariton modes (floats,
-    or columns where the :class:`SystemParams` hold columns).
+    or columns where the :class:`SystemParams` hold columns), as an
+    immutable named tuple.
 
     ``kappa_a`` and ``kappa_c`` are carried along so downstream code can
     evaluate the bare-rate form of the noise cross-correlation, which
@@ -191,10 +192,10 @@ class PolaritonBasis:
     n_minus: float
 
 
-@dataclass(frozen=True)
-class EffectiveCouplings:
+class EffectiveCouplings(NamedTuple):
     """Steady-state amplitudes and drive-enhanced coupling strengths
-    (complex floats, or columns for a stack of points).
+    (complex floats, or columns for a stack of points), as an immutable
+    named tuple.
 
     ``amp_plus``/``amp_minus`` are the dimensionless coherent amplitudes
     of the polaritons; ``g_plus``/``g_minus`` the enhanced dispersive

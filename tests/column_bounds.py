@@ -77,7 +77,7 @@ def assert_row_close(columns, row, point, omega_b, e_n_rtol=E_N_RTOL):
     assert columns.column(columns.drive_strength)[row] == pytest.approx(
         point.drive_strength, rel=MODEL_RTOL, abs=0.0)
     for part in ("basis", "couplings"):
-        for name, expected in vars(getattr(point, part)).items():
+        for name, expected in getattr(point, part)._asdict().items():
             value = columns.column(getattr(getattr(columns, part), name))[row]
             assert value == pytest.approx(expected, rel=MODEL_RTOL, abs=0.0), name
     if not point.stable:

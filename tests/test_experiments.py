@@ -521,6 +521,20 @@ class TestStackedEvaluation:
         assert str(caught.value) == (
             "override columns must be 1-d and of one length, got " + named)
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"theta": np.full(2, 0.4 * math.pi), "kappa_b": np.array([1e3, 2e3, 3e3])},
+         "theta of shape (2,), kappa_b of shape (3,)"),
+        ({"theta": np.full(3, 0.4 * math.pi), "kappa_b": np.array([1e3])},
+         "theta of shape (3,), kappa_b of shape (1,)"),
+        ({"kappa_b": np.array([[1e3, 2e3]])}, "kappa_b of shape (1, 2)"),
+    ], ids=["unequal", "length-1", "2-d"])
+    def test_params_name_bad_columns(self, base, overrides, named):
+        # checked where the columns meet, not first in the pipeline
+        with pytest.raises(ParameterError) as caught:
+            base.params(**overrides)
+        assert str(caught.value) == (
+            "override columns must be 1-d and of one length, got " + named)
+
     def test_empty_columns_are_an_empty_stack(self, base):
         stack = base.evaluate_all({"theta": np.array([]), "kappa_b": []})
         assert stack.size == 0

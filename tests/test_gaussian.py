@@ -192,6 +192,23 @@ class TestSolveLyapunov:
         with pytest.raises(ParameterError):
             solve_lyapunov(R, D)
 
+    @pytest.mark.parametrize("entry, error", [
+        (0.1 + 1e-12, None),
+        (0.1 + 1e-6, (ParameterError, "diffusion matrix must be symmetric")),
+        (np.nan, (NumericalError, "diffusion matrix has NaN entries")),
+    ], ids=["within-tolerance", "1e-6", "nan"])
+    def test_inexact_symmetry_takes_the_tolerance(self, entry, error):
+        # D[0, 2] against D[2, 0] = 0.1: not exactly symmetric
+        D = np.eye(6)
+        D[0, 2], D[2, 0] = entry, 0.1
+        if error is not None:
+            with pytest.raises(error[0], match=f"^{error[1]}$"):
+                solve_lyapunov(-np.eye(6), D)
+            return
+        V = solve_lyapunov(-np.eye(6), D)
+        assert np.array_equal(V, V.T)
+        assert V[0, 2] == pytest.approx(0.05, rel=1e-10)
+
     def test_indefinite_diffusion_rejected(self):
         with pytest.raises(ParameterError):
             solve_lyapunov(-np.eye(6), np.diag([1, 1, 1, 1, 1, -1.0]))
@@ -303,7 +320,7 @@ def pipeline_stacks():
     """Every drift stack the pipeline hands ``drift_spectra``, and every
     ``(drifts, diffusions, spectra)`` it hands the Lyapunov solve, on the
     ``point_api`` box (seeds 1 and 7) and the default theta grid."""
-    spectra_calls, solve_calls = [], []
+    spectra_calls, solve_calls, covs = [], [], []
     spectra, solve = gaussian.drift_spectra, gaussian.solve_lyapunov_stacked
 
     def recording_spectra(R):
@@ -312,7 +329,8 @@ def pipeline_stacks():
 
     def recording_solve(R, D, pair):
         solve_calls.append((R, D, pair))
-        return solve(R, D, pair)
+        covs.append(solve(R, D, pair))
+        return covs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gaussian, "drift_spectra", recording_spectra)
@@ -323,7 +341,8 @@ def pipeline_stacks():
                 base.evaluate(theta=theta, target_g_minus=g_minus)
         run_sweep(base, SweepSpec("theta"))
     assert len(spectra_calls) > 512 and len(solve_calls) > 256
-    return SimpleNamespace(drifts=spectra_calls, solves=solve_calls)
+    return SimpleNamespace(drifts=spectra_calls, solves=solve_calls,
+                           covs=np.concatenate(covs))
 
 
 def parent_accepted(R, D, lam, U):
@@ -353,6 +372,27 @@ def gate_cases():
     U[1, :, 0] = 0.0
     cases.append((np.stack([R, R]), np.stack([D, D]), (lam, U)))
     return cases
+
+
+class TestExactSymmetry:
+    """The fill builds every diffusion and the solve returns every
+    covariance exactly symmetric, so each symmetry check (the diffusion's,
+    ``GaussianState``'s and each pair block's) settles on its equality
+    test.  A change that broke this would keep every verdict but send
+    every point down the tolerance path."""
+
+    def test_pipeline_diffusions_are_exactly_symmetric(self, pipeline_stacks):
+        for _, D, _ in pipeline_stacks.solves:
+            assert np.array_equal(D, D.swapaxes(1, 2))
+
+    def test_pipeline_covariances_are_exactly_symmetric(self, pipeline_stacks):
+        covs = pipeline_stacks.covs
+        assert len(covs) == 368 + 158  # stable point_api draws, stable theta rows
+        assert np.array_equal(covs, covs.swapaxes(1, 2))
+        for V in covs:
+            v = V.ravel().tolist()
+            for block in gaussian._PAIR_ENTRIES:
+                assert gaussian._UPPER_ENTRIES(block(v)) == gaussian._LOWER_ENTRIES(block(v))
 
 
 class TestEigenbasisGates:
@@ -478,11 +518,23 @@ class TestStackedKernelProperties:
                     for V in covs for pair in PAIR_CHOICES]
         assert e_n.tolist() == expected
 
+    @_PROPERTY_SETTINGS
+    @given(arrays(np.float64, (4, 4), elements=st.floats(-1.0, 1.0)), st.booleans())
+    def test_float_asymmetry_is_the_largest_mirrored_difference(self, V, mirror):
+        if mirror:
+            V = np.triu(V) + np.triu(V, 1).T
+        v = V.ravel().tolist()
+        expected = max(abs(v[i] - v[j]) for i, j in zip(gaussian._UPPER, gaussian._LOWER))
+        assert gaussian._FLOAT_OPS.asymmetry(v) == expected
+
     @pytest.mark.parametrize("V, message", [
         (1e100 * np.eye(4), "covariance entries up to 1.000e+100 overflow"),
         (np.diag([0.5, 0.5, np.nan, 0.5]), "has non-finite entries"),
         (0.5 * np.eye(4) + np.triu(np.full((4, 4), 0.3), 1),
          "two-mode covariance matrix is not symmetric"),
+        (0.5 * np.eye(4) + np.diag([1e-6, 0.0], 2),
+         "two-mode covariance matrix is not symmetric"),
+        (0.5 * np.eye(4) + np.diag([np.nan, 0.0, 0.0], 1), "has non-finite entries"),
         (np.array([[4.0, 2.0, -1.0, 1.0], [2.0, 0.0, 1.0, -2.0],
                    [-1.0, 1.0, -2.0, 2.0], [1.0, -2.0, 2.0, -6.0]]),
          "Sigma^2 - 4 det V = -32 < 0"),
@@ -490,7 +542,8 @@ class TestStackedKernelProperties:
         (np.array([[1.0, 0.0, 0.9, 0.0], [0.0, 1.0, 0.0, 0.0],
                    [0.9, 0.0, 0.01, 0.0], [0.0, 0.0, 0.0, 0.01]]),
          "non-positive symplectic eigenvalue (det V4 = -0.008)"),
-    ], ids=["overflow", "nan", "asymmetric", "disc", "sigma", "eta"])
+    ], ids=["overflow", "nan", "asymmetric", "asymmetric-1e-6", "nan-one-sided",
+            "disc", "sigma", "eta"])
     def test_stacked_and_one_point_calls_fail_alike(self, V, message):
         # the failing matrix follows a valid one, so the stacked call
         # reports the row it meets first
@@ -747,6 +800,22 @@ class TestLogNegativity:
         with pytest.raises(NumericalError, match="two-mode covariance matrix is not symmetric"):
             log_negativity(V)
 
+    @pytest.mark.parametrize("offset, error", [
+        (1e-12, None),
+        (1e-6, "two-mode covariance matrix is not symmetric"),
+        (np.nan, "two-mode covariance matrix has non-finite entries"),
+    ], ids=["within-tolerance", "1e-6", "nan"])
+    def test_inexact_symmetry_takes_the_tolerance(self, offset, error):
+        # V[0, 2] off its mirror V[2, 0]: not exactly symmetric
+        V = tmsv_cm(0.5)
+        V[0, 2] += offset
+        for e_n in (log_negativity, lambda V: log_negativity_stacked(V[None])[0]):
+            if error is not None:
+                with pytest.raises(NumericalError, match=f"^{error}$"):
+                    e_n(V)
+            else:
+                assert e_n(V) == pytest.approx(1.0, rel=1e-9)  # E_N = 2r
+
     def test_non_finite_input_rejected(self):
         V = 0.5 * np.eye(4)
         V[1, 1] = np.nan
@@ -784,6 +853,21 @@ class TestGaussianState:
         V[0, 1] = 1e-3
         with pytest.raises(NumericalError, match="covariance matrix is not symmetric"):
             GaussianState(V)
+
+    @pytest.mark.parametrize("entry, rejected", [
+        (1e-12, False), (1e-6, True),
+        # NaN is unequal to itself and takes the tolerance, whose NaN
+        # comparison is false: the state is built, as it always was
+        (np.nan, False),
+    ], ids=["within-tolerance", "1e-6", "nan"])
+    def test_inexact_symmetry_takes_the_tolerance(self, entry, rejected):
+        V = 0.5 * np.eye(6)
+        V[0, 1] = entry
+        if rejected:
+            with pytest.raises(NumericalError, match="^covariance matrix is not symmetric$"):
+                GaussianState(V)
+        else:
+            assert GaussianState(V).cov[0, 1] is not None
 
     def test_shape_enforced(self):
         with pytest.raises(ParameterError):

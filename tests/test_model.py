@@ -270,6 +270,24 @@ class TestHybridize:
         assert cq.g_minus_b == pytest.approx(cp.g_minus_b, rel=1e-9)
 
 
+class TestCarriers:
+    """The basis and the couplings of a point are immutable records that
+    compare and print by their fields."""
+
+    @pytest.mark.parametrize("part, field", [("basis", "theta"), ("couplings", "g_minus")])
+    def test_fields_cannot_be_assigned(self, part, field):
+        carrier = getattr(default_baseline().evaluate(), part)
+        with pytest.raises(AttributeError):
+            setattr(carrier, field, 0.0)
+
+    def test_equal_by_fields_and_printed_by_name(self):
+        p = make_params()
+        assert hybridize(p) == hybridize(p)
+        assert repr(hybridize(p)).startswith(f"PolaritonBasis(theta={hybridize(p).theta!r}, ")
+        c = steady_state_amplitudes(hybridize(p), p.omega_b, 1e9, p.g0)
+        assert repr(c).startswith(f"EffectiveCouplings(amp_plus={c.amp_plus!r}, ")
+
+
 class TestInverseHybridization:
     def test_optimal_angle_geometry(self):
         g, omega_c = solve_g_omega_c_from_theta(
