@@ -69,19 +69,13 @@ def run_bench(checkout, seed):
     return result
 
 
-def quartiles(values):
-    """``(q1, median, q3)`` of at least two values (inclusive method)."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def summarize(base, head, better, bound):
     """Both sides of one metric over paired runs (``base[i]`` with
     ``head[i]``), against the metric's direction and regression bound."""
     sign = 1.0 if better == "lower" else -1.0
     sides = {}
     for name, values in zip(SIDES, (base, head)):
-        q1, median, q3 = quartiles(values)
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         sides[name] = {"runs": values, "median": median, "q1": q1, "q3": q3}
     gap = sides["head"]["median"] - sides["base"]["median"]
     base_iqr = sides["base"]["q3"] - sides["base"]["q1"]
