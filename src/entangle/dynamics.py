@@ -257,10 +257,8 @@ def _model_layer(params, target_g_minus):
         amplitudes = _stage("drive calibration", _amplitudes_per_unit_drive, basis)
         drive = _stage("drive calibration", drive_for_target_g_minus,
                        basis, target_g_minus, amplitudes)
-    couplings = _stage(
-        "steady-state amplitudes", steady_state_amplitudes,
-        basis, params.omega_b, drive / params.g0, params.g0, amplitudes,
-    )
+    couplings = _stage("steady-state amplitudes", steady_state_amplitudes,
+                       basis, drive, amplitudes)
     return basis, couplings, drive
 
 

@@ -160,11 +160,9 @@ PARAMS = {
                             "non-negative", 10.0, sweepable=True),
     "g_minus": Quantity("g_minus_hz", "target_g_minus", "Hz", "non-negative",
                         2e6, sweepable=True),
-    # the product G0 * Omega
+    # the product G0 * Omega, the one drive knob
     "drive_strength": Quantity("drive_strength_hz2", "drive_strength", "Hz^2",
                                "non-negative", unset=0.0),
-    # sets only the scale of the diagnostic Re<b>
-    "g0": Quantity("g0_hz", "g0", "Hz", "positive", 1e-3),
 }
 
 #: the parameters a generic sweep can vary
@@ -230,7 +228,6 @@ class Baseline:
     omega_0: float | None
     target_g_minus: float | None
     drive_strength: float
-    g0: float
 
     def params(self, **overrides) -> SystemParams:
         """Resolve to concrete :class:`SystemParams`.
@@ -239,17 +236,17 @@ class Baseline:
         baseline pins ``(g, omega_c)`` explicitly.  Like the config,
         overrides follow :func:`check_geometry`, so none is dropped, and
         one that is not a field raises :class:`TypeError`.  Overrides may
-        be floats or columns (see :meth:`evaluate_all`); the result then
-        holds parameter columns, and columns that are not 1-d and of one
-        length raise :class:`ParameterError`.
+        be floats or columns (arrays, lists or tuples, made float64 arrays;
+        see :meth:`evaluate_all`); the result then holds parameter
+        columns, and columns that are not 1-d and of one length raise
+        :class:`ParameterError`.
         """
         check_geometry(overrides)
         fields = vars(self)
         if not overrides.keys() <= fields.keys():
             raise TypeError("Baseline.params() got an unexpected keyword "
                             f"argument {min(overrides.keys() - fields.keys())!r}")
-        _stack_size(overrides)
-        eff = SimpleNamespace(**{**fields, **overrides})
+        eff = SimpleNamespace(**{**fields, **_columns(overrides)})
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
                 eff.theta, eff.omega_a, eff.omega_b)
@@ -262,17 +259,25 @@ class Baseline:
             omega_a=eff.omega_a, omega_c=omega_c, omega_b=eff.omega_b,
             g=g, kappa_a=eff.kappa_a, kappa_c=eff.kappa_c,
             kappa_b=eff.kappa_b, temperature=eff.temperature,
-            omega_0=omega_0, drive_strength=eff.drive_strength, g0=eff.g0,
+            omega_0=omega_0, drive_strength=eff.drive_strength,
         )
 
     def evaluate(self, **overrides) -> PipelineResult:
+        """Evaluate one point.  Each override is one value: a float, a
+        numpy scalar or a 0-d array; a column raises
+        :class:`ParameterError` (:meth:`evaluate_all` takes stacks)."""
+        for name, value in overrides.items():
+            if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
+                raise ParameterError(
+                    f"evaluate() takes one point, but override {name!r} is a "
+                    "column; evaluate_all() evaluates a stack")
         return run_pipeline(*self._point(overrides))
 
     def evaluate_all(self, overrides) -> PipelineColumns:
         """Evaluate a stack of points given as override columns.
 
-        ``overrides`` maps fields to columns (1-d array-likes of one
-        length, one entry per point) or to a value every point shares;
+        ``overrides`` maps fields to columns (1-d arrays, lists or tuples
+        of one length, one entry per point) or to a value every point shares;
         with no column it is one point, and with empty columns none.
         Returns one :class:`PipelineColumns` for the whole stack.  Its
         columns are the same bits in any stack; they agree with
@@ -283,13 +288,11 @@ class Baseline:
         first failing point; that replay may walk the whole stack, but
         runs only on the error path.
         """
-        columns = {name: np.asarray(value, dtype=float) if np.ndim(value) else value
-                   for name, value in overrides.items()}
+        columns = _columns(overrides)
         try:
             return run_pipelines(*self._point(columns))
         except EntangleError:
-            # raises at the first failing point; bad columns raise their
-            # error again in _stack_size
+            # raises at the first failing point
             for i in range(_stack_size(columns)):
                 self.evaluate(**{name: value[i].item() if np.ndim(value) else value
                                  for name, value in columns.items()})
@@ -306,18 +309,30 @@ class Baseline:
         return self.params(**overrides), target
 
 
-def _stack_size(overrides):
-    """Points in the stack of ``overrides``: the length of its columns
-    (the non-scalar arrays), or 1 with none.  Raises
-    :class:`ParameterError`, naming each column's shape, unless the
-    columns are 1-d and of one length."""
+def _columns(overrides):
+    """``overrides`` with each array, list or tuple made a float64 array.
+    Raises :class:`ParameterError` as :func:`_stack_size` does."""
     for value in overrides.values():  # floats alone leave on this loop
-        if isinstance(value, np.ndarray) and value.ndim:
+        if isinstance(value, (np.ndarray, list, tuple)):
             break
     else:
-        return 1
-    shapes = {name: value.shape for name, value in overrides.items()
+        return overrides
+    columns = {name: np.asarray(value, dtype=float)
+               if isinstance(value, (np.ndarray, list, tuple)) else value
+               for name, value in overrides.items()}
+    _stack_size(columns)
+    return columns
+
+
+def _stack_size(columns):
+    """Points in the stack of :func:`_columns` output: the length of its
+    columns (the arrays that are not 0-d), or 1 with none.  Raises
+    :class:`ParameterError`, naming each column's shape, unless the
+    columns are 1-d and of one length."""
+    shapes = {name: value.shape for name, value in columns.items()
               if isinstance(value, np.ndarray) and value.ndim}
+    if not shapes:
+        return 1
     if len(set(shapes.values())) > 1 or any(len(s) > 1 for s in shapes.values()):
         raise ParameterError(
             "override columns must be 1-d and of one length, got "

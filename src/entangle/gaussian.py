@@ -103,8 +103,10 @@ class GaussianState:
         if V.shape != (6, 6):
             raise ParameterError(f"covariance must be 6x6, got {V.shape}")
         # an exactly symmetric V, which the solve returns, passes the
-        # tolerance anyway; a NaN is unequal to itself and takes it
+        # tolerance anyway; a NaN is unequal to itself and is refused here
         if not _all(V == V.T):
+            if not _all(np.isfinite(V)):
+                raise NumericalError("covariance matrix has non-finite entries")
             scale = np.abs(V).max()
             if np.abs(V - V.T).max() > 1e-10 * max(scale, 1.0):
                 raise NumericalError("covariance matrix is not symmetric")

@@ -8,7 +8,9 @@ A third low-frequency mode ``b`` (MHz scale) couples dispersively to
 effective coupling to ``b``.  This module is the closed-form layer:
 hybridization, thermal occupations, the approximate steady-state
 amplitudes of the driven modes, and the effective coupling strengths
-that feed the linearized fluctuation dynamics.
+``G_pm = 2i G0 <A_pm>`` that feed the linearized fluctuation dynamics.
+``<A_pm>`` is linear in the drive Omega, so the one drive knob is the
+product ``drive_strength = G0 * Omega``.
 
 Every formula is written once and takes either Python floats (one
 point) or parameter columns: equal-length float64 arrays, one entry per
@@ -43,11 +45,6 @@ TWO_PI = 2.0 * math.pi
 # 2019 SI redefinition (BIPM, The International System of Units, 9th ed.)
 hbar = 6.62607015e-34 / TWO_PI
 k_B = 1.380649e-23
-
-# Bare dispersive coupling G0 is typically millihertz-scale in cavity
-# magnomechanics.  It only sets the scale of the diagnostic Re<b>; the
-# physical drive knob is the product G0*Omega.
-DEFAULT_G0 = TWO_PI * 1e-3
 
 
 #: the functions a formula calls, on Python floats, which overflow silently
@@ -132,10 +129,9 @@ class SystemParams:
     omega_0 : float
         Drive frequency (rad/s).
     drive_strength : float
-        The product ``G0 * Omega`` treated as a single knob (rad^2/s^2).
-    g0 : float
-        Bare dispersive coupling ``G0`` (rad/s); only affects the
-        diagnostic ``Re<b>``.
+        The product ``G0 * Omega`` (rad^2/s^2) of the bare dispersive and
+        the mode-drive coupling, the one drive knob: no result depends on
+        ``G0`` or ``Omega`` alone.
     """
 
     omega_a: float
@@ -148,11 +144,10 @@ class SystemParams:
     temperature: float
     omega_0: float
     drive_strength: float = 0.0
-    g0: float = DEFAULT_G0
 
     def __post_init__(self):
         for name in ("omega_a", "omega_c", "omega_b", "omega_0",
-                     "kappa_a", "kappa_c", "kappa_b", "g0"):
+                     "kappa_a", "kappa_c", "kappa_b"):
             _require(name, getattr(self, name), "positive")
         _require("g", self.g, "non-negative")
         _require("temperature", self.temperature, "non-negative")
@@ -193,21 +188,15 @@ class PolaritonBasis(NamedTuple):
 
 
 class EffectiveCouplings(NamedTuple):
-    """Steady-state amplitudes and drive-enhanced coupling strengths
-    (complex floats, or columns for a stack of points), as an immutable
-    named tuple.
+    """Drive-enhanced coupling strengths (complex rad/s, or columns for a
+    stack of points), as an immutable named tuple.
 
-    ``amp_plus``/``amp_minus`` are the dimensionless coherent amplitudes
-    of the polaritons; ``g_plus``/``g_minus`` the enhanced dispersive
-    couplings (rad/s); ``g_pm`` their theta-weighted combination, and
-    ``g_plus_b``/``g_minus_b`` the resulting polariton-b couplings that
-    enter the drift matrix.  ``re_b`` is the static displacement of the
-    low-frequency mode (diagnostic only, never fed back).
+    ``g_plus``/``g_minus`` are the enhanced dispersive couplings of the
+    polaritons; ``g_pm`` their theta-weighted combination, the enhanced
+    coupling of mode ``c``; and ``g_plus_b``/``g_minus_b`` the resulting
+    polariton-b couplings that enter the drift matrix.
     """
 
-    amp_plus: complex
-    amp_minus: complex
-    re_b: float
     g_plus: complex
     g_minus: complex
     g_pm: complex
@@ -340,7 +329,7 @@ def solve_g_omega_c_from_theta(theta, omega_a, omega_b):
 
 
 def _amplitudes_per_unit_drive(basis: PolaritonBasis):
-    """Polariton amplitudes per unit Omega, and the shared denominator.
+    """Polariton amplitudes per unit Omega, ``(a_plus, a_minus)``.
 
     Valid in the sideband-resolved regime |delta| ~ omega_b >> kappa.
     """
@@ -356,40 +345,33 @@ def _amplitudes_per_unit_drive(basis: PolaritonBasis):
         raise NumericalError(
             "steady-state denominator (dm - i km)(dp - i kp) + dk^2 vanishes"
         )
-    amp_plus_u = (dk * c - 1j * s * zm) / den
-    amp_minus_u = (dk * s - 1j * c * zp) / den
-    return amp_plus_u, amp_minus_u
+    a_plus = (dk * c - 1j * s * zm) / den
+    a_minus = (dk * s - 1j * c * zp) / den
+    return a_plus, a_minus
 
 
-def steady_state_amplitudes(basis: PolaritonBasis, omega_b, omega_drive,
-                            g0=DEFAULT_G0, amplitudes=None) -> EffectiveCouplings:
-    """Approximate steady-state amplitudes and effective couplings.
+def steady_state_amplitudes(basis: PolaritonBasis, drive_strength,
+                            amplitudes=None) -> EffectiveCouplings:
+    """Effective couplings of the approximate steady-state amplitudes.
 
-    ``omega_drive`` is the mode-drive coupling Omega (rad/s).  The
-    amplitudes are linear in Omega; the enhanced couplings are
-    ``G_pm = 2i G0 <A_pm>`` and the polariton-b couplings follow from
-    the theta weights of mode ``c`` in each polariton.  ``amplitudes``
-    is :func:`_amplitudes_per_unit_drive` of ``basis`` when the caller
-    already has it.
+    The amplitudes ``<A_pm>`` are linear in the drive Omega, so the
+    enhanced couplings ``G_pm = 2i G0 <A_pm>`` are ``2i drive_strength
+    a_pm``, with ``drive_strength = G0 * Omega`` (rad^2/s^2) and
+    ``a_pm`` the amplitudes per unit Omega; the polariton-b couplings
+    follow from the theta weights of mode ``c`` in each polariton.
+    ``amplitudes`` is :func:`_amplitudes_per_unit_drive` of ``basis``
+    when the caller already has it.
     """
-    _require("omega_b", omega_b, "positive")
-    _require("omega_drive", omega_drive, "non-negative")
-    _require("g0", g0, "positive")
-    amp_plus_u, amp_minus_u = amplitudes or _amplitudes_per_unit_drive(basis)
-    amp_plus = omega_drive * amp_plus_u
-    amp_minus = omega_drive * amp_minus_u
+    _require("drive_strength", drive_strength, "non-negative")
+    a_plus, a_minus = amplitudes or _amplitudes_per_unit_drive(basis)
 
     m = _math_for(basis.theta)
     s = m.sin(basis.theta)
     c = m.cos(basis.theta)
-    re_b = -(g0 / omega_b) * abs(amp_plus * s + amp_minus * c) ** 2
-    g_plus = 2j * g0 * amp_plus
-    g_minus = 2j * g0 * amp_minus
+    g_plus = 2j * drive_strength * a_plus
+    g_minus = 2j * drive_strength * a_minus
     g_pm = g_plus * s + g_minus * c
     return EffectiveCouplings(
-        amp_plus=amp_plus,
-        amp_minus=amp_minus,
-        re_b=re_b,
         g_plus=g_plus,
         g_minus=g_minus,
         g_pm=g_pm,
@@ -411,8 +393,8 @@ def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus,
     pinned = target_abs_g_minus != 0.0
     if not _any(pinned):
         return 0.0 * target_abs_g_minus
-    _, amp_minus_u = amplitudes or _amplitudes_per_unit_drive(basis)
-    per_unit = abs(amp_minus_u)
+    _, a_minus = amplitudes or _amplitudes_per_unit_drive(basis)
+    per_unit = abs(a_minus)
     if _any(pinned & (per_unit == 0.0)):
         raise ParameterError(
             "the A_- amplitude vanishes for these parameters; "

@@ -62,12 +62,12 @@ class TestParseConfig:
             "kappa_a = 750 kHz\n"
             "kappa_b = 120\n"
             "temperature = 0.05 K\n"
-            "g0 = 2 mHz\n")
+            "kappa_c = 2 mHz\n")
         assert cfg.params.omega_a_hz == 9.5e9
         assert cfg.params.kappa_a_hz == 750e3
         assert cfg.params.kappa_b_hz == 120.0
         assert cfg.params.temperature_mk == 50.0
-        assert cfg.params.g0_hz == 0.002
+        assert cfg.params.kappa_c_hz == 0.002
 
     def test_pi_sugar(self):
         cfg = parse_config("[params]\ntheta = 0.35pi\n")
@@ -86,6 +86,11 @@ class TestParseConfig:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("[params]\nkappa_a = 1 MHz\nchirality = 4\n")
+
+    def test_bare_coupling_is_an_unknown_key(self):
+        # the drive is the one knob drive_strength = G0 * Omega
+        with pytest.raises(ConfigError, match=r"^line 2: unknown key 'g0' in \[params\]$"):
+            parse_config("[params]\ng0 = 1 mHz\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="plotting"):
@@ -278,13 +283,12 @@ NON_DEFAULT = {
     "omega_0": ("10.0031 GHz", "10003100000.0 Hz", "omega_0",
                 TWO_PI * 10.0031e9),
     "kappa_a": ("750 kHz", "750000.0 Hz", "kappa_a", TWO_PI * 750e3),
-    "kappa_c": ("1.3 MHz", "1300000.0 Hz", "kappa_c", TWO_PI * 1.3e6),
+    "kappa_c": ("2 mHz", "0.002 Hz", "kappa_c", TWO_PI * 0.002),
     "kappa_b": ("120", "120.0 Hz", "kappa_b", TWO_PI * 120.0),
     "temperature": ("0.05 K", "50.0 mK", "temperature", 1e-3 * 50.0),
     "g_minus": ("1.5 MHz", "1500000.0 Hz", "target_g_minus", TWO_PI * 1.5e6),
     "drive_strength": ("1.25e4", "12500.0", "drive_strength",
                        12500.0 * TWO_PI * TWO_PI),
-    "g0": ("2 mHz", "0.002 Hz", "g0", TWO_PI * 0.002),
 }
 
 
@@ -434,7 +438,7 @@ SUFFIXES = {
     ("Hz", "kHz"): ("kappa_a", "1.003 kHz", 1.003 * 1e3),
     ("Hz", "MHz"): ("omega_b", "1.007 MHz", 1.007 * 1e6),
     ("Hz", "GHz"): ("omega_a", "0.267 GHz", 0.267 * 1e9),
-    ("Hz", "mHz"): ("g0", "1.3 mHz", 1.3 * 1e-3),
+    ("Hz", "mHz"): ("kappa_c", "1.3 mHz", 1.3 * 1e-3),
     ("mK", ""): ("temperature", "37.1", 37.1),
     ("mK", "mK"): ("temperature", "37.1 mK", 37.1),
     ("mK", "K"): ("temperature", "1.009 K", 1.009 * 1e3),
@@ -678,6 +682,18 @@ class TestExitCodes:
     def test_bad_override_exits_2(self, capsys):
         assert main(["point", "--set", "params.kappa_a=-1MHz"]) == 2
 
+    def test_bare_coupling_exits_2_naming_its_location(self, tmp_path, capsys):
+        # the drive is the one knob drive_strength = G0 * Omega
+        cfg = tmp_path / "g0.cfg"
+        cfg.write_text("[params]\ng0 = 1 mHz\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 2: unknown key 'g0' in [params]\n")
+        assert main(["point", "--set", "params.g0=1mHz"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: override params.g0: unknown key 'g0' in [params]\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_override_names_its_key(self, capsys):
         code = main(["point", "--set", "params.kappa_a=1MHz",
                      "--set", "params.kappa_b=1e400Hz"])
@@ -748,7 +764,7 @@ class TestExitCodes:
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("entry", ["params.kappa_b=1e400Hz",
-                                       "params.g0=1.7e308Hz",
+                                       "params.kappa_c=1.7e308Hz",
                                        "output.precision=-1"])
     def test_bad_value_exits_2_writing_nothing(self, entry, tmp_path, capsys):
         out = tmp_path / "out"

@@ -42,7 +42,7 @@ def assembled(theta_pi=0.40, target_hz=2e6, **overrides):
     p = reference_params(theta_pi, **overrides)
     basis = hybridize(p)
     drive = drive_for_target_g_minus(basis, TWO_PI * target_hz)
-    coup = steady_state_amplitudes(basis, p.omega_b, drive / p.g0, p.g0)
+    coup = steady_state_amplitudes(basis, drive)
     return p, basis, coup
 
 

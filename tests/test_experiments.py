@@ -527,13 +527,46 @@ class TestStackedEvaluation:
         ({"theta": np.full(3, 0.4 * math.pi), "kappa_b": np.array([1e3])},
          "theta of shape (3,), kappa_b of shape (1,)"),
         ({"kappa_b": np.array([[1e3, 2e3]])}, "kappa_b of shape (1, 2)"),
-    ], ids=["unequal", "length-1", "2-d"])
+        ({"theta": [0.3 * math.pi, 0.4 * math.pi], "kappa_b": (1e3, 2e3, 3e3)},
+         "theta of shape (2,), kappa_b of shape (3,)"),
+    ], ids=["unequal", "length-1", "2-d", "list-tuple"])
     def test_params_name_bad_columns(self, base, overrides, named):
         # checked where the columns meet, not first in the pipeline
         with pytest.raises(ParameterError) as caught:
             base.params(**overrides)
         assert str(caught.value) == (
             "override columns must be 1-d and of one length, got " + named)
+
+    def test_params_make_lists_and_tuples_float_columns(self, base):
+        # they once reached the model layer as given: a raw TypeError
+        given = base.params(theta=[0.3 * math.pi, 0.4 * math.pi], kappa_b=(1000, 2000))
+        expected = base.params(theta=np.array([0.3, 0.4]) * math.pi,
+                               kappa_b=np.array([1e3, 2e3]))
+        for name, value in vars(expected).items():
+            assert np.array_equal(getattr(given, name), value), name
+        assert given.kappa_b.dtype == np.float64
+
+    @pytest.mark.parametrize("column", [
+        [0.3 * math.pi, 0.4 * math.pi], (0.3 * math.pi,),
+        np.array([0.3, 0.4]) * math.pi, np.array([0.4 * math.pi]),
+    ], ids=["list", "tuple", "array", "length-1-array"])
+    def test_evaluate_refuses_a_column(self, base, column):
+        # a list once raised a raw TypeError, an array numpy's shape
+        # mismatch, and a length-1 array gave a result of columns
+        with pytest.raises(ParameterError) as caught:
+            base.evaluate(kappa_b=TWO_PI * 100.0, theta=column)
+        assert str(caught.value) == (
+            "evaluate() takes one point, but override 'theta' is a column; "
+            "evaluate_all() evaluates a stack")
+
+    @pytest.mark.parametrize("value", [np.float64(0.4 * math.pi), np.array(0.4 * math.pi)],
+                             ids=["numpy-scalar", "0-d-array"])
+    def test_evaluate_takes_one_numpy_value(self, base, value):
+        point = base.evaluate(theta=value)
+        assert isinstance(point.basis.theta, float)
+        # numpy rounds the 0-d geometry, not math
+        assert point.e_n_pp == pytest.approx(base.evaluate(theta=0.4 * math.pi).e_n_pp,
+                                             rel=1e-13)
 
     def test_empty_columns_are_an_empty_stack(self, base):
         stack = base.evaluate_all({"theta": np.array([]), "kappa_b": []})
@@ -677,7 +710,7 @@ class TestColumnProperties:
 
 class TestPlatformInvariance:
     """The abstract's "applicable to a variety of bosonic systems": scaling
-    every frequency, rate, coupling, g0 and the temperature by one factor
+    every frequency, rate, coupling and the temperature by one factor
     leaves every negativity unchanged."""
 
     SCALES = (1e-3, 0.37, 10.0, 1e3)
@@ -686,7 +719,7 @@ class TestPlatformInvariance:
     def scaled(base, factor):
         return replace(base, **{name: factor * getattr(base, name) for name in (
             "omega_a", "omega_b", "kappa_a", "kappa_c", "kappa_b",
-            "temperature", "target_g_minus", "g0")})
+            "temperature", "target_g_minus")})
 
     @pytest.mark.parametrize("factor", SCALES)
     def test_point_negativities_invariant(self, base, factor):

@@ -144,7 +144,7 @@ class TestSolveLyapunov:
         p = default_baseline().params(theta=0.40 * math.pi)
         basis = hybridize(p)
         drive = drive_for_target_g_minus(basis, TWO_PI * 2e6)
-        coup = steady_state_amplitudes(basis, p.omega_b, drive / p.g0, p.g0)
+        coup = steady_state_amplitudes(basis, drive)
         R = build_drift(basis, coup, p.omega_b, p.kappa_b) / p.omega_b
         D = build_diffusion(basis, p.kappa_b, basis.n_b) / p.omega_b
         V = solve_lyapunov(R, D)
@@ -846,20 +846,21 @@ class TestGaussianState:
         with pytest.raises(NumericalError, match="covariance matrix is not symmetric"):
             GaussianState(V)
 
-    @pytest.mark.parametrize("entry, rejected", [
-        (1e-12, False), (1e-6, True),
-        # NaN is unequal to itself and takes the tolerance, whose NaN
-        # comparison is false: the state is built, as it always was
-        (np.nan, False),
-    ], ids=["within-tolerance", "1e-6", "nan"])
-    def test_inexact_symmetry_takes_the_tolerance(self, entry, rejected):
+    @pytest.mark.parametrize("entry, error", [
+        (1e-12, None), (1e-6, "covariance matrix is not symmetric"),
+        # NaN is unequal to itself and takes the tolerance branch, whose
+        # NaN comparison is false: that branch refuses it first
+        (np.nan, "covariance matrix has non-finite entries"),
+        (np.inf, "covariance matrix has non-finite entries"),
+    ], ids=["within-tolerance", "1e-6", "nan", "one-sided-inf"])
+    def test_inexact_symmetry_takes_the_tolerance(self, entry, error):
         V = 0.5 * np.eye(6)
         V[0, 1] = entry
-        if rejected:
-            with pytest.raises(NumericalError, match="^covariance matrix is not symmetric$"):
+        if error is not None:
+            with pytest.raises(NumericalError, match=f"^{error}$"):
                 GaussianState(V)
         else:
-            assert GaussianState(V).cov[0, 1] is not None
+            assert GaussianState(V).cov[0, 1] == entry
 
     def test_shape_enforced(self):
         with pytest.raises(ParameterError):

@@ -22,6 +22,11 @@ from entangle.model import (
 # k_B = 1.380649e-23:  n = 1/expm1(h f / k_B T)
 N_B_10MHZ_10MK = 20.34061833903645
 
+#: a millihertz-scale bare dispersive coupling G0 (rad/s), as in cavity
+#: magnomechanics: the tests below quote a drive Omega and pass the
+#: drive strength G0 * Omega
+G0 = TWO_PI * 1e-3
+
 
 def make_params(**overrides):
     defaults = dict(
@@ -264,8 +269,8 @@ class TestHybridize:
                      "kappa_minus", "delta_kappa"):
             assert getattr(bq, name) == pytest.approx(
                 getattr(bp, name), rel=1e-9, abs=1e-20)
-        cp = steady_state_amplitudes(bp, p.omega_b, 1e9, p.g0)
-        cq = steady_state_amplitudes(bq, q.omega_b, 1e9, q.g0)
+        cp = steady_state_amplitudes(bp, 1e9 * G0)
+        cq = steady_state_amplitudes(bq, 1e9 * G0)
         assert cq.g_plus == pytest.approx(cp.g_plus, rel=1e-9)
         assert cq.g_minus_b == pytest.approx(cp.g_minus_b, rel=1e-9)
 
@@ -284,8 +289,8 @@ class TestCarriers:
         p = make_params()
         assert hybridize(p) == hybridize(p)
         assert repr(hybridize(p)).startswith(f"PolaritonBasis(theta={hybridize(p).theta!r}, ")
-        c = steady_state_amplitudes(hybridize(p), p.omega_b, 1e9, p.g0)
-        assert repr(c).startswith(f"EffectiveCouplings(amp_plus={c.amp_plus!r}, ")
+        c = steady_state_amplitudes(hybridize(p), 1e9 * G0)
+        assert repr(c).startswith(f"EffectiveCouplings(g_plus={c.g_plus!r}, ")
 
 
 class TestInverseHybridization:
@@ -323,47 +328,55 @@ class TestSteadyStateAmplitudes:
         return p, hybridize(p)
 
     def test_zero_drive_all_zero(self):
-        p, basis = self.reference_basis()
-        c = steady_state_amplitudes(basis, p.omega_b, 0.0, p.g0)
-        assert c.amp_plus == 0.0 and c.amp_minus == 0.0
-        assert c.re_b == 0.0
+        _, basis = self.reference_basis()
+        c = steady_state_amplitudes(basis, 0.0 * G0)
         assert c.g_plus == 0.0 and c.g_minus == 0.0 and c.g_pm == 0.0
 
     def test_balanced_rates_reduce_to_single_pole(self):
-        p, basis = self.reference_basis()
-        omega = 2.5e9
-        c = steady_state_amplitudes(basis, p.omega_b, omega, p.g0)
+        _, basis = self.reference_basis()
+        drive = 2.5e9 * G0
+        c = steady_state_amplitudes(basis, drive)
         s, co = math.sin(basis.theta), math.cos(basis.theta)
-        expect_p = -1j * omega * s / (basis.delta_plus - 1j * basis.kappa_plus)
-        expect_m = -1j * omega * co / (basis.delta_minus - 1j * basis.kappa_minus)
-        assert c.amp_plus == pytest.approx(expect_p, rel=1e-12)
-        assert c.amp_minus == pytest.approx(expect_m, rel=1e-12)
+        # the amplitudes per unit Omega
+        expect_p = -1j * s / (basis.delta_plus - 1j * basis.kappa_plus)
+        expect_m = -1j * co / (basis.delta_minus - 1j * basis.kappa_minus)
+        assert c.g_plus / (2j * drive) == pytest.approx(expect_p, rel=1e-12)
+        assert c.g_minus / (2j * drive) == pytest.approx(expect_m, rel=1e-12)
 
     def test_coupling_ratio_follows_tan_theta(self):
-        p, basis = self.reference_basis()
-        c = steady_state_amplitudes(basis, p.omega_b, 1e9, p.g0)
+        _, basis = self.reference_basis()
+        c = steady_state_amplitudes(basis, 1e9 * G0)
         ratio = abs(c.g_plus) / abs(c.g_minus)
         assert ratio == pytest.approx(math.tan(0.40 * math.pi), rel=0.01)
 
     def test_weight_identity(self):
-        p, basis = self.reference_basis(kappa_a=TWO_PI * 0.6e6,
+        _, basis = self.reference_basis(kappa_a=TWO_PI * 0.6e6,
                                     kappa_c=TWO_PI * 1.7e6)
-        c = steady_state_amplitudes(basis, p.omega_b, 3e8, p.g0)
+        c = steady_state_amplitudes(basis, 3e8 * G0)
         assert abs(c.g_plus_b) ** 2 + abs(c.g_minus_b) ** 2 == pytest.approx(
             abs(c.g_pm) ** 2, rel=1e-12)
 
-    def test_re_b_sign_and_scale(self):
+    def test_c_frequency_shift_sign_and_scale(self):
+        # the static displacement of b shifts the frequency of c by
+        # 2 G0 Re<b> = -|G_c|^2 / (2 omega_b), with G_c = g_pm: negative
+        # and quadratic in the drive strength
         p, basis = self.reference_basis()
-        c = steady_state_amplitudes(basis, p.omega_b, 1e9, p.g0)
-        s, co = math.sin(basis.theta), math.cos(basis.theta)
-        expected = -(p.g0 / p.omega_b) * abs(c.amp_plus * s + c.amp_minus * co) ** 2
-        assert c.re_b == pytest.approx(expected, rel=1e-12)
-        assert c.re_b <= 0.0
+        shift = [-abs(steady_state_amplitudes(basis, omega * G0).g_pm) ** 2
+                 / (2.0 * p.omega_b) for omega in (1e9, 3e9)]
+        assert shift[0] < 0.0
+        assert shift[1] == pytest.approx(9.0 * shift[0], rel=1e-12)
+
+    def test_c_frequency_shift_at_the_default_point(self):
+        # 2 G0 Re<b> of the calibrated default point, G0 = 1 mHz, where the
+        # couplings still carried Re<b>: -1 377 984.817 Hz
+        base = default_baseline()
+        shift = -abs(base.evaluate().couplings.g_pm) ** 2 / (2.0 * base.omega_b)
+        assert shift / TWO_PI == pytest.approx(-1377984.8169900558, rel=1e-12)
 
     def test_rejects_negative_drive(self):
-        p, basis = self.reference_basis()
-        with pytest.raises(ParameterError):
-            steady_state_amplitudes(basis, p.omega_b, -1.0, p.g0)
+        _, basis = self.reference_basis()
+        with pytest.raises(ParameterError, match="drive_strength must be non-negative"):
+            steady_state_amplitudes(basis, -1.0 * G0)
 
 
 class TestDriveForTarget:
@@ -382,10 +395,10 @@ class TestDriveForTarget:
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
     def test_round_trip_hits_target(self):
-        p, basis = self.basis()
+        _, basis = self.basis()
         target = TWO_PI * 2e6
         drive = drive_for_target_g_minus(basis, target)
-        c = steady_state_amplitudes(basis, p.omega_b, drive / p.g0, p.g0)
+        c = steady_state_amplitudes(basis, drive)
         assert abs(c.g_minus) == pytest.approx(target, rel=1e-6)
 
     def test_rejects_negative_target(self):
