@@ -87,11 +87,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("[params]\nkappa_a = 1 MHz\nchirality = 4\n")
 
-    def test_bare_coupling_is_an_unknown_key(self):
-        # the drive is the one knob drive_strength = G0 * Omega
-        with pytest.raises(ConfigError, match=r"^line 2: unknown key 'g0' in \[params\]$"):
-            parse_config("[params]\ng0 = 1 mHz\n")
-
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="plotting"):
             parse_config("[plotting]\ncolor = red\n")
