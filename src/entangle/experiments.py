@@ -28,6 +28,7 @@ parameter set itself is angular (rad/s), matching the model layer.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 from itertools import product
@@ -192,6 +193,8 @@ class SweepAxis:
 def axis_fault(start, stop, count, scale):
     """``(field, message)`` of the first invalid :class:`SweepAxis` field,
     or None: the config layer reports the line of that field."""
+    if not isinstance(count, numbers.Integral):
+        return "count", f"axis count must be an integer, got {count!r}"
     if count < 2:
         return "count", f"axis needs at least 2 points, got {count}"
     for name, value in (("start", start), ("stop", stop)):
@@ -236,17 +239,16 @@ class Baseline:
         baseline pins ``(g, omega_c)`` explicitly.  Like the config,
         overrides follow :func:`check_geometry`, so none is dropped, and
         one that is not a field raises :class:`TypeError`.  Overrides may
-        be floats or columns (arrays, lists or tuples, made float64 arrays;
-        see :meth:`evaluate_all`); the result then holds parameter
-        columns, and columns that are not 1-d and of one length raise
-        :class:`ParameterError`.
+        be one value each or columns, made Python floats and float64
+        arrays by :func:`_columns`; with columns the result holds
+        parameter columns (see :meth:`evaluate_all`).
         """
         check_geometry(overrides)
         fields = vars(self)
         if not overrides.keys() <= fields.keys():
             raise TypeError("Baseline.params() got an unexpected keyword "
                             f"argument {min(overrides.keys() - fields.keys())!r}")
-        eff = SimpleNamespace(**{**fields, **_columns(overrides)})
+        eff = SimpleNamespace(**{**fields, **_columns(overrides)[0]})
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
                 eff.theta, eff.omega_a, eff.omega_b)
@@ -263,14 +265,14 @@ class Baseline:
         )
 
     def evaluate(self, **overrides) -> PipelineResult:
-        """Evaluate one point.  Each override is one value: a float, a
-        numpy scalar or a 0-d array; a column raises
+        """Evaluate one point.  Each override is one value, evaluated as
+        the Python float it holds (see :func:`_columns`); a column raises
         :class:`ParameterError` (:meth:`evaluate_all` takes stacks)."""
-        for name, value in overrides.items():
-            if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
-                raise ParameterError(
-                    f"evaluate() takes one point, but override {name!r} is a "
-                    "column; evaluate_all() evaluates a stack")
+        overrides, columns = _columns(overrides)
+        if columns:
+            raise ParameterError(
+                f"evaluate() takes one point, but override {columns[0]!r} is a "
+                "column; evaluate_all() evaluates a stack")
         return run_pipeline(*self._point(overrides))
 
     def evaluate_all(self, overrides) -> PipelineColumns:
@@ -288,14 +290,14 @@ class Baseline:
         first failing point; that replay may walk the whole stack, but
         runs only on the error path.
         """
-        columns = _columns(overrides)
+        overrides, columns = _columns(overrides)
         try:
-            return run_pipelines(*self._point(columns))
+            return run_pipelines(*self._point(overrides))
         except EntangleError:
             # raises at the first failing point
-            for i in range(_stack_size(columns)):
-                self.evaluate(**{name: value[i].item() if np.ndim(value) else value
-                                 for name, value in columns.items()})
+            for i in range(len(overrides[columns[0]]) if columns else 1):
+                self.evaluate(**{name: value[i] if name in columns else value
+                                 for name, value in overrides.items()})
             raise
 
     def _point(self, overrides):
@@ -310,34 +312,34 @@ class Baseline:
 
 
 def _columns(overrides):
-    """``overrides`` with each array, list or tuple made a float64 array.
-    Raises :class:`ParameterError` as :func:`_stack_size` does."""
-    for value in overrides.values():  # floats alone leave on this loop
-        if isinstance(value, (np.ndarray, list, tuple)):
+    """``overrides`` as the model layer takes them, and the names of their
+    columns.  None and Python floats pass as they are; any other one
+    number (a numpy scalar of any real dtype, a 0-d array, a Python int)
+    becomes the Python float it holds, so it gives that float's bits;
+    lists, tuples and arrays of one or more dimensions become float64
+    columns.  Other values pass as they are, for the model layer to
+    refuse.  Raises :class:`ParameterError`, naming each column's shape,
+    unless the columns are 1-d and of one length."""
+    for value in overrides.values():  # None and floats alone leave on this loop
+        if value is not None and type(value) is not float:
             break
     else:
-        return overrides
-    columns = {name: np.asarray(value, dtype=float)
-               if isinstance(value, (np.ndarray, list, tuple)) else value
-               for name, value in overrides.items()}
-    _stack_size(columns)
-    return columns
-
-
-def _stack_size(columns):
-    """Points in the stack of :func:`_columns` output: the length of its
-    columns (the arrays that are not 0-d), or 1 with none.  Raises
-    :class:`ParameterError`, naming each column's shape, unless the
-    columns are 1-d and of one length."""
-    shapes = {name: value.shape for name, value in columns.items()
-              if isinstance(value, np.ndarray) and value.ndim}
-    if not shapes:
-        return 1
+        return overrides, ()
+    overrides, shapes = dict(overrides), {}
+    for name, value in overrides.items():
+        if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
+            overrides[name] = column = np.asarray(value, dtype=float)
+            shapes[name] = column.shape
+            continue
+        if isinstance(value, np.ndarray):  # 0-d: the numpy scalar it holds
+            value = value[()]
+        if isinstance(value, numbers.Real):
+            overrides[name] = float(value)
     if len(set(shapes.values())) > 1 or any(len(s) > 1 for s in shapes.values()):
         raise ParameterError(
             "override columns must be 1-d and of one length, got "
             + ", ".join(f"{name} of shape {shape}" for name, shape in shapes.items()))
-    return next(iter(shapes.values()))[0]
+    return overrides, tuple(shapes)
 
 
 def check_geometry(given):

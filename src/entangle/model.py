@@ -54,8 +54,8 @@ _FLOAT_MATH = SimpleNamespace(
     where=lambda condition, if_true, if_false: if_true if condition else if_false,
     quiet=contextlib.nullcontext)
 
-#: the same functions on parameter columns (numpy spells atan2 arctan2
-#: before 2.0); ``quiet`` makes numpy overflow silently too
+#: the same functions on parameter columns; ``quiet`` makes numpy
+#: overflow silently too
 _COLUMN_MATH = SimpleNamespace(
     atan2=np.arctan2, hypot=np.hypot, sin=np.sin, cos=np.cos,
     expm1=np.expm1, maximum=np.maximum, minimum=np.minimum, where=np.where,
@@ -82,25 +82,26 @@ def _first(value, flags):
     return value
 
 
-#: domain -> (lower bound, whether it is admitted), keyed by the domain
-#: words of ``experiments.Quantity``; no domain admits +-inf or NaN
+#: domain -> (lower bound, whether it is admitted, upper bound, which
+#: never is), keyed by the domain words of ``experiments.Quantity``; no
+#: domain admits +-inf or NaN
 _DOMAINS = {
-    "finite": (-math.inf, False),
-    "positive": (0.0, False),
-    "non-negative": (0.0, True),
+    "positive": (0.0, False, math.inf),
+    "non-negative": (0.0, True, math.inf),
+    "inside (0, pi/2)": (0.0, False, 0.5 * math.pi),
 }
 
 
 def _require(name, value, domain):
     """Raise :class:`ParameterError` unless ``value`` lies in ``domain``;
     for a column, the message names the first failing entry."""
-    low, closed = _DOMAINS[domain]
+    low, closed, high = _DOMAINS[domain]
     if isinstance(value, np.ndarray):  # one numpy pass
-        failed = ~((value >= low if closed else value > low) & (value < math.inf))
+        failed = ~((value >= low if closed else value > low) & (value < high))
         if not failed.any():
             return
         value = _first(value, failed)
-    elif (low <= value < math.inf) if closed else (low < value < math.inf):
+    elif (low <= value < high) if closed else (low < value < high):
         return  # a valid float, on one comparison chain
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -312,16 +313,9 @@ def solve_g_omega_c_from_theta(theta, omega_a, omega_b):
     returns the closed form ``g = omega_b * sin(2 theta)``,
     ``omega_c = omega_a - 2 omega_b * cos(2 theta)``.
     """
-    _require("theta", theta, "finite")
+    _require("theta", theta, "inside (0, pi/2)")
     _require("omega_a", omega_a, "positive")
     _require("omega_b", omega_b, "positive")
-    outside = (theta <= 0.0) | (theta >= 0.5 * math.pi)
-    if _any(outside):
-        raise ParameterError(
-            f"theta must lie strictly inside (0, pi/2); got "
-            f"{_first(theta, outside)!r} "
-            "(the polaritons decouple and g = 0 at the endpoints)"
-        )
     m = _math_for(theta)
     g = omega_b * m.sin(2.0 * theta)
     omega_c = omega_a - 2.0 * omega_b * m.cos(2.0 * theta)

@@ -88,6 +88,19 @@ class TestSweepAxis:
         with pytest.raises(ParameterError):
             SweepAxis(1.0, 2.0, 5, "cubic")
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0)],
+                             ids=["fraction", "float", "numpy-float"])
+    def test_non_integer_count_is_refused(self, count):
+        # it once built, and run_sweep died with a raw TypeError
+        assert experiments.axis_fault(0.3, 0.4, count, "linear") == (
+            "count", f"axis count must be an integer, got {count!r}")
+        with pytest.raises(ParameterError, match="axis count must be an integer"):
+            SweepAxis(0.3, 0.4, count)
+
+    def test_numpy_integer_count(self):
+        axis = SweepAxis(0.3, 0.4, np.int64(3))
+        assert axis.values().tolist() == SweepAxis(0.3, 0.4, 3).values().tolist()
+
     @pytest.mark.parametrize("start, stop, field", [
         (0.3, math.inf, "stop"), (-math.inf, 0.4, "start"),
         (math.nan, 0.4, "start"), (0.3, math.nan, "stop"),
@@ -401,6 +414,41 @@ SMALL_GRIDS = {
 }
 
 
+#: numpy and Python carriers of one value other than the Python float
+CARRIERS = [np.array, np.float64, np.float32, int]
+CARRIER_IDS = ["0-d-array", "float64", "float32", "int"]
+
+
+def one_value_draws(carry, count=12):
+    """Seeded ``theta`` and ``kappa_b`` overrides, stable and unstable
+    points, each value given by ``carry``; an int carries no angle."""
+    rng = np.random.default_rng(19)
+    for theta_pi, kappa_b_hz in zip(rng.uniform(0.05, 0.49, count).tolist(),
+                                    rng.uniform(10.0, 1e4, count).tolist()):
+        given = {"kappa_b": carry(TWO_PI * kappa_b_hz)}
+        if carry is not int:
+            given["theta"] = carry(theta_pi * math.pi)
+        yield given
+
+
+def point_bits(result):
+    """The repr of every value of a point's result, covariance bytes included."""
+    cov = result.state.cov.tobytes() if result.stable else None
+    return repr((tuple(result.basis), tuple(result.couplings), result.drive_strength,
+                 result.stable, result.max_re_eig, result.e_n_pp, result.e_n_mb,
+                 result.e_n_pb, cov))
+
+
+def stack_point_bits(stack):
+    """:func:`point_bits` of the one point of a stack of one."""
+    stable = stack.stable[0].item()
+    e_n = [e[0].item() if stable else None
+           for e in (stack.e_n_pp, stack.e_n_mb, stack.e_n_pb)]
+    return repr((tuple(stack.basis), tuple(stack.couplings), stack.drive_strength,
+                 stable, stack.max_re_eig[0].item(), *e_n,
+                 stack.covs[0].tobytes() if stable else None))
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", SMALL_GRIDS)
     def test_records_csv_independent_of_chunk_size(self, base, kind, monkeypatch):
@@ -562,11 +610,35 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("value", [np.float64(0.4 * math.pi), np.array(0.4 * math.pi)],
                              ids=["numpy-scalar", "0-d-array"])
     def test_evaluate_takes_one_numpy_value(self, base, value):
-        point = base.evaluate(theta=value)
+        point, floats = base.evaluate(theta=value), base.evaluate(theta=0.4 * math.pi)
         assert isinstance(point.basis.theta, float)
-        # numpy rounds the 0-d geometry, not math
-        assert point.e_n_pp == pytest.approx(base.evaluate(theta=0.4 * math.pi).e_n_pp,
-                                             rel=1e-13)
+        assert point.e_n_pp == floats.e_n_pp
+        assert point_bits(point) == point_bits(floats)  # no 0-d array in the basis
+
+    @pytest.mark.parametrize("carry", CARRIERS, ids=CARRIER_IDS)
+    def test_one_value_gives_the_bits_of_its_float(self, base, carry):
+        # a 0-d array once took numpy's column arithmetic, and a float32
+        # stayed single precision against the Python floats it met
+        for given in one_value_draws(carry):
+            floats = {name: float(value) for name, value in given.items()}
+            assert point_bits(base.evaluate(**given)) == \
+                point_bits(base.evaluate(**floats)), given
+
+    @pytest.mark.parametrize("carry", [float, *CARRIERS], ids=["float", *CARRIER_IDS])
+    def test_stack_of_one_values_gives_the_bits_of_evaluate(self, base, carry):
+        for given in one_value_draws(carry):
+            floats = {name: float(value) for name, value in given.items()}
+            stack = base.evaluate_all(given)
+            assert stack.size == 1
+            assert stack_point_bits(stack) == point_bits(base.evaluate(**floats)), given
+
+    @pytest.mark.parametrize("text", ["0.4", np.array("0.4")], ids=["str", "0-d-str"])
+    def test_string_override_is_refused(self, base, text):
+        # not parsed into the number it spells
+        with pytest.raises(TypeError):
+            base.evaluate(theta=text)
+        with pytest.raises(TypeError):
+            base.evaluate_all({"theta": text})
 
     def test_empty_columns_are_an_empty_stack(self, base):
         stack = base.evaluate_all({"theta": np.array([]), "kappa_b": []})

@@ -137,8 +137,9 @@ class TestSystemParams:
 #: domain -> (a check of that domain through a public function, a value
 #: inside it)
 DOMAIN_CHECKS = {
-    "finite": (lambda v: solve_g_omega_c_from_theta(v, TWO_PI * 10e9, TWO_PI * 10e6),
-               0.4 * math.pi),
+    "inside (0, pi/2)": (
+        lambda v: solve_g_omega_c_from_theta(v, TWO_PI * 10e9, TWO_PI * 10e6),
+        0.4 * math.pi),
     "positive": (lambda v: thermal_occupation(v, 0.01), TWO_PI * 10e6),
     "non-negative": (lambda v: thermal_occupation(TWO_PI * 10e6, v), 0.01),
 }
@@ -148,9 +149,10 @@ class TestDomainMessages:
     """The exact text of the input checks, which the CLI prints on exit 3."""
 
     @pytest.mark.parametrize("domain, bad, message", [
-        ("finite", math.inf, "theta must be finite, got inf"),
-        ("finite", -math.inf, "theta must be finite, got -inf"),
-        ("finite", math.nan, "theta must be finite, got nan"),
+        ("inside (0, pi/2)", 0.0, "theta must be inside (0, pi/2), got 0.0"),
+        ("inside (0, pi/2)", math.inf, "theta must be finite, got inf"),
+        ("inside (0, pi/2)", -math.inf, "theta must be finite, got -inf"),
+        ("inside (0, pi/2)", math.nan, "theta must be finite, got nan"),
         ("positive", 0.0, "omega must be positive, got 0.0"),
         ("positive", math.inf, "omega must be finite, got inf"),
         ("positive", -math.inf, "omega must be finite, got -inf"),
@@ -318,8 +320,10 @@ class TestInverseHybridization:
 
     @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, -0.1, 2.0])
     def test_degenerate_angles_rejected(self, theta):
-        with pytest.raises(ParameterError, match="strictly inside .* g = 0 at the endpoints"):
+        # a non-finite theta: TestDomainMessages
+        with pytest.raises(ParameterError) as caught:
             solve_g_omega_c_from_theta(theta, TWO_PI * 10e9, TWO_PI * 10e6)
+        assert str(caught.value) == f"theta must be inside (0, pi/2), got {theta!r}"
 
 
 class TestSteadyStateAmplitudes:
