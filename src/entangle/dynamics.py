@@ -3,16 +3,16 @@
 Builds the 6x6 drift matrix of the linearized quadrature dynamics and
 the matching diffusion matrix from the model layer, then composes
 hybridization, drive calibration, the Lyapunov solve, and the
-logarithmic negativity of all three mode pairs.  :func:`run_pipelines`
-does this for a stack of points given as parameter columns: each model
-formula runs once on the whole columns; then, on slices of at most
-:data:`CHUNK_SIZE` rows, one table of slots fills the drift and the
-diffusion, and each ``gaussian`` kernel (eigendecomposition, eigenbasis
-Lyapunov solve with its dense fallback, closed-form negativities) runs
-once per slice.  :func:`run_pipeline` evaluates one point with the
-model layer and the negativities on Python floats, and the fill, the
-eigendecomposition and the Lyapunov solve on the stack of one; the
-negativities are one body for floats and columns (see
+logarithmic negativity of all three mode pairs.  A point and a stack
+take one path: the model layer, one fill of the drift and the diffusion
+(:func:`_pairs`), one kernel step (:func:`_steady_states`:
+eigendecomposition, eigenbasis Lyapunov solve with its dense fallback)
+and the closed-form negativities.  :func:`run_pipelines` runs the model
+layer and the fill once on whole parameter columns, and each
+``gaussian`` kernel once per slice of at most :data:`CHUNK_SIZE` rows.
+:func:`run_pipeline` runs the model layer and the negativities of one
+point on Python floats, and the fill and the kernel step on the stack
+of one; the negativities are one body for floats and columns (see
 :mod:`entangle.gaussian`), so they add no rounding difference.
 Column arithmetic is elementwise, so a point gives the same bits in any
 stack; against :func:`run_pipeline` it differs only where numpy's
@@ -28,7 +28,6 @@ and reported diagnostics are converted back to rad/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,17 +71,16 @@ class PipelineResult:
 class PipelineColumns:
     """Everything computed for a stack of ``size`` points, as columns.
 
-    ``basis``, ``couplings`` and ``drive_strength`` hold a float where
-    every point shares the value and a column otherwise (see
-    :meth:`column`).  ``stable`` and ``max_re_eig`` are ``(size,)``
-    arrays, ``covs`` is ``(size, 6, 6)`` and the negativities are
-    ``(size,)``; the rows of unstable points are NaN there.
+    Every field but ``size`` and ``covs`` is a ``(size,)`` array, the
+    fields of ``basis`` and ``couplings`` included (a value every point
+    shares is a read-only broadcast view); ``covs`` is ``(size, 6, 6)``.
+    The covariances and negativities of unstable points are NaN.
     """
 
     size: int
     basis: PolaritonBasis
     couplings: EffectiveCouplings
-    drive_strength: float | np.ndarray
+    drive_strength: np.ndarray
     stable: np.ndarray
     max_re_eig: np.ndarray
     covs: np.ndarray
@@ -90,14 +88,10 @@ class PipelineColumns:
     e_n_mb: np.ndarray
     e_n_pb: np.ndarray
 
-    def column(self, value):
-        """``value`` (a shared float or a column) as a ``(size,)`` array."""
-        return np.broadcast_to(value, (self.size,))
-
 
 #: rows per kernel call of :func:`run_pipelines`: it changes no result
-#: and bounds the fill's and the kernels' temporaries (near 1 MB for 256
-#: rows), while the model layer runs once on the whole stack
+#: and bounds the kernels' temporaries (near 1 MB for 256 rows), while
+#: the model layer and the fill run once on the whole stack
 CHUNK_SIZE = 256
 
 
@@ -183,9 +177,10 @@ def _fill(slots, entries, size=1, scale=1.0):
         values = np.array(entries)
     except ValueError:  # floats mixed with columns
         values = np.array(np.broadcast_arrays(*entries))
-    out = np.zeros((size, 36 * (slots[-1] // 36 + 1)))
+    count = slots[-1] // 36 + 1
+    out = np.zeros((size, 36 * count))
     out[:, slots] = (values / scale).T
-    return out.reshape(size, -1, 6, 6)
+    return out.reshape(size, count, 6, 6)
 
 
 def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
@@ -194,18 +189,19 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
     If ``target_g_minus`` (rad/s) is given, the drive strength is
     derived so |G_-| hits the target; otherwise ``params.drive_strength``
     is used directly.  The model layer and the negativities run on
-    floats, the drift spectrum and the Lyapunov solve on the stack of one.
+    floats, the fill and the kernel step on the stack of one.
     """
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, covs = _steady_states(params, basis, couplings, 1, _FLOAT_MATH)
+    max_re, stable, covs = _steady_states(
+        _pairs(params, basis, couplings, 1, _FLOAT_MATH))
     max_re_eig = max_re[0].item() * params.omega_b
     if not stable.size:
         return PipelineResult(basis, couplings, drive, False, max_re_eig,
                               None, None, None, None)
-    e_n_pp, e_n_pb, e_n_mb = _stage(  # PAIR_CHOICES order
-        "log-negativity", gaussian.pair_log_negativities, covs[0].ravel().tolist())
-    return PipelineResult(basis, couplings, drive, True, max_re_eig,
-                          gaussian.GaussianState(covs[0]), e_n_pp, e_n_mb, e_n_pb)
+    return PipelineResult(
+        basis, couplings, drive, True, max_re_eig, gaussian.GaussianState(covs[0]),
+        *_stage("log-negativity", gaussian.pair_log_negativities,
+                covs[0].ravel().tolist()))
 
 
 def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
@@ -213,35 +209,32 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
 
     ``params`` holds a column (or a shared float) per field, and
     ``target_g_minus`` is None, a float or a column.  The model layer
-    runs once per formula on the whole columns; the drift and diffusion
-    are filled as ``(n, 6, 6)`` stacks and each ``gaussian`` kernel runs
-    on slices of at most :data:`CHUNK_SIZE` rows.  Stable points get the
-    stationary covariance and the negativities of the pairs (A+, A-),
-    (A-, b), (A+, b); unstable points are flagged.
+    and the fill run once on the whole columns, the kernel step and the
+    negativities on slices of at most :data:`CHUNK_SIZE` rows.  Stable
+    points get the stationary covariance and the negativities of the
+    pairs (A+, A-), (A-, b), (A+, b); unstable points are flagged.  A
+    shared value of the result is broadcast to a column.
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    # covs and e_n are allocated after the first solve, below its peak; a
-    # stack of no rows keeps these empty ones
-    max_re, covs, e_n = np.empty(size), np.empty((0, 6, 6)), np.empty((0, 3))
+    pairs = _pairs(params, basis, couplings, size, _COLUMN_MATH)
+    max_re = np.empty(size)
+    covs, e_n = np.full((size, 6, 6), np.nan), np.full((size, 3), np.nan)
     for start in range(0, size, CHUNK_SIZE):
         rows = slice(start, start + CHUNK_SIZE)  # covs[rows] is a view: writes land
-        layers = [SimpleNamespace(**{  # getattr: a third of np.ndim's cost
-            name: value[rows] if getattr(value, "ndim", 0) else value
-            for name, value in fields.items()})
-            for fields in (vars(params), basis._asdict(), couplings._asdict())]
-        max_re[rows], stable, solved = _steady_states(
-            *layers, min(CHUNK_SIZE, size - start), _COLUMN_MATH)
-        if not start:
-            covs, e_n = np.full((size, 6, 6), np.nan), np.full((size, 3), np.nan)
+        max_re[rows], stable, solved = _steady_states(pairs[rows])
         if stable.size:
             covs[rows][stable] = solved
             blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
             e_n[rows][stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
                                        blocks).reshape(-1, 3)
-    e_n_pp, e_n_pb, e_n_mb = e_n.T  # PAIR_CHOICES order
-    return PipelineColumns(size, basis, couplings, drive, max_re < 0.0,
-                           max_re * params.omega_b, covs, e_n_pp, e_n_mb, e_n_pb)
+    # broadcast after the fill, which takes sin(2 theta) of a shared theta with math
+    def full(value):
+        return value if getattr(value, "ndim", 0) else np.broadcast_to(value, (size,))
+
+    return PipelineColumns(size, basis._make(map(full, basis)),
+                           couplings._make(map(full, couplings)), full(drive),
+                           max_re < 0.0, max_re * params.omega_b, covs, *e_n.T)
 
 
 def _model_layer(params, target_g_minus):
@@ -262,8 +255,17 @@ def _model_layer(params, target_g_minus):
     return basis, couplings, drive
 
 
-def _steady_states(params, basis, couplings, size, m):
-    """Stability and covariances of ``size`` points (``m``: their math).
+def _pairs(params, basis, couplings, size, m):
+    """The ``(size, 2, 6, 6)`` drift and diffusion of ``size`` points
+    (``m``: their math), each divided by ``omega_b``."""
+    with m.quiet():  # the Lyapunov solve names noise that overflows to inf
+        noise = _diffusion_entries(basis, params.kappa_b, basis.n_b)
+    return _fill(_PAIR_SLOTS, _drift_entries(
+        basis, couplings, params.omega_b, params.kappa_b) + noise, size, params.omega_b)
+
+
+def _steady_states(pairs):
+    """Stability and covariances of the points of a fill of :func:`_pairs`.
 
     Returns ``(max_re, stable, covs)``: the largest real part of each
     drift spectrum in units of ``omega_b``, the indices of the stable
@@ -271,17 +273,12 @@ def _steady_states(params, basis, couplings, size, m):
     The Lyapunov kernel raises :class:`NumericalError` rather than return
     a covariance that misses the residual contract.
     """
-    with m.quiet():  # the Lyapunov solve names noise that overflows to inf
-        noise = _diffusion_entries(basis, params.kappa_b, basis.n_b)
-    pairs = _fill(_PAIR_SLOTS, _drift_entries(
-        basis, couplings, params.omega_b, params.kappa_b) + noise, size, params.omega_b)
-
     lam, U = gaussian.drift_spectra(pairs[:, 0])
     max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
     stable = (max_re < 0.0).nonzero()[0]
     if not stable.size:
         return max_re, stable, None
-    if stable.size < size:
+    if stable.size < len(pairs):
         pairs, lam, U = pairs[stable], lam[stable], U[stable]
     covs = _stage("Lyapunov solve", gaussian.solve_lyapunov_stacked,
                   pairs[:, 0], pairs[:, 1], (lam, U))

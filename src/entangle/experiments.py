@@ -318,7 +318,8 @@ def _columns(overrides):
     becomes the Python float it holds, so it gives that float's bits;
     lists, tuples and arrays of one or more dimensions become float64
     columns.  Other values pass as they are, for the model layer to
-    refuse.  Raises :class:`ParameterError`, naming each column's shape,
+    refuse.  Raises :class:`TypeError` for a column of text, which is not
+    parsed, and :class:`ParameterError`, naming each column's shape,
     unless the columns are 1-d and of one length."""
     for value in overrides.values():  # None and floats alone leave on this loop
         if value is not None and type(value) is not float:
@@ -328,6 +329,10 @@ def _columns(overrides):
     overrides, shapes = dict(overrides), {}
     for name, value in overrides.items():
         if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
+            entries = np.ravel(value)
+            if entries.dtype.kind in "OSU" and any(
+                    isinstance(entry, (str, bytes)) for entry in entries.tolist()):
+                raise TypeError(f"override {name!r} is a column with text; give numbers")
             overrides[name] = column = np.asarray(value, dtype=float)
             shapes[name] = column.shape
             continue
@@ -405,7 +410,6 @@ class SweepRecord:
     def from_columns(cls, points, result: PipelineColumns) -> list[SweepRecord]:
         """The records of ``points`` (axis tuples, in order) from the
         stacked result that evaluated them (:meth:`Baseline.evaluate_all`)."""
-        column = result.column
         stable = result.stable.tolist()
         e_n = [[v if ok else None for v, ok in zip(values.tolist(), stable)]
                for values in (result.e_n_pp, result.e_n_mb, result.e_n_pb)]
@@ -414,11 +418,11 @@ class SweepRecord:
             *e_n,
             stable,
             result.max_re_eig.tolist(),
-            (np.abs(column(result.couplings.g_plus)) / TWO_PI).tolist(),
-            (np.abs(column(result.couplings.g_minus)) / TWO_PI).tolist(),
-            column(result.basis.theta).tolist(),
-            (column(result.basis.delta_plus) / TWO_PI).tolist(),
-            (column(result.basis.delta_minus) / TWO_PI).tolist(),
+            (np.abs(result.couplings.g_plus) / TWO_PI).tolist(),
+            (np.abs(result.couplings.g_minus) / TWO_PI).tolist(),
+            result.basis.theta.tolist(),
+            (result.basis.delta_plus / TWO_PI).tolist(),
+            (result.basis.delta_minus / TWO_PI).tolist(),
         )]
 
 

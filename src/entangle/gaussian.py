@@ -61,17 +61,15 @@ MODE_SLOTS = {"+": (0, 1), "-": (2, 3), "b": (4, 5)}
 _all = partial(np.logical_and.reduce, axis=None)
 _any = partial(np.logical_or.reduce, axis=None)
 
-#: valid mode-pair selectors for two-mode reduction
-PAIR_CHOICES = ("+-", "+b", "-b")
+#: valid mode-pair selectors for two-mode reduction, in the order of the
+#: result fields ``e_n_pp``, ``e_n_mb``, ``e_n_pb``
+PAIR_CHOICES = ("+-", "-b", "+b")
 
-#: rows/columns of each pair's 4x4 block, in PAIR_CHOICES order
-_PAIR_INDEX = np.array([MODE_SLOTS[pair[0]] + MODE_SLOTS[pair[1]]
-                        for pair in PAIR_CHOICES])
-
-#: each pair's 16 block entries, row by row, from the 36 of a 6x6
-#: covariance stored row by row
-_PAIR_ENTRIES = [itemgetter(*(6 * i + j for i in slots for j in slots))
-                 for slots in _PAIR_INDEX.tolist()]
+#: each pair's 16 block entries, row by row, as flat indices into a 6x6
+#: covariance stored row by row, in PAIR_CHOICES order
+_PAIR_FLAT = np.array([[6 * i + j for i in slots for j in slots] for slots in
+                       (MODE_SLOTS[a] + MODE_SLOTS[b] for a, b in PAIR_CHOICES)])
+_PAIR_ENTRIES = [itemgetter(*flat) for flat in _PAIR_FLAT.tolist()]
 
 # negativities this small above the separability boundary are rounding,
 # not entanglement
@@ -277,7 +275,7 @@ def pair_blocks(covs):
     :func:`reduce_two_mode`.
     """
     V = np.asarray(covs, dtype=float)
-    return V[:, _PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None, :]]
+    return V.reshape(len(V), 36)[:, _PAIR_FLAT].reshape(-1, 3, 4, 4)
 
 
 def _float_scale(v):

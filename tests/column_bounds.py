@@ -74,11 +74,11 @@ def assert_row_close(columns, row, point, omega_b, e_n_rtol=E_N_RTOL):
     """
     assert bool(columns.stable[row]) == point.stable
     assert abs(columns.max_re_eig[row] - point.max_re_eig) <= MAX_RE_RTOL * omega_b
-    assert columns.column(columns.drive_strength)[row] == pytest.approx(
+    assert columns.drive_strength[row] == pytest.approx(
         point.drive_strength, rel=MODEL_RTOL, abs=0.0)
     for part in ("basis", "couplings"):
         for name, expected in getattr(point, part)._asdict().items():
-            value = columns.column(getattr(getattr(columns, part), name))[row]
+            value = getattr(getattr(columns, part), name)[row]
             assert value == pytest.approx(expected, rel=MODEL_RTOL, abs=0.0), name
     if not point.stable:
         assert np.isnan(columns.covs[row]).all()

@@ -333,7 +333,7 @@ class TestRunPipeline:
             if res.stable:
                 stable += 1
                 stacked = log_negativity_stacked(pair_blocks(res.state.cov[None])[0])
-                assert [res.e_n_pp, res.e_n_pb, res.e_n_mb] == stacked.tolist()
+                assert [res.e_n_pp, res.e_n_mb, res.e_n_pb] == stacked.tolist()
         assert stable >= 32
 
     @pytest.mark.parametrize("theta_pi, expected", [

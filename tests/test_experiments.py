@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -444,7 +445,8 @@ def stack_point_bits(stack):
     stable = stack.stable[0].item()
     e_n = [e[0].item() if stable else None
            for e in (stack.e_n_pp, stack.e_n_mb, stack.e_n_pb)]
-    return repr((tuple(stack.basis), tuple(stack.couplings), stack.drive_strength,
+    return repr((tuple(v[0].item() for v in stack.basis),
+                 tuple(v[0].item() for v in stack.couplings), stack.drive_strength[0].item(),
                  stable, stack.max_re_eig[0].item(), *e_n,
                  stack.covs[0].tobytes() if stable else None))
 
@@ -460,6 +462,40 @@ class TestStackedEvaluation:
             result = run_sweep(base, spec)
             outputs.add((emit_records(result), repr(result.summary)))
         assert len(outputs) == 1
+
+    def test_one_fill_per_stack_whatever_the_chunk_size(self, base, monkeypatch):
+        # the drift and diffusion of the whole stack are filled once, before
+        # it is cut into slices; the kernels see at most CHUNK_SIZE rows
+        spec = SMALL_GRIDS["g_minus"]
+        size = len(grid(spec.resolved_axes()))
+        fills, slices = [], []
+        fill, spectra = dynamics._fill, gaussian.drift_spectra
+        monkeypatch.setattr(dynamics, "_fill",
+                            lambda *args: fills.append(args[2]) or fill(*args))
+        monkeypatch.setattr(gaussian, "drift_spectra",
+                            lambda drifts: slices.append(len(drifts)) or spectra(drifts))
+        for chunk in (1, 7, size + 1):
+            monkeypatch.setattr(dynamics, "CHUNK_SIZE", chunk)
+            fills.clear()
+            slices.clear()
+            run_sweep(base, spec)
+            assert fills == [size], chunk
+            assert sum(slices) == size and max(slices) <= chunk, chunk
+
+    def test_shared_values_are_full_columns(self, base):
+        # theta and the rates are shared on a g_minus line, and still every
+        # model-layer field of the result is one entry per point
+        axes = SweepSpec("g_minus").resolved_axes()
+        columns = tuple(np.array(column) for column in zip(*grid(axes)))
+        result = base.evaluate_all(SWEEPS["g_minus"].overrides(base, axes)(columns))
+        size = axes[0].count
+        assert result.size == size
+        for part in (result.basis, result.couplings):
+            for name, value in part._asdict().items():
+                assert isinstance(value, np.ndarray) and value.shape == (size,), name
+        assert isinstance(result.drive_strength, np.ndarray)
+        assert result.drive_strength.shape == (size,)
+        assert np.all(result.basis.theta == result.basis.theta[0])  # one shared value
 
     def test_sweep_records_equal_point_evaluations(self, base):
         spec = SMALL_GRIDS["g_minus"]
@@ -489,7 +525,7 @@ class TestStackedEvaluation:
 
     def test_default_theta_sweep_peak_memory(self, base):
         # dynamics.CHUNK_SIZE trades kernel calls for their temporaries;
-        # one default theta sweep, a single 200-row slice, peaks near 0.75 MB
+        # one default theta sweep, a single 200-row slice, peaks near 0.92 MB
         run_sweep(base, SweepSpec("theta"))  # one-time allocations
         tracemalloc.start()
         try:
@@ -639,6 +675,20 @@ class TestStackedEvaluation:
             base.evaluate(theta=text)
         with pytest.raises(TypeError):
             base.evaluate_all({"theta": text})
+
+    @pytest.mark.parametrize("column", [
+        ["0.4", "0.5"], (b"0.4",), np.array(["0.4", "0.5"]),
+        [Fraction(2, 5), "0.5"], np.array([0.4, "0.5"], dtype=object),
+    ], ids=["str-list", "bytes-tuple", "str-array", "mixed-list", "object-array"])
+    def test_text_column_is_refused(self, base, column):
+        # it was parsed into a stack of the numbers it spells
+        with pytest.raises(TypeError) as caught:
+            base.evaluate_all({"theta": column})
+        assert str(caught.value) == "override 'theta' is a column with text; give numbers"
+
+    def test_real_number_entries_make_a_column(self, base):
+        given = base.params(kappa_b=[Fraction(1, 2), 2, True, np.float64(0.25), np.int32(3)])
+        assert given.kappa_b.tolist() == [0.5, 2.0, 1.0, 0.25, 3.0]
 
     def test_empty_columns_are_an_empty_stack(self, base):
         stack = base.evaluate_all({"theta": np.array([]), "kappa_b": []})
