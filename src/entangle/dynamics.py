@@ -73,7 +73,7 @@ class PipelineColumns:
 
     Every field but ``size`` and ``covs`` is a ``(size,)`` array, the
     fields of ``basis`` and ``couplings`` included (a value every point
-    shares is a read-only broadcast view); ``covs`` is ``(size, 6, 6)``.
+    shares fills its column); ``covs`` is ``(size, 6, 6)``.
     The covariances and negativities of unstable points are NaN.
     """
 
@@ -213,7 +213,7 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
     negativities on slices of at most :data:`CHUNK_SIZE` rows.  Stable
     points get the stationary covariance and the negativities of the
     pairs (A+, A-), (A-, b), (A+, b); unstable points are flagged.  A
-    shared value of the result is broadcast to a column.
+    shared value of the result fills a column.
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
     basis, couplings, drive = _model_layer(params, target_g_minus)
@@ -228,9 +228,9 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
             blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
             e_n[rows][stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
                                        blocks).reshape(-1, 3)
-    # broadcast after the fill, which takes sin(2 theta) of a shared theta with math
+    # full columns after the fill, which takes sin(2 theta) of a shared theta with math
     def full(value):
-        return value if getattr(value, "ndim", 0) else np.broadcast_to(value, (size,))
+        return value if getattr(value, "ndim", 0) else np.full(size, value)
 
     return PipelineColumns(size, basis._make(map(full, basis)),
                            couplings._make(map(full, couplings)), full(drive),

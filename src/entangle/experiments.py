@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import PipelineColumns, PipelineResult, run_pipeline, run_pipelines
 from .errors import EntangleError, ParameterError
-from .model import TWO_PI, SystemParams, solve_g_omega_c_from_theta
+from .model import TWO_PI, SystemParams, _require, solve_g_omega_c_from_theta
 
 #: records with E_N below this (or unstable) count as disentangled when
 #: extracting robustness thresholds; absorbs the separability clamp
@@ -79,14 +79,6 @@ UNITS = {
                "an angle ('x pi' or radians), got", " pi", lambda v: v * math.pi),
 }
 
-#: domain -> test of a finite quoted value
-_DOMAINS = {
-    "finite": lambda v: True,
-    "positive": lambda v: v > 0.0,
-    "non-negative": lambda v: v >= 0.0,
-    "inside (0, pi/2)": lambda v: 0.0 < v < 0.5,
-}
-
 #: a config value: a number, then a unit suffix
 _VALUE_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z]*)$")
@@ -98,8 +90,9 @@ class Quantity(NamedTuple):
     ``column`` names it in the config's quoted parameter record and in
     CSV headers; ``field`` is its :class:`Baseline` field (None where a
     point map resolves the axis).  ``unit`` is a key of :data:`UNITS`.
-    ``domain`` names the finite values it admits (see :data:`_DOMAINS`):
-    ``positive``, ``non-negative``, ``finite`` or ``inside (0, pi/2)``.
+    ``domain`` names the values it admits, a row of the one domain table
+    ``model._DOMAINS`` (bounds in angular units): ``positive``,
+    ``non-negative``, ``finite`` or ``inside (0, pi/2)``.
     ``default`` is the quoted default; ``sweepable`` marks the keys a
     generic sweep can vary.  ``unset`` stands in for the quoted value
     while an either-or partner is given instead (theta beside an
@@ -121,9 +114,9 @@ class Quantity(NamedTuple):
         return None if quoted is None else UNITS[self.unit].angular(quoted)
 
     def parse(self, raw):
-        """The quoted value of config text ``raw``: a number and one of the
-        unit's suffixes, finite in angular units and inside the domain.
-        Raises :class:`ParameterError` naming the rule ``raw`` breaks."""
+        """The quoted value of config text ``raw``: a number and one of the unit's
+        suffixes, inside the domain in angular and in quoted units.  Raises
+        :class:`ParameterError` naming the rule ``raw`` breaks."""
         m = _VALUE_RE.match(raw)
         if m is None:
             raise ParameterError(f"malformed number {raw!r}")
@@ -131,11 +124,10 @@ class Quantity(NamedTuple):
         if suffix not in unit.suffixes:
             raise ParameterError(f"expected {unit.expected} {suffix!r}")
         value = unit.suffixes[suffix](float(m.group(1)))
-        # a finite quoted value can still overflow in angular units
-        if not math.isfinite(unit.angular(value)):
-            raise ParameterError(f"value must be finite, got {raw!r}")
-        if not _DOMAINS[self.domain](value):
-            raise ParameterError(f"value must be {self.domain}, got {raw!r}")
+        # the angular value catches a finite quoted value that overflows,
+        # the quoted one a negative value that underflows to -0.0
+        _require("value", unit.angular(value), self.domain, raw)
+        _require("value", value, self.domain, raw)
         return value
 
 
@@ -319,8 +311,8 @@ def _columns(overrides):
     lists, tuples and arrays of one or more dimensions become float64
     columns.  Other values pass as they are, for the model layer to
     refuse.  Raises :class:`TypeError` for a column of text, which is not
-    parsed, and :class:`ParameterError`, naming each column's shape,
-    unless the columns are 1-d and of one length."""
+    parsed, and :class:`ParameterError`, naming each column's shape (or a
+    ragged one), unless the columns are 1-d and of one length."""
     for value in overrides.values():  # None and floats alone leave on this loop
         if value is not None and type(value) is not float:
             break
@@ -329,7 +321,11 @@ def _columns(overrides):
     overrides, shapes = dict(overrides), {}
     for name, value in overrides.items():
         if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
-            entries = np.ravel(value)
+            try:
+                entries = np.ravel(value)
+            except ValueError:  # a ragged nested list has no shape
+                raise ParameterError("override columns must be 1-d and of one "
+                                     f"length, got {name} of ragged shape") from None
             if entries.dtype.kind in "OSU" and any(
                     isinstance(entry, (str, bytes)) for entry in entries.tolist()):
                 raise TypeError(f"override {name!r} is a column with text; give numbers")

@@ -82,19 +82,21 @@ def _first(value, flags):
     return value
 
 
-#: domain -> (lower bound, whether it is admitted, upper bound, which
-#: never is), keyed by the domain words of ``experiments.Quantity``; no
-#: domain admits +-inf or NaN
+#: the one domain table of the model and the config: domain -> (lower bound,
+#: whether it is admitted, upper bound, which never is) of angular values,
+#: keyed by the domain words of ``experiments.Quantity``; none admits +-inf or NaN
 _DOMAINS = {
+    "finite": (-math.inf, False, math.inf),
     "positive": (0.0, False, math.inf),
     "non-negative": (0.0, True, math.inf),
     "inside (0, pi/2)": (0.0, False, 0.5 * math.pi),
 }
 
 
-def _require(name, value, domain):
+def _require(name, value, domain, _quoted=None):
     """Raise :class:`ParameterError` unless ``value`` lies in ``domain``;
-    for a column, the message names the first failing entry."""
+    for a column, the message names the first failing entry.  The message
+    quotes ``value``, or the config text ``_quoted`` it was read from."""
     low, closed, high = _DOMAINS[domain]
     if isinstance(value, np.ndarray):  # one numpy pass
         failed = ~((value >= low if closed else value > low) & (value < high))
@@ -103,9 +105,10 @@ def _require(name, value, domain):
         value = _first(value, failed)
     elif (low <= value < high) if closed else (low < value < high):
         return  # a valid float, on one comparison chain
+    got = value if _quoted is None else _quoted
     if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    raise ParameterError(f"{name} must be {domain}, got {value!r}")
+        raise ParameterError(f"{name} must be finite, got {got!r}")
+    raise ParameterError(f"{name} must be {domain}, got {got!r}")
 
 
 @dataclass(frozen=True)

@@ -462,6 +462,7 @@ def test_every_suffix_parses_and_echoes_to_the_same_bits(unit, suffix):
 
 #: domain -> quoted values at its edges, each with whether it is inside;
 #: -1e-300 rather than a subnormal, which underflows to -0.0 K from mK
+#: (test_value_is_checked_in_angular_and_quoted_units holds that case)
 _DOMAIN_EDGES = {"positive": [("1e-300", True), ("0", False)],
                  "non-negative": [("0", True), ("-1e-300", False)],
                  "inside (0, pi/2)": [("1e-300", True), ("0", False),
@@ -505,6 +506,26 @@ def test_config_and_api_agree_on_domain(key, quoted, inside):
         assert f"value must be {param.domain}" in str(caught.value)
         with pytest.raises(ParameterError, match=re.escape(f"must be {param.domain}")):
             _api_check(param.field, angular, partner)
+
+
+@pytest.mark.parametrize("entry, message", [
+    # -1e-325 K underflows to -0.0, which only the quoted value shows negative
+    ("temperature = -1e-322 mK", "value must be non-negative, got '-1e-322 mK'"),
+    # float(pi/2) in bare radians is 0.5 pi in quoted units too
+    ("theta = 1.5707963267948966", "value must be inside (0, pi/2), got '1.5707963267948966'"),
+    # finite quoted values that overflow in angular units
+    ("omega_b = -1e308 Hz", "value must be finite, got '-1e308 Hz'"),
+    ("omega_b = 1e307 GHz", "value must be finite, got '1e307 GHz'"),
+], ids=["subnormal-temperature", "radian-theta", "negative-overflow", "suffix-overflow"])
+def test_value_is_checked_in_angular_and_quoted_units(entry, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(f"[params]\n{entry}\n")
+    assert str(caught.value) == "line 2: " + message
+
+
+def test_largest_radian_theta_below_pi_over_2_is_accepted():
+    cfg = parse_config("[params]\ntheta = 1.5707963267948963\n")
+    assert cfg.baseline().theta == 1.5707963267948963
 
 
 def test_readme_config_example_parses_and_round_trips():

@@ -598,7 +598,10 @@ class TestStackedEvaluation:
          "theta of shape (3,), kappa_b of shape (1,)"),
         ({"theta": [[0.3 * math.pi, 0.4 * math.pi]], "kappa_b": 1e3},
          "theta of shape (1, 2)"),
-    ], ids=["unequal", "length-1", "2-d"])
+        # numpy's raw ValueError about an inhomogeneous shape, once
+        ({"theta": [[0.4, 0.5], [0.3]], "kappa_b": [1e3, 2e3]}, "theta of ragged shape"),
+        ({"theta": ([0.4], 0.5)}, "theta of ragged shape"),
+    ], ids=["unequal", "length-1", "2-d", "ragged", "list-beside-number"])
     def test_bad_override_columns_are_named(self, base, overrides, named):
         with pytest.raises(ParameterError) as caught:
             base.evaluate_all(overrides)

@@ -814,6 +814,21 @@ class TestLogNegativity:
         with pytest.raises(NumericalError, match="has non-finite entries"):
             log_negativity(V)
 
+    @pytest.mark.parametrize("delta, expected", [(5e-11, 0.0), (2e-10, 2e-10)])
+    def test_clamp_boundary(self, delta, expected):
+        # V4 = [[a I, c Z], [c Z, a I]] has 2 eta = 2 (a - c) = 1 - delta:
+        # inside the 1e-10 clamp E_N is exactly 0, outside it -ln(1 - delta)
+        c = 0.3
+        a = c + 0.5 * (1.0 - delta)
+        Z = np.diag([1.0, -1.0])
+        V4 = np.block([[a * np.eye(2), c * Z], [c * Z, a * np.eye(2)]])
+        stacked = log_negativity_stacked(V4[None]).tolist()
+        if expected == 0.0:
+            assert log_negativity(V4) == 0.0 and stacked == [0.0]
+        else:
+            assert log_negativity(V4) == pytest.approx(expected, rel=1e-5)
+            assert stacked == [log_negativity(V4)]
+
     def test_overflowing_determinants_rejected(self):
         # the 4x4 determinant is quartic in the entries
         with pytest.raises(NumericalError, match="overflow"):
