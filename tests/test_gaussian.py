@@ -822,12 +822,9 @@ class TestLogNegativity:
         a = c + 0.5 * (1.0 - delta)
         Z = np.diag([1.0, -1.0])
         V4 = np.block([[a * np.eye(2), c * Z], [c * Z, a * np.eye(2)]])
-        stacked = log_negativity_stacked(V4[None]).tolist()
-        if expected == 0.0:
-            assert log_negativity(V4) == 0.0 and stacked == [0.0]
-        else:
-            assert log_negativity(V4) == pytest.approx(expected, rel=1e-5)
-            assert stacked == [log_negativity(V4)]
+        e_n = log_negativity(V4)
+        assert e_n == pytest.approx(expected, rel=1e-5, abs=0.0)  # 0.0 is exact
+        assert log_negativity_stacked(V4[None]).tolist() == [e_n]
 
     def test_overflowing_determinants_rejected(self):
         # the 4x4 determinant is quartic in the entries
