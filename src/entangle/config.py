@@ -28,11 +28,26 @@ from dataclasses import dataclass, field, make_dataclass, replace
 from . import experiments
 from .errors import ConfigError, ParameterError
 
+
+def _check_params(block):
+    """Hold a parameter block to the rules of a parsed one, so that its echo
+    parses back to it (see :func:`experiments.settle_partners`)."""
+    quoted = {key: getattr(block, param.column) for key, param in experiments.PARAMS.items()}
+    with _at(None):
+        read = experiments.settle_partners({
+            key: param.parse(f"{quoted[key]!r}{experiments.UNITS[param.unit].echo}")
+            for key, param in experiments.PARAMS.items() if quoted[key] is not None})
+    for key, param in experiments.PARAMS.items():
+        if read.get(key, param.default) != quoted[key]:
+            raise ConfigError(f"{key} = {quoted[key]!r} reads back as "
+                              f"{read.get(key, param.default)!r}")
+
+
 ParamsConfig = make_dataclass(
     "ParamsConfig",
     [(param.column, "float | None", field(default=param.default))
      for param in experiments.PARAMS.values()],
-    frozen=True, namespace={"__module__": __name__})
+    frozen=True, namespace={"__module__": __name__, "__post_init__": _check_params})
 ParamsConfig.__doc__ = """Parameter block in quoted units (Hz, mK, pi-multiples).
 
 One field per :data:`experiments.PARAMS` entry, named by its column.
@@ -193,7 +208,7 @@ def _build_config(entries):
     param_entry = take("sweep", "param")
     kind = kind_entry[0] if kind_entry else "theta"
     param = param_entry[0] if param_entry else None
-    entry = param_entry if kind in experiments.SWEEPS else kind_entry
+    entry = param_entry if kind in experiments.SWEEPS and param_entry else kind_entry
     with _at(entry[1] if entry else None):
         sweep = experiments.SweepSpec(kind, param=param)
     axis_lines = sweep.sweep_kind().axes

@@ -305,42 +305,41 @@ class Baseline:
 
 def _columns(overrides):
     """``overrides`` as the model layer takes them, and the names of their
-    columns.  None and Python floats pass as they are; any other one
-    number (a numpy scalar of any real dtype, a 0-d array, a Python int)
-    becomes the Python float it holds, so it gives that float's bits;
-    lists, tuples and arrays of one or more dimensions become float64
-    columns.  Other values pass as they are, for the model layer to
-    refuse.  Raises :class:`TypeError` for a column of text, which is not
-    parsed, and :class:`ParameterError`, naming each column's shape (or a
-    ragged one), unless the columns are 1-d and of one length."""
-    for value in overrides.values():  # None and floats alone leave on this loop
-        if value is not None and type(value) is not float:
-            break
-    else:
-        return overrides, ()
-    overrides, shapes = dict(overrides), {}
+    columns.  Python floats, and None where it unsets ``g``, ``omega_c``,
+    ``omega_0`` or ``target_g_minus``, pass as they are.  Any other value goes
+    through :func:`numpy.asarray`: a real number becomes the Python float it
+    holds, a list, tuple or array of real numbers a float64 column, and
+    anything else raises :class:`TypeError` naming the override.  Raises
+    :class:`ParameterError`, naming each column's shape (or a ragged one),
+    unless the columns are 1-d and of one length."""
+    converted = {}
     for name, value in overrides.items():
-        if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
-            try:
-                entries = np.ravel(value)
-            except ValueError:  # a ragged nested list has no shape
-                raise ParameterError("override columns must be 1-d and of one "
-                                     f"length, got {name} of ragged shape") from None
-            if entries.dtype.kind in "OSU" and any(
-                    isinstance(entry, (str, bytes)) for entry in entries.tolist()):
-                raise TypeError(f"override {name!r} is a column with text; give numbers")
-            overrides[name] = column = np.asarray(value, dtype=float)
-            shapes[name] = column.shape
+        if type(value) is float or value is None and name in (
+                "g", "omega_c", "omega_0", "target_g_minus"):
             continue
-        if isinstance(value, np.ndarray):  # 0-d: the numpy scalar it holds
-            value = value[()]
-        if isinstance(value, numbers.Real):
-            overrides[name] = float(value)
+        try:
+            array = np.asarray(value)
+        except ValueError:  # a ragged nested list has no shape
+            raise ParameterError("override columns must be 1-d and of one "
+                                 f"length, got {name} of ragged shape") from None
+        if array.dtype.kind not in "biuf":  # not bool, integer or float
+            bad = [entry for entry in array.ravel().tolist()
+                   if not isinstance(entry, numbers.Real)]
+            if array.ndim and any(isinstance(entry, (str, bytes)) for entry in bad):
+                raise TypeError(f"override {name!r} is a column with text; give numbers")
+            if bad:
+                raise TypeError(f"override {name!r} takes real numbers, got {bad[0]!r}")
+        array = np.asarray(array, dtype=float)
+        converted[name] = array if array.ndim else array.item()
+    if not converted:  # floats and unsets alone, as one point's callers give
+        return overrides, ()
+    shapes = {name: value.shape for name, value in converted.items()
+              if type(value) is not float}
     if len(set(shapes.values())) > 1 or any(len(s) > 1 for s in shapes.values()):
         raise ParameterError(
             "override columns must be 1-d and of one length, got "
             + ", ".join(f"{name} of shape {shape}" for name, shape in shapes.items()))
-    return overrides, tuple(shapes)
+    return {**overrides, **converted}, tuple(shapes)
 
 
 def check_geometry(given):

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -53,13 +52,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import NumericalError, ParameterError
+from .model import _COLUMN_MATH, _FLOAT_MATH
 
 #: quadrature slots of each mode in the global ordering
 MODE_SLOTS = {"+": (0, 1), "-": (2, 3), "b": (4, 5)}
-
-#: ``ndarray.all`` and ``any`` over every axis, without their Python wrappers
-_all = partial(np.logical_and.reduce, axis=None)
-_any = partial(np.logical_or.reduce, axis=None)
 
 #: valid mode-pair selectors for two-mode reduction, in the order of the
 #: result fields ``e_n_pp``, ``e_n_mb``, ``e_n_pb``
@@ -102,8 +98,8 @@ class GaussianState:
             raise ParameterError(f"covariance must be 6x6, got {V.shape}")
         # an exactly symmetric V, which the solve returns, passes the
         # tolerance anyway; a NaN is unequal to itself and is refused here
-        if not _all(V == V.T):
-            if not _all(np.isfinite(V)):
+        if not _COLUMN_MATH.all(V == V.T):
+            if not _COLUMN_MATH.all(np.isfinite(V)):
                 raise NumericalError("covariance matrix has non-finite entries")
             scale = np.abs(V).max()
             if np.abs(V - V.T).max() > 1e-10 * max(scale, 1.0):
@@ -121,12 +117,12 @@ def drift_spectra(drifts):
     R = np.asarray(drifts, dtype=float)
     if R.ndim != 3 or R.shape[1] != R.shape[2]:
         raise ParameterError(f"drift matrix must be square, got shape {R.shape[1:]}")
-    if not _all(np.isfinite(R)):
+    if not _COLUMN_MATH.all(np.isfinite(R)):
         raise ParameterError("drift matrix has non-finite entries")
     # complex output for every stack keeps each row independent of the rest
     with np.errstate(invalid="ignore"):
         lam, U = _lapack.eig(R, signature="d->DD")
-    if _any(np.isnan(lam)):  # a row that does not converge comes back NaN
+    if _COLUMN_MATH.any(np.isnan(lam)):  # a row that fails comes back NaN
         raise NumericalError("eigensolver failed to converge on drift matrix:\n"
                              f"{R[np.isnan(lam).any(axis=1).argmax()]!r}")
     return lam, U
@@ -157,7 +153,7 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
     # or singular row turn inf or NaN, which the checks and gates decide
     with np.errstate(all="ignore"):
         d_norm = _frobenius(D)
-        if not _all(np.isfinite(d_norm)):
+        if not _COLUMN_MATH.all(np.isfinite(d_norm)):
             if np.isnan(d_norm).any() and not np.isinf(D).any():
                 raise NumericalError("diffusion matrix has NaN entries")
             raise NumericalError(  # inf noise also leaves NaN where infinities cancel
@@ -167,18 +163,19 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
         d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
         # exact symmetry (what the fill builds) settles the check in one pass
         D_T = D.swapaxes(1, 2)
-        if not _all(D == D_T) and _any(np.abs(D - D_T) > 1e-10 * d_scale):
+        if (not _COLUMN_MATH.all(D == D_T)
+                and _COLUMN_MATH.any(np.abs(D - D_T) > 1e-10 * d_scale)):
             raise ParameterError("diffusion matrix must be symmetric")
         # ascending eigenvalues; a row that does not converge is NaN and fails
         d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
-        if not _all(d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]):
+        if not _COLUMN_MATH.all(d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]):
             raise ParameterError("diffusion matrix must be positive semidefinite")
 
         lam, U = drift_spectra(R) if spectra is None else spectra
         if lam.shape != R.shape[:2] or U.shape != R.shape:
             raise ParameterError(f"spectra of shapes {lam.shape} and {U.shape} "
                                  f"do not match the drift stack {R.shape}")
-        if not _all(lam.real < 0.0):
+        if not _COLUMN_MATH.all(lam.real < 0.0):
             max_re = lam.real.max(axis=1)
             raise ParameterError(
                 "drift matrix is not strictly stable (max Re eig = "
@@ -197,7 +194,7 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
         cond = math.sqrt(R.shape[1]) * _frobenius(U_inv.view(float))
     accepted = ((resid <= _LYAPUNOV_RESIDUAL_RTOL * d_norm)
                 & (cond <= _EIGENBASIS_COND_MAX))
-    if not _all(accepted):
+    if not _COLUMN_MATH.all(accepted):
         for i in np.flatnonzero(~accepted):
             V[i] = _solve_lyapunov_dense(R[i], D[i])
     return V
@@ -304,20 +301,12 @@ def _float_asymmetry(v):
 
 #: the operations :func:`_log_negativity` runs on one matrix of floats
 _FLOAT_OPS = SimpleNamespace(
-    scale=_float_scale,
-    asymmetry=_float_asymmetry,
-    any=bool, all=bool, isfinite=math.isfinite, max=float,
-    first=lambda values, flags: values,
-    maximum=max, sqrt=math.sqrt, log=lambda x: float(np.log(x)),
-    where=lambda condition, if_true, if_false: if_true if condition else if_false)
+    **vars(_FLOAT_MATH), scale=_float_scale, asymmetry=_float_asymmetry)
 
 #: the same operations on columns with one entry per matrix
 _COLUMN_OPS = SimpleNamespace(
-    scale=lambda v: np.maximum(np.abs(v).max(axis=0), 1.0),
-    asymmetry=lambda v: np.abs(v[list(_UPPER)] - v[list(_LOWER)]).max(axis=0),
-    any=np.any, all=np.all, isfinite=np.isfinite, max=np.max,
-    first=lambda values, flags: values[flags][0],
-    maximum=np.maximum, sqrt=np.sqrt, log=np.log, where=np.where)
+    **vars(_COLUMN_MATH), scale=lambda v: np.maximum(np.abs(v).max(axis=0), 1.0),
+    asymmetry=lambda v: np.abs(v[list(_UPPER)] - v[list(_LOWER)]).max(axis=0))
 
 
 def _log_negativity(v, m):

@@ -32,6 +32,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -47,19 +48,25 @@ hbar = 6.62607015e-34 / TWO_PI
 k_B = 1.380649e-23
 
 
-#: the functions a formula calls, on Python floats, which overflow silently
+#: the functions a formula calls on Python floats, which overflow silently;
+#: ``log`` is numpy's, so that a float and a column entry get the same bits
 _FLOAT_MATH = SimpleNamespace(
-    atan2=math.atan2, hypot=math.hypot, sin=math.sin, cos=math.cos,
-    expm1=math.expm1, maximum=max, minimum=min,
+    atan2=math.atan2, hypot=math.hypot, sin=math.sin, cos=math.cos, expm1=math.expm1,
+    sqrt=math.sqrt, log=lambda x: float(np.log(x)), isfinite=math.isfinite,
+    maximum=max, minimum=min, max=float, any=bool, all=bool, first=lambda value, flags: value,
     where=lambda condition, if_true, if_false: if_true if condition else if_false,
     quiet=contextlib.nullcontext)
 
-#: the same functions on parameter columns; ``quiet`` makes numpy
-#: overflow silently too
+#: the same on parameter columns: ``any`` and ``all`` reduce every axis without
+#: their Python wrappers, ``first(value, flags)`` is ``value`` at the first set
+#: flag as a Python number, and ``quiet`` makes numpy overflow silently too
 _COLUMN_MATH = SimpleNamespace(
-    atan2=np.arctan2, hypot=np.hypot, sin=np.sin, cos=np.cos,
-    expm1=np.expm1, maximum=np.maximum, minimum=np.minimum, where=np.where,
-    quiet=lambda: np.errstate(over="ignore", invalid="ignore"))
+    atan2=np.arctan2, hypot=np.hypot, sin=np.sin, cos=np.cos, expm1=np.expm1,
+    sqrt=np.sqrt, log=np.log, isfinite=np.isfinite,
+    maximum=np.maximum, minimum=np.minimum, max=np.max,
+    any=partial(np.logical_or.reduce, axis=None), all=partial(np.logical_and.reduce, axis=None),
+    first=lambda value, flags: np.broadcast_to(value, flags.shape)[flags.argmax()].item(),
+    where=np.where, quiet=lambda: np.errstate(over="ignore", invalid="ignore"))
 
 
 def _math_for(*values):
@@ -68,18 +75,6 @@ def _math_for(*values):
         if isinstance(value, np.ndarray):
             return _COLUMN_MATH
     return _FLOAT_MATH
-
-
-def _any(flags):
-    """Whether a flag (or any flag of a column) is set."""
-    return flags.any() if isinstance(flags, np.ndarray) else flags
-
-
-def _first(value, flags):
-    """``value`` at the first set flag, as a Python number."""
-    if isinstance(flags, np.ndarray):
-        return np.broadcast_to(value, flags.shape)[flags.argmax()].item()
-    return value
 
 
 #: the one domain table of the model and the config: domain -> (lower bound,
@@ -100,9 +95,9 @@ def _require(name, value, domain, _quoted=None):
     low, closed, high = _DOMAINS[domain]
     if isinstance(value, np.ndarray):  # one numpy pass
         failed = ~((value >= low if closed else value > low) & (value < high))
-        if not failed.any():
+        if not _COLUMN_MATH.any(failed):
             return
-        value = _first(value, failed)
+        value = _COLUMN_MATH.first(value, failed)
     elif (low <= value < high) if closed else (low < value < high):
         return  # a valid float, on one comparison chain
     got = value if _quoted is None else _quoted
@@ -156,7 +151,7 @@ class SystemParams:
         _require("g", self.g, "non-negative")
         _require("temperature", self.temperature, "non-negative")
         _require("drive_strength", self.drive_strength, "non-negative")
-        if _any(self.omega_b > self.omega_a / 10.0):
+        if _math_for(self.omega_b, self.omega_a).any(self.omega_b > self.omega_a / 10.0):
             warnings.warn(
                 "omega_b is not small compared with omega_a; the dispersive "
                 "model assumes omega_b << omega_a, omega_c",
@@ -230,10 +225,10 @@ def thermal_occupation(omega, temperature):
     # x = 700 for a cold mode, x = 700 beyond the guard
     x = m.where(cold, 700.0, hbar * omega / (k_T + cold))
     overflow = x <= _X_MIN
-    if _any(overflow):
+    if m.any(overflow):
         raise ParameterError(
-            f"omega = {_first(omega, overflow)!r} rad/s is too small at "
-            f"temperature {_first(temperature, overflow)!r} K: the thermal "
+            f"omega = {m.first(omega, overflow)!r} rad/s is too small at "
+            f"temperature {m.first(temperature, overflow)!r} K: the thermal "
             "occupation k_B T / (hbar omega) overflows")
     return m.where(cold | (x > 700.0), 0.0, 1.0 / m.expm1(m.minimum(x, 700.0)))
 
@@ -280,7 +275,7 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
     # delta_kappa == 0 hold bitwise.  The angle keys the selects, because
     # cos(pi/2)**2 is 3.7e-33 in doubles, not 0.
     a_is_plus, c_is_plus = theta == 0.0, theta == 0.5 * math.pi
-    if _any(a_is_plus | c_is_plus):
+    if m.any(a_is_plus | c_is_plus):
         kappa_plus = m.where(a_is_plus, params.kappa_a,
                              m.where(c_is_plus, params.kappa_c, kappa_plus))
         n_plus = m.where(a_is_plus, n_a, m.where(c_is_plus, n_c, n_plus))
@@ -338,7 +333,7 @@ def _amplitudes_per_unit_drive(basis: PolaritonBasis):
     s = m.sin(basis.theta)
     c = m.cos(basis.theta)
     scale = m.maximum(abs(zm) * abs(zp), dk * dk)
-    if _any(abs(den) <= 1e-12 * scale):
+    if m.any(abs(den) <= 1e-12 * scale):
         raise NumericalError(
             "steady-state denominator (dm - i km)(dp - i kp) + dk^2 vanishes"
         )
@@ -388,16 +383,16 @@ def drive_for_target_g_minus(basis: PolaritonBasis, target_abs_g_minus,
     """
     _require("target_abs_g_minus", target_abs_g_minus, "non-negative")
     pinned = target_abs_g_minus != 0.0
-    if not _any(pinned):
+    if not _math_for(pinned).any(pinned):
         return 0.0 * target_abs_g_minus
     _, a_minus = amplitudes or _amplitudes_per_unit_drive(basis)
     per_unit = abs(a_minus)
-    if _any(pinned & (per_unit == 0.0)):
+    m = _math_for(pinned, per_unit)
+    if m.any(pinned & (per_unit == 0.0)):
         raise ParameterError(
             "the A_- amplitude vanishes for these parameters; "
             "|G_-| cannot be set by the drive"
         )
     # a zero target gives zero drive whatever it is divided by; the
     # stand-in 1 keeps that division finite
-    m = _math_for(pinned, per_unit)
     return target_abs_g_minus / (2.0 * m.where(pinned, per_unit, 1.0))

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import run_bench, summarize  # noqa: E402
 
 
 def test_lower_is_better():
@@ -35,3 +35,24 @@ def test_bound_is_relative_to_the_base_median(head, within):
     assert summary["within_bound"] == within
     assert summary["gap_exceeds_base_iqr"]
     assert summary["head_wins"] == 0
+
+
+@pytest.mark.parametrize("stdout, last", [
+    ("", ""),
+    ("progress\nTraceback (most recent call last):\n", "Traceback (most recent call last):"),
+    ('{"partial": 1,\n', '{"partial": 1,'),
+    ("42\n", "42"),
+], ids=["empty", "text", "cut-json", "not-an-object"])
+def test_run_without_a_result_line_reports_exit_and_stderr(tmp_path, stdout, last):
+    # a last line that was not a result once died with a bare JSONDecodeError
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        f"sys.stdout.write({stdout!r})\n"
+        "sys.stderr.write('worker died\\n')\n"
+        "sys.exit(3)\n")
+    with pytest.raises(RuntimeError) as caught:
+        run_bench(tmp_path, 1)
+    assert str(caught.value) == (
+        f"bench/run.py ended without a result line (exit 3; last line {last!r}):\n"
+        "worker died\n")

@@ -379,6 +379,41 @@ class TestEchoRoundTrip:
         with pytest.raises(ConfigError, match=re.escape(message)):
             OutputBlock(**fields)
 
+    @pytest.mark.parametrize("fields, text", [
+        ({"drive_strength_hz2": 1.25e4, "g_minus_hz": None},
+         "[params]\ndrive_strength = 1.25e4\n"),
+        ({"theta_pi": None, "g_hz": 5.878e6, "omega_c_hz": 10.01618e9},
+         "[params]\ng = 5.878 MHz\nomega_c = 10.01618 GHz\n"),
+    ], ids=["drive-pinned", "explicit-geometry"])
+    def test_api_params_block_equals_the_parsed_one(self, fields, text):
+        cfg = RunConfig(params=ParamsConfig(**fields))
+        assert cfg == parse_config(text)
+        assert parse_config(echo_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("fields, message", [
+        # the drive was dropped: the baseline kept the default g_minus target
+        ({"drive_strength_hz2": 1e12}, "give either g_minus or drive_strength"),
+        # the echo kept theta beside the pair, and failed to parse back
+        ({"g_hz": 1e6, "omega_c_hz": 9.99e9},
+         "give either theta or the pair (g, omega_c)"),
+        ({"g_hz": 1e6, "theta_pi": None}, "give both g and omega_c, or neither"),
+        # an unset key the echo leaves out reads back as its default
+        ({"theta_pi": None}, "theta = None reads back as 0.4"),
+        ({"g_minus_hz": None}, "g_minus = None reads back as 2000000.0"),
+        ({"kappa_b_hz": None}, "kappa_b = None reads back as 100.0"),
+        ({"kappa_a_hz": -1.0}, "value must be positive, got '-1.0 Hz'"),
+        ({"theta_pi": 0.5}, "value must be inside (0, pi/2), got '0.5 pi'"),
+        ({"omega_b_hz": math.inf}, "malformed number 'inf Hz'"),
+        ({"kappa_a_hz": 10**17 + 1},
+         "kappa_a = 100000000000000001 reads back as 1e+17"),
+    ], ids=["drive-beside-g_minus", "pair-beside-theta", "lone-g", "no-geometry",
+            "no-drive", "unset-rate", "negative-rate", "theta-out-of-domain",
+            "infinite", "inexact-int"])
+    def test_api_params_block_obeys_the_config_rules(self, fields, message):
+        with pytest.raises(ConfigError) as caught:
+            ParamsConfig(**fields)
+        assert str(caught.value) == message
+
 
 def _registry_cases():
     for kind in SWEEPS:
@@ -826,6 +861,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: override output.dir: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("", ["--set", "theta"], "--set expects section.key=value, got 'theta'"),
+        ("", ["--set", "theta=0.4"], "override must look like section.key, got 'theta'"),
+        ("", ["--set", "foo.bar=1"], "override foo.bar: unknown section [foo]"),
+        ("[params]\ntheta 0.4 pi\n", [],
+         "line 2: expected 'key = value', got 'theta 0.4 pi'"),
+        ("[output]\nformats = ,\n", [],
+         "line 2: formats must name at least one of csv, meta, dat"),
+        ("[sweep]\nkind = point\nparam = kappa_b\n", [],
+         "line 3: 'param' is only valid for generic sweeps"),
+        ("", ["--set", "sweep.param=kappa_b"],
+         "override sweep.param: 'param' is only valid for generic sweeps"),
+        # it once named no location
+        ("", ["--set", "sweep.kind=generic"],
+         "override sweep.kind: generic sweeps need a param name"),
+    ], ids=["set-without-value", "set-without-section", "unknown-section",
+            "line-without-equals", "no-format", "param-of-point", "param-of-theta",
+            "generic-without-param"])
+    def test_config_error_exits_2_writing_nothing(self, text, args, message, tmp_path,
+                                                  monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        work = tmp_path / "work"  # the default output directory is ./out
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["run", str(cfg)] + args) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(work.iterdir()) == []
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import entangle.cli as cli_mod

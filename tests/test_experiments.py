@@ -689,6 +689,29 @@ class TestStackedEvaluation:
             base.evaluate_all({"theta": column})
         assert str(caught.value) == "override 'theta' is a column with text; give numbers"
 
+    @pytest.mark.parametrize("evaluate, named, got", [
+        (lambda base: base.evaluate_all({"theta": [None, 0.4 * math.pi]}), "theta", "None"),
+        (lambda base: base.evaluate_all({"theta": [1j, 0.5]}), "theta", "1j"),
+        (lambda base: base.evaluate(theta=1j), "theta", "1j"),
+        (lambda base: base.evaluate(theta=None), "theta", "None"),
+        (lambda base: base.evaluate(kappa_b=None), "kappa_b", "None"),
+        (lambda base: base.evaluate(temperature=None), "temperature", "None"),
+        (lambda base: base.params(omega_a=None), "omega_a", "None"),
+    ], ids=["none-entry", "complex-entry", "complex", "none-theta", "none-kappa_b",
+            "none-temperature", "none-omega_a"])
+    def test_non_real_override_is_named(self, base, evaluate, named, got):
+        # a None entry once became a NaN the caller never gave, and the rest
+        # raised numpy's or CPython's TypeError naming no override
+        with pytest.raises(TypeError) as caught:
+            evaluate(base)
+        assert str(caught.value) == f"override {named!r} takes real numbers, got {got}"
+
+    def test_none_unsets_only_the_optional_fields(self, base):
+        pinned = base.evaluate(g=None, omega_c=None, omega_0=None)
+        assert point_bits(pinned) == point_bits(base.evaluate())
+        drive = base.evaluate(target_g_minus=None, drive_strength=1e30)
+        assert drive.drive_strength == 1e30
+
     def test_real_number_entries_make_a_column(self, base):
         given = base.params(kappa_b=[Fraction(1, 2), 2, True, np.float64(0.25), np.int32(3)])
         assert given.kappa_b.tolist() == [0.5, 2.0, 1.0, 0.25, 3.0]

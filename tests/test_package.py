@@ -111,6 +111,16 @@ def test_no_private_definition_is_dead():
     assert not dead, f"referenced by no other package statement: {dead}"
 
 
+def test_no_private_name_is_defined_in_two_modules():
+    # two definitions of one helper drift apart: three meanings of "any"
+    # once lived in two modules
+    modules = {}
+    for module, _, name in PRIVATE:
+        modules.setdefault(name, set()).add(module)
+    twice = {name: sorted(found) for name, found in modules.items() if len(found) > 1}
+    assert not twice, f"private names defined in more than one module: {twice}"
+
+
 def _import_time_imports(tree):
     """The import statements that run when the module is imported: all
     but those inside a function body."""

@@ -59,11 +59,15 @@ def run_bench(checkout, seed):
     and the environment block of its report."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--seed", str(seed)],
                           cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"bench/run.py printed nothing (exit {proc.returncode}):\n"
+    lines = proc.stdout.strip().splitlines() or [""]
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise RuntimeError(f"bench/run.py ended without a result line (exit "
+                           f"{proc.returncode}; last line {lines[-1]!r}):\n"
                            f"{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
     reports = sorted((checkout / ".bench_out").glob(f"result-*-seed{seed}-trace0.json"))
     result["environment"] = json.loads(reports[0].read_text())["environment"]
     return result
