@@ -23,8 +23,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 
 from . import __version__, experiments
@@ -33,12 +31,8 @@ from .errors import ConfigError, EntangleError
 
 #: frozen record column order (after the per-sweep axis columns); the
 #: three negativities lead it, and they are the curves of the plot data
-RECORD_COLUMNS = tuple(f.name for f in fields(experiments.SweepRecord)
-                       if f.name != "axis")
+RECORD_COLUMNS = experiments.SweepRecord._fields[1:]
 CURVES = RECORD_COLUMNS[:3]
-
-_record_values = attrgetter(*RECORD_COLUMNS)
-_curve_values = attrgetter(*CURVES)
 
 
 def _fmt(value):
@@ -54,7 +48,7 @@ def _fmt(value):
 def _cells(result: experiments.SweepResult):
     """Each record's CSV cells, its axis values first: shortest round-trip
     decimals, ``true``/``false``, and empty for a missing negativity."""
-    return [[_fmt(a) for a in rec.axis] + [_fmt(v) for v in _record_values(rec)]
+    return [[_fmt(a) for a in rec.axis] + [_fmt(v) for v in rec[1:]]
             for rec in result.records]
 
 
@@ -112,7 +106,7 @@ def emit_plot_data(result: experiments.SweepResult, precision=None,
         num = lambda v: f"{v:.{precision}g}"  # noqa: E731
         # laid out like the record cells, as far as the curves
         cells = [[num(float(v)) if v is not None else ""
-                  for v in rec.axis + _curve_values(rec)]
+                  for v in rec[0] + rec[1:4]]
                  for rec in result.records]
 
     blocks = []

@@ -7,14 +7,15 @@ entry syntax, the ``[output]`` section and the location of every fault.
 The ``[params]`` keys with their units, domains and defaults are the
 entries of :data:`entangle.experiments.PARAMS`, and each unit's
 suffixes, echo and conversion an entry of
-:data:`entangle.experiments.UNITS`.  Unknown sections or keys, values
-outside a key's domain (every value must be finite), invalid sweep axes
-and sweep grids the parameters cannot realize are rejected with the
-line number of the entry, or the ``section.key`` of an override; missing
-keys take the defaults of the feasible cavity-magnomechanics parameter
-set.  An override value obeys the rules of a file value: non-empty, one
-line and no ``#``; so does each field of an :class:`OutputBlock` built
-through the API, in its echo.  The ``[sweep]`` block parses to the
+:data:`entangle.experiments.UNITS`.  Unknown sections or keys, a key
+given twice in one file, values outside a key's domain (every value must
+be finite), invalid sweep axes and sweep grids the parameters cannot
+realize are rejected with the line number of the entry, or the
+``section.key`` of an override; missing keys take the defaults of the
+feasible cavity-magnomechanics parameter set.  An override value obeys
+the rules of a file value: non-empty, one line and no ``#``; so does
+each field of an :class:`OutputBlock` built through the API, in its
+echo.  The ``[sweep]`` block parses to the
 :class:`entangle.experiments.SweepSpec` the run executes.
 :func:`echo_config` renders a config back to parseable text such that
 ``parse_config(echo_config(cfg)) == cfg``.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, make_dataclass, replace
+from typing import NamedTuple
 
 from . import experiments
 from .errors import ConfigError, ParameterError
@@ -33,10 +35,15 @@ def _check_params(block):
     """Hold a parameter block to the rules of a parsed one, so that its echo
     parses back to it (see :func:`experiments.settle_partners`)."""
     quoted = {key: getattr(block, param.column) for key, param in experiments.PARAMS.items()}
+    read = {}
+    for key, param in experiments.PARAMS.items():
+        if quoted[key] is not None:
+            try:
+                read[key] = param.parse(f"{quoted[key]!r}{experiments.UNITS[param.unit].echo}")
+            except ParameterError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     with _at(None):
-        read = experiments.settle_partners({
-            key: param.parse(f"{quoted[key]!r}{experiments.UNITS[param.unit].echo}")
-            for key, param in experiments.PARAMS.items() if quoted[key] is not None})
+        read = experiments.settle_partners(read)
     for key, param in experiments.PARAMS.items():
         if read.get(key, param.default) != quoted[key]:
             raise ConfigError(f"{key} = {quoted[key]!r} reads back as "
@@ -142,8 +149,7 @@ class OutputBlock:
                     f"{key} = {echo(value)} does not read back as {value!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     params: ParamsConfig = ParamsConfig()
     sweep: experiments.SweepSpec = experiments.SweepSpec()
     output: OutputBlock = OutputBlock()
@@ -177,6 +183,9 @@ def parse_config(text, overrides=()) -> RunConfig:
             raise ConfigError("key outside of any [section]", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
+        if (section, key) in entries:
+            raise ConfigError(f"{key!r} is already given on line "
+                              f"{entries[section, key][1]}", lineno)
         entries[(section, key)] = (_value(key, value, lineno), lineno)
 
     for spec, value in overrides:

@@ -28,6 +28,7 @@ and reported diagnostics are converted back to rad/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ class PipelineResult:
     e_n_pb: float | None
 
 
-@dataclass(frozen=True)
-class PipelineColumns:
+class PipelineColumns(NamedTuple):
     """Everything computed for a stack of ``size`` points, as columns.
 
     Every field but ``size`` and ``covs`` is a ``(size,)`` array, the

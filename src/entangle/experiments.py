@@ -20,9 +20,11 @@ agree with :meth:`Baseline.evaluate` of their point, which runs the
 model layer on Python floats, to rounding.
 
 Axis values and record diagnostics use reporting units: ordinary
-frequency (Hz) for rates, couplings and detunings, millikelvin for
-temperature, and multiples of pi for the mixing angle.  The baseline
-parameter set itself is angular (rad/s), matching the model layer.
+frequency (Hz) for rates, couplings and detunings, and millikelvin for
+temperature.  A mixing-angle axis is in multiples of pi, the ``theta``
+diagnostic of a record in radians, and its ``max_re_eig`` in rad/s.
+The baseline parameter set itself is angular (rad/s), matching the
+model layer.
 """
 
 from __future__ import annotations
@@ -190,6 +192,8 @@ def axis_fault(start, stop, count, scale):
     if count < 2:
         return "count", f"axis needs at least 2 points, got {count}"
     for name, value in (("start", start), ("stop", stop)):
+        if not isinstance(value, numbers.Real):
+            return name, f"axis {name} must be a real number, got {value!r}"
         if not math.isfinite(value):
             return name, f"axis {name} must be finite, got {value!r}"
     if not start < stop:
@@ -294,13 +298,21 @@ class Baseline:
 
     def _point(self, overrides):
         """``(SystemParams, target_g_minus)`` of one override set (floats or
-        columns); a target would drop an overriding ``drive_strength``."""
-        target = overrides.get("target_g_minus", self.target_g_minus)
-        if target is not None and "drive_strength" in overrides:
-            raise ParameterError(
-                "give either target_g_minus or drive_strength "
-                "(target_g_minus=None pins the drive)")
+        columns)."""
+        target = _drive_target(self.target_g_minus, overrides)
         return self.params(**overrides), target
+
+
+def _drive_target(target, overrides):
+    """The |G_-| target of ``overrides`` over a baseline's ``target``.
+    Raises :class:`ParameterError` where a target would drop an
+    overriding ``drive_strength``."""
+    target = overrides.get("target_g_minus", target)
+    if target is not None and "drive_strength" in overrides:
+        raise ParameterError(
+            "give either target_g_minus or drive_strength "
+            "(target_g_minus=None pins the drive)")
+    return target
 
 
 def _columns(overrides):
@@ -374,19 +386,25 @@ def quoted_baseline(quoted) -> Baseline:
 def default_baseline(**overrides) -> Baseline:
     """The experimentally feasible cavity-magnomechanics parameter set.
 
-    Overrides are :class:`Baseline` fields in angular units.
+    Overrides are :class:`Baseline` fields in angular units.  Like those
+    of :meth:`Baseline.evaluate`, they follow :func:`check_geometry`, and
+    a ``drive_strength`` needs ``target_g_minus=None``, so none is dropped.
     """
     base = quoted_baseline({param.column: param.default
                             for param in PARAMS.values()})
-    return replace(base, **overrides) if overrides else base
+    if not overrides:
+        return base
+    check_geometry(overrides)
+    _drive_target(base.target_g_minus, overrides)
+    return replace(base, **overrides)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One emitted grid point, in reporting units (see module docstring).
 
-    ``max_re_eig`` stays in rad/s as the raw stability diagnostic; the
-    negativities are None when the point is unstable.
+    ``theta`` is in radians and ``max_re_eig`` stays in rad/s as the raw
+    stability diagnostic; the negativities are None when the point is
+    unstable.
     """
 
     axis: tuple[float, ...]
@@ -408,7 +426,7 @@ class SweepRecord:
         stable = result.stable.tolist()
         e_n = [[v if ok else None for v, ok in zip(values.tolist(), stable)]
                for values in (result.e_n_pp, result.e_n_mb, result.e_n_pb)]
-        return [cls(*fields) for fields in zip(
+        return list(map(cls._make, zip(
             points,
             *e_n,
             stable,
@@ -418,11 +436,10 @@ class SweepRecord:
             result.basis.theta.tolist(),
             (result.basis.delta_plus / TWO_PI).tolist(),
             (result.basis.delta_minus / TWO_PI).tolist(),
-        )]
+        )))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Ordered records of one sweep plus a machine-readable summary."""
 
     kind: str
@@ -441,8 +458,7 @@ class SweepResult:
 
 # -- sweep registry ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepKind:
+class SweepKind(NamedTuple):
     """One sweep kind: its axes, default grid and hooks.
 
     ``defaults`` holds one default axis per axis line (None where the
@@ -588,8 +604,11 @@ class SweepSpec:
         elif self.param not in GENERIC_PARAMS:
             raise ParameterError(
                 f"cannot sweep {self.param!r}; choose from {sorted(GENERIC_PARAMS)}")
-        n_axes = len(self.sweep_kind().axes)
-        for name, axis in (("axis", self.axis), ("axis2", self.axis2))[n_axes:]:
+        given = (("axis", self.axis), ("axis2", self.axis2))
+        for name, axis in given:
+            if axis is not None and not isinstance(axis, SweepAxis):
+                raise ParameterError(f"{name!r} must be a SweepAxis or None, got {axis!r}")
+        for name, axis in given[len(self.sweep_kind().axes):]:
             if axis is not None:
                 raise ParameterError(
                     f"{name!r} does not apply to a {self.kind!r} sweep")

@@ -221,6 +221,22 @@ class TestParseConfig:
                            overrides=[("params.kappa_a", "3 MHz")])
         assert cfg.params.kappa_a_hz == 3e6
 
+    @pytest.mark.parametrize("text, message", [
+        ("[sweep]\nkind = theta\nkind = g_minus\n",
+         "line 3: 'kind' is already given on line 2"),
+        ("[params]\nkappa_a = 1 MHz\n[sweep]\nkind = theta\n[params]\n"
+         "kappa_a = 2 MHz\n", "line 6: 'kappa_a' is already given on line 2"),
+    ], ids=["same-section", "reopened-section"])
+    def test_key_given_twice_rejected_with_both_lines(self, text, message):
+        # the last value once won silently: the first text ran g_minus
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
+
+    def test_override_replaces_a_file_entry_given_once(self):
+        cfg = parse_config("[sweep]\nkind = theta\n", [("sweep.kind", "g_minus")])
+        assert cfg.sweep.kind == "g_minus"
+
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("", overrides=[("params.kappa_a", "-2 MHz")])
@@ -401,9 +417,9 @@ class TestEchoRoundTrip:
         ({"theta_pi": None}, "theta = None reads back as 0.4"),
         ({"g_minus_hz": None}, "g_minus = None reads back as 2000000.0"),
         ({"kappa_b_hz": None}, "kappa_b = None reads back as 100.0"),
-        ({"kappa_a_hz": -1.0}, "value must be positive, got '-1.0 Hz'"),
-        ({"theta_pi": 0.5}, "value must be inside (0, pi/2), got '0.5 pi'"),
-        ({"omega_b_hz": math.inf}, "malformed number 'inf Hz'"),
+        ({"kappa_a_hz": -1.0}, "kappa_a: value must be positive, got '-1.0 Hz'"),
+        ({"theta_pi": 0.5}, "theta: value must be inside (0, pi/2), got '0.5 pi'"),
+        ({"omega_b_hz": math.inf}, "omega_b: malformed number 'inf Hz'"),
         ({"kappa_a_hz": 10**17 + 1},
          "kappa_a = 100000000000000001 reads back as 1e+17"),
     ], ids=["drive-beside-g_minus", "pair-beside-theta", "lone-g", "no-geometry",

@@ -113,6 +113,19 @@ class TestSweepAxis:
             run_sweep(default_baseline(), SweepSpec("theta", SweepAxis(start, stop, 3)))
 
 
+    @pytest.mark.parametrize("start, stop, field", [
+        ("a", 1.0, "start"), (0.3, None, "stop"), (0.3, 1j, "stop"),
+    ], ids=["text-start", "none-stop", "complex-stop"])
+    def test_endpoint_that_is_no_real_number_is_named(self, start, stop, field):
+        # it once escaped as CPython's "must be real number, not str"
+        value = (start, stop)[field == "stop"]
+        message = f"axis {field} must be a real number, got {value!r}"
+        assert experiments.axis_fault(start, stop, 3, "linear") == (field, message)
+        with pytest.raises(ParameterError) as caught:
+            SweepAxis(start, stop, 3)
+        assert str(caught.value) == message
+
+
 class TestThetaSweep:
     def test_record_count_and_monotone_axis(self, theta_sweep):
         assert len(theta_sweep.records) == 200
@@ -380,6 +393,18 @@ class TestRunSweepDispatch:
                                            param, extra):
         with pytest.raises(ParameterError, match=f"'{extra}' does not apply"):
             run_sweep(base, SweepSpec(kind, axis, axis2, param=param))
+
+
+    @pytest.mark.parametrize("kind, name", [
+        ("theta", "axis"), ("kappa_grid", "axis2"), ("point", "axis"),
+    ])
+    def test_axis_that_is_no_sweep_axis_is_named(self, kind, name):
+        # it was accepted, and run_sweep and echo_config then died with
+        # AttributeError: 'tuple' object has no attribute 'values'
+        with pytest.raises(ParameterError) as caught:
+            SweepSpec(kind, **{name: (0.3, 0.4, 3)})
+        assert str(caught.value) == (
+            f"{name!r} must be a SweepAxis or None, got (0.3, 0.4, 3)")
 
 
 class TestDeterminism:
@@ -754,6 +779,25 @@ class TestGeometryOverrides:
             base.evaluate_all(overrides)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"g": TWO_PI * 1e6}, "give both g and omega_c, or neither"),
+        ({"omega_c": PAIR_OMEGA_C}, "give both g and omega_c, or neither"),
+        ({"theta": 0.3 * math.pi, "g": PAIR_G, "omega_c": PAIR_OMEGA_C},
+         "give either theta or the pair (g, omega_c)"),
+    ], ids=["g", "omega_c", "theta-pair"])
+    def test_default_baseline_refuses_an_override_it_would_drop(self, overrides,
+                                                                message):
+        # it once copied each: the lone value gave the default point's
+        # bits, and theta beside the pair gave a point at 0.375 pi
+        with pytest.raises(ParameterError) as caught:
+            default_baseline(**overrides)
+        assert str(caught.value) == message
+
+    def test_default_baseline_takes_the_full_pair(self, base):
+        pinned = default_baseline(g=PAIR_G, omega_c=PAIR_OMEGA_C)
+        assert pinned.evaluate().e_n_pp == base.evaluate(
+            g=PAIR_G, omega_c=PAIR_OMEGA_C).e_n_pp
+
     def test_unknown_override_raises_type_error(self, base):
         with pytest.raises(TypeError, match="unexpected keyword argument 'thet'"):
             base.evaluate(thet=0.35 * math.pi)
@@ -805,6 +849,23 @@ class TestDriveOverrides:
         assert stack.e_n_pp.tolist() == pytest.approx([point.e_n_pp] * 2, rel=1e-11)
         pinned = replace(base, target_g_minus=None)
         assert pinned.evaluate(drive_strength=drive).e_n_pp == point.e_n_pp
+
+    @pytest.mark.parametrize("overrides", [
+        {"drive_strength": 1e20},
+        {"drive_strength": 1e20, "target_g_minus": TWO_PI * 1e6},
+    ], ids=["default-target", "overriding-target"])
+    def test_default_baseline_refuses_a_drive_beside_a_target(self, overrides):
+        # it once copied the drive, and the default target won over it
+        with pytest.raises(ParameterError) as caught:
+            default_baseline(**overrides)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_default_baseline_with_the_target_cleared_sets_the_drive(self, base):
+        drive = 0.5 * base.evaluate().drive_strength
+        point = default_baseline(drive_strength=drive, target_g_minus=None).evaluate()
+        assert point.drive_strength == drive
+        assert point.e_n_pp == base.evaluate(drive_strength=drive,
+                                             target_g_minus=None).e_n_pp
 
 
 def _feasible_or_not(finite_values):
@@ -859,7 +920,9 @@ class TestColumnProperties:
 class TestPlatformInvariance:
     """The abstract's "applicable to a variety of bosonic systems": scaling
     every frequency, rate, coupling and the temperature by one factor
-    leaves every negativity unchanged."""
+    leaves every negativity and stability flag unchanged, and scales the
+    largest drift eigenvalue real part by the factor and the calibrated
+    drive by its square."""
 
     SCALES = (1e-3, 0.37, 10.0, 1e3)
 
@@ -876,6 +939,32 @@ class TestPlatformInvariance:
         for name in ("e_n_pp", "e_n_mb", "e_n_pb"):
             assert getattr(scaled, name) == pytest.approx(
                 getattr(reference, name), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta_pi, temperature", [
+        (0.37, None), (0.45, None), (0.37, 0.2),
+    ], ids=["stable", "unstable", "200mK"])
+    @pytest.mark.parametrize("factor", SCALES)
+    def test_point_scales_with_the_frequency_unit(self, base, factor, theta_pi,
+                                                  temperature):
+        # max Re(lambda) is a rate and scales by the factor, the drive
+        # G0 * Omega by its square; the stable flag and the negativities
+        # do not move, also for an unstable angle and a hot bath
+        if temperature is not None:
+            base = replace(base, temperature=temperature)
+        reference = base.evaluate(theta=theta_pi * math.pi)
+        scaled = self.scaled(base, factor).evaluate(theta=theta_pi * math.pi)
+        assert scaled.stable == reference.stable == (theta_pi < 0.4)
+        assert scaled.max_re_eig == pytest.approx(
+            factor * reference.max_re_eig, rel=1e-12, abs=0.0)
+        assert scaled.drive_strength == pytest.approx(
+            factor ** 2 * reference.drive_strength, rel=1e-12, abs=0.0)
+        negativities = ("e_n_pp", "e_n_mb", "e_n_pb")
+        if not reference.stable:
+            assert [getattr(scaled, name) for name in negativities] == [None] * 3
+            return
+        scale = max(getattr(reference, name) for name in negativities)
+        for name in negativities:
+            assert abs(getattr(scaled, name) - getattr(reference, name)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("factor", SCALES)
     def test_theta_sweep_negativities_invariant(self, base, factor):

@@ -86,6 +86,32 @@ ALL_STATEMENTS = [(node, _names([node])) for tree in TREES.values()
                   for node in tree.body]
 
 
+#: dataclasses that validate nothing, and why each is not a named tuple
+UNVALIDATED_DATACLASSES = {
+    "Baseline": "default_baseline and the tests copy it with dataclasses.replace",
+    "PipelineResult": "the benchmark's tests copy it with dataclasses.replace",
+}
+
+
+def _unvalidated_dataclass(node):
+    """Whether ``node`` is a class decorated with ``dataclass`` that defines
+    no ``__post_init__``."""
+    return (isinstance(node, ast.ClassDef)
+            and any(isinstance(sub, ast.Name) and sub.id == "dataclass"
+                    for decorator in node.decorator_list for sub in ast.walk(decorator))
+            and not any("__post_init__" in _defined(statement) for statement in node.body))
+
+
+def test_only_a_validating_type_is_a_dataclass():
+    # a type that checks its fields in __post_init__ stays a dataclass; a
+    # plain carrier is a named tuple, unless callers copy it with replace
+    unvalidated = {node.name for tree in TREES.values() for node in ast.walk(tree)
+                   if _unvalidated_dataclass(node)}
+    assert unvalidated == UNVALIDATED_DATACLASSES.keys(), (
+        "dataclasses that validate nothing: make them named tuples or list "
+        f"why they are not: {sorted(unvalidated)}")
+
+
 @pytest.mark.parametrize("name", entangle.__all__)
 def test_every_export_resolves(name):
     assert hasattr(entangle, name)
