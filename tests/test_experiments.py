@@ -112,7 +112,6 @@ class TestSweepAxis:
         with pytest.raises(ParameterError, match=f"axis {field} must be finite"):
             run_sweep(default_baseline(), SweepSpec("theta", SweepAxis(start, stop, 3)))
 
-
     @pytest.mark.parametrize("start, stop, field", [
         ("a", 1.0, "start"), (0.3, None, "stop"), (0.3, 1j, "stop"),
     ], ids=["text-start", "none-stop", "complex-stop"])
@@ -393,7 +392,6 @@ class TestRunSweepDispatch:
                                            param, extra):
         with pytest.raises(ParameterError, match=f"'{extra}' does not apply"):
             run_sweep(base, SweepSpec(kind, axis, axis2, param=param))
-
 
     @pytest.mark.parametrize("kind, name", [
         ("theta", "axis"), ("kappa_grid", "axis2"), ("point", "axis"),
