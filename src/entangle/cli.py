@@ -156,7 +156,8 @@ def _parse_overrides(pairs):
         if "=" not in pair:
             raise ConfigError(f"--set expects section.key=value, got {pair!r}")
         spec, _, value = pair.partition("=")
-        overrides.append((spec.strip(), value.strip()))
+        section, dot, key = spec.partition(".")
+        overrides.append((f"{section.strip()}{dot}{key.strip()}", value.strip()))
     return overrides
 
 
@@ -223,8 +224,12 @@ def main(argv=None) -> int:
     try:
         overrides = _parse_overrides(args.set)
         if args.command == "point":
+            if any(spec == "sweep.kind" for spec, _ in overrides):
+                raise ConfigError("point evaluates a single point and takes no "
+                                  "sweep kind", "sweep.kind")
             overrides.append(("sweep.kind", "point"))
-        if args.out is not None:
+        if args.out is not None:  # wins over a --set output.dir
+            overrides = [entry for entry in overrides if entry[0] != "output.dir"]
             overrides.append(("output.dir", args.out))
         return _execute(_load_config(getattr(args, "config", None), overrides))
     except ConfigError as exc:

@@ -162,8 +162,9 @@ class RunConfig(NamedTuple):
 def parse_config(text, overrides=()) -> RunConfig:
     """Parse config text (plus ``section.key=value`` overrides) to a RunConfig.
 
-    Overrides are applied after the file and win over it; error messages
-    name them by ``section.key`` where file entries give a line number.
+    Overrides are applied after the file and win over it, each key at most
+    once; error messages name them by ``section.key`` where file entries
+    give a line number.
     """
     entries = {}  # (section, key) -> (raw value, line number)
     section = None
@@ -188,11 +189,16 @@ def parse_config(text, overrides=()) -> RunConfig:
                               f"{entries[section, key][1]}", lineno)
         entries[(section, key)] = (_value(key, value, lineno), lineno)
 
+    overridden = set()
     for spec, value in overrides:
         if "." not in spec:
             raise ConfigError(f"override must look like section.key, got {spec!r}")
         section, _, key = (part.strip() for part in spec.partition("."))
         location = f"{section}.{key}"
+        if location in overridden:
+            raise ConfigError(f"{key!r} is already given by an earlier override",
+                              location)
+        overridden.add(location)
         entries[(section, key)] = (_value(key, str(value), location), location)
 
     return _build_config(entries)

@@ -212,7 +212,10 @@ class Baseline:
     Geometry comes either from an explicit ``(g, omega_c)`` pair or from
     ``theta`` via the fixed-splitting inverse (splitting = 2 omega_b).
     The drive is pinned per point to hit ``target_g_minus`` unless that
-    is None, in which case ``drive_strength`` is used directly.
+    is None, in which case ``drive_strength`` is used directly.  A
+    baseline holding one of ``g`` and ``omega_c``, or a non-zero
+    ``drive_strength`` beside a ``target_g_minus``, raises
+    :class:`ParameterError`, however it is built.
     """
 
     omega_a: float
@@ -227,6 +230,12 @@ class Baseline:
     omega_0: float | None
     target_g_minus: float | None
     drive_strength: float
+
+    def __post_init__(self):
+        check_geometry([name for name in ("g", "omega_c")
+                        if getattr(self, name) is not None])
+        if self.drive_strength:
+            _drive_target(self.target_g_minus, {"drive_strength": self.drive_strength})
 
     def params(self, **overrides) -> SystemParams:
         """Resolve to concrete :class:`SystemParams`.
@@ -530,35 +539,22 @@ def _thresholds(base, axes, records):
 
     ``t_crit_mk`` is the smallest temperature with E_N below
     :data:`EN_THRESHOLD` at kappa_b/2pi = 100 Hz, ``kappa_b_crit_hz``
-    the smallest kappa_b below it at T = 10 mK; None when the axis never
-    crosses.
+    the smallest kappa_b below it at T = 10 mK; an unstable point counts
+    as below, and a line that never crosses gives None.  Both lines are
+    one stack of full columns, like the grid's.
     """
-    return {"t_crit_mk": _first_below(base, axes, records, 0, 100.0),
-            "kappa_b_crit_hz": _first_below(base, axes, records, 1, 10.0)}
-
-
-def _first_below(base, axes, records, along, fixed):
-    """Smallest value of axis ``along`` whose point on the line through
-    the quoted value ``fixed`` of the other axis is unstable or has E_N
-    below :data:`EN_THRESHOLD`; None if there is none.
-
-    Where the other axis holds ``fixed`` exactly, the line is read from
-    the grid records: the grid evaluated the same columns, so the values
-    are the same bits.  Otherwise the line is evaluated as full columns,
-    like the grid's.
-    """
-    lines = SWEEPS["temp_kappa_b"].axes
-    other = 1 - along
-    values = axes[along].values()
-    if fixed in axes[other].values():
-        e_n_pp = np.array([np.nan if rec.e_n_pp is None else rec.e_n_pp
-                           for rec in records if rec.axis[other] == fixed])
-    else:
-        overrides = {lines[along].field: lines[along].angular(values),
-                     lines[other].field: lines[other].angular(np.full_like(values, fixed))}
-        e_n_pp = base.evaluate_all(overrides).e_n_pp
+    temps, kappa_bs = (axis.values() for axis in axes)
+    temperature, kappa_b = SWEEPS["temp_kappa_b"].axes
+    e_n_pp = base.evaluate_all({
+        temperature.field: temperature.angular(
+            np.concatenate([temps, np.full_like(kappa_bs, 10.0)])),
+        kappa_b.field: kappa_b.angular(
+            np.concatenate([np.full_like(temps, 100.0), kappa_bs])),
+    }).e_n_pp
     below = ~(e_n_pp >= EN_THRESHOLD)  # NaN: unstable
-    return float(values[below.argmax()]) if below.any() else None
+    return {key: float(values[hit.argmax()]) if hit.any() else None
+            for key, values, hit in (("t_crit_mk", temps, below[:len(temps)]),
+                                     ("kappa_b_crit_hz", kappa_bs, below[len(temps):]))}
 
 
 #: every sweep kind, in listing order

@@ -17,7 +17,8 @@ sys.path.insert(0, str(BENCH))
 
 import worker  # noqa: E402
 import workloads  # noqa: E402
-from entangle.experiments import default_baseline  # noqa: E402
+from entangle import experiments  # noqa: E402
+from entangle.experiments import SweepSpec, default_baseline, run_sweep  # noqa: E402
 from entangle.model import TWO_PI  # noqa: E402
 
 
@@ -40,3 +41,21 @@ def test_scipy_cross_check_passes(theta_pi, g_minus_hz):
     base = default_baseline()
     assert base.evaluate(**overrides).stable
     assert workloads.scipy_mismatch(base, overrides) is None
+
+
+@pytest.mark.parametrize("workload", [workloads.ThetaCli, workloads.TempKappaBCli],
+                         ids=lambda cls: cls.__name__)
+def test_cli_workload_counts_the_points_a_default_run_evaluates(workload, monkeypatch):
+    # per-point latency is run time over ``points``: every row run_pipelines
+    # evaluates, the threshold lines of temp_kappa_b included
+    rows = []
+    run_pipelines = experiments.run_pipelines
+
+    def counting(*args):
+        result = run_pipelines(*args)
+        rows.append(result.size)
+        return result
+
+    monkeypatch.setattr(experiments, "run_pipelines", counting)
+    run_sweep(default_baseline(), SweepSpec(workload.kind))
+    assert sum(rows) == workload.points

@@ -233,6 +233,18 @@ class TestParseConfig:
             parse_config(text)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("overrides", [
+        [("sweep.kind", "g_minus"), ("sweep.kind", "detuning")],
+        [("sweep.kind", "g_minus"), (" sweep . kind ", "detuning")],
+    ], ids=["same-spelling", "spaced"])
+    def test_override_given_twice_rejected(self, overrides):
+        # the last one once won silently: this ran detuning
+        with pytest.raises(ConfigError) as caught:
+            parse_config("[sweep]\nkind = theta\n", overrides)
+        assert caught.value.location == "sweep.kind"
+        assert str(caught.value) == ("override sweep.kind: 'kind' is already "
+                                     "given by an earlier override")
+
     def test_override_replaces_a_file_entry_given_once(self):
         cfg = parse_config("[sweep]\nkind = theta\n", [("sweep.kind", "g_minus")])
         assert cfg.sweep.kind == "g_minus"
@@ -893,9 +905,13 @@ class TestExitCodes:
         # it once named no location
         ("", ["--set", "sweep.kind=generic"],
          "override sweep.kind: generic sweeps need a param name"),
+        # it once ran the last one, detuning
+        ("[sweep]\nkind = theta\n",
+         ["--set", "sweep.kind=g_minus", "--set", "sweep.kind=detuning"],
+         "override sweep.kind: 'kind' is already given by an earlier override"),
     ], ids=["set-without-value", "set-without-section", "unknown-section",
             "line-without-equals", "no-format", "param-of-point", "param-of-theta",
-            "generic-without-param"])
+            "generic-without-param", "set-twice"])
     def test_config_error_exits_2_writing_nothing(self, text, args, message, tmp_path,
                                                   monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"
@@ -906,6 +922,16 @@ class TestExitCodes:
         assert main(["run", str(cfg)] + args) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("spec", ["sweep.kind", "sweep . kind"])
+    def test_point_refuses_a_sweep_kind_override(self, spec, tmp_path, capsys):
+        # it once ran one point and exited 0, dropping the override
+        out = tmp_path / "out"
+        assert main(["point", "--set", f"{spec}=theta", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: override sweep.kind: point evaluates a single point "
+            "and takes no sweep kind\n")
+        assert not out.exists()
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import entangle.cli as cli_mod
@@ -942,3 +968,54 @@ class TestEmitRecordsUnits:
         assert float(cells["delta_plus"]) == pytest.approx(10e6, rel=1e-9)
         assert float(cells["theta"]) == pytest.approx(0.4 * math.pi, rel=1e-12)
         assert cells["stable"] == "true"
+
+
+class TestScaledConfig:
+    """The abstract's "applicable to a variety of bosonic systems" through the
+    command line: a config whose quoted frequencies, rates, |G_-|,
+    temperature and axis endpoints are all scaled by one factor writes the
+    same stability flags and, to 1e-10 of max(E_N, 1e-3), the same
+    negativities.  The API holds 1e-12 (``TestPlatformInvariance`` in
+    ``test_experiments.py``); here the quoted values are scaled before their
+    conversion to rad/s, which rounds differently."""
+
+    SCALES = (1e-3, 0.37, 10.0, 1e3)
+
+    @staticmethod
+    def records(tmp_path, kind, factor):
+        """``records.csv`` of a run of ``kind`` (the default axes, 12 x 12 for
+        a grid) with every quoted rate and temperature scaled by ``factor``."""
+        def quoted(value, unit):
+            return f"{value if unit == 'pi' else factor * value!r}{UNITS[unit].echo}"
+
+        lines = ["[params]"] + [
+            f"{key} = {quoted(param.default, param.unit)}"
+            for key, param in PARAMS.items()
+            if param.default is not None and param.unit in ("Hz", "mK")]
+        lines += ["[sweep]", f"kind = {kind}"]
+        sweep = SWEEPS[kind]
+        for suffix, line, axis in zip(("", "2"), sweep.axes, sweep.defaults):
+            lines += [f"start{suffix} = {quoted(axis.start, line.unit)}",
+                      f"stop{suffix} = {quoted(axis.stop, line.unit)}",
+                      f"count{suffix} = {12 if len(sweep.axes) == 2 else axis.count}",
+                      f"scale{suffix} = {axis.scale}"]
+        out = tmp_path / f"{kind}-{factor!r}"
+        cfg = tmp_path / f"{kind}-{factor!r}.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(cfg), "--out", str(out), "--set", "output.formats=csv"]) == 0
+        header, *rows = (out / "records.csv").read_text().splitlines()
+        return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+    @pytest.mark.parametrize("factor", SCALES)
+    @pytest.mark.parametrize("kind", ["theta", "detuning", "g_minus", "kappa_grid",
+                                      "temp_kappa_b"])
+    def test_records_invariant(self, tmp_path, kind, factor, capsys):
+        # measured worst |dE_N| / max(E_N, 1e-3): 3.3e-11 (g_minus), 6.9e-12 (theta)
+        reference = self.records(tmp_path, kind, 1.0)
+        scaled = self.records(tmp_path, kind, factor)
+        assert [row["stable"] for row in scaled] == [row["stable"] for row in reference]
+        for row, ref in zip(scaled, reference):
+            for name in ("e_n_pp", "e_n_mb", "e_n_pb"):
+                if ref[name]:
+                    value, expected = float(row[name]), float(ref[name])
+                    assert abs(value - expected) <= 1e-10 * max(expected, 1e-3)

@@ -335,11 +335,11 @@ class TestTempKappaBSweep:
         assert summary["t_crit_mk"] == self.line_crossing(base, 0, 100.0, temps)
         assert summary["kappa_b_crit_hz"] == self.line_crossing(base, 1, 10.0, kappa_bs)
 
-    def test_default_grid_reads_the_100_hz_line_from_the_grid(self, base, stack_sizes):
-        # the default kappa_b axis starts at exactly 100 Hz: 3600 grid
-        # points plus the 60-point 10 mK line, not a second 100 Hz line
+    def test_default_run_evaluates_two_stacks(self, base, stack_sizes):
+        # the 3600-point grid, then the 60-point 100 Hz line and the
+        # 60-point 10 mK line as one stack, though the grid holds the first
         run_sweep(base, SweepSpec("temp_kappa_b"))
-        assert sum(stack_sizes) == 3660
+        assert stack_sizes == [3600, 120]
 
     def test_threshold_refinement_within_one_coarse_step(self, base):
         kb_axis = SweepAxis(1e2, 2e2, 2, "log")
@@ -607,8 +607,8 @@ class TestStackedEvaluation:
                 return kernel(matrices, *args)
             monkeypatch.setattr(gaussian, name, counting)
         run_sweep(base, SweepSpec("temp_kappa_b"))
-        assert stack_sizes == [3600, 60]
-        assert sum(rows["drift_spectra"]) == 3660
+        assert stack_sizes == [3600, 120]
+        assert sum(rows["drift_spectra"]) == 3720
         assert len(rows["drift_spectra"]) == 15 + 1
         assert max(rows["drift_spectra"]) == dynamics.CHUNK_SIZE
         assert max(rows["solve_lyapunov_stacked"]) <= dynamics.CHUNK_SIZE
@@ -791,6 +791,18 @@ class TestGeometryOverrides:
             default_baseline(**overrides)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("pinned, fields", [
+        (False, {"g": TWO_PI * 1e6}), (False, {"omega_c": PAIR_OMEGA_C}),
+        (True, {"g": None}), (True, {"omega_c": None}),
+    ], ids=["g", "omega_c", "pinned-unset-g", "pinned-unset-omega_c"])
+    def test_a_copy_with_one_pair_member_raises(self, base, pinned, fields):
+        # a copy once took it: the lone value gave the default point's bits
+        if pinned:
+            base = default_baseline(g=PAIR_G, omega_c=PAIR_OMEGA_C)
+        with pytest.raises(ParameterError) as caught:
+            replace(base, **fields)
+        assert str(caught.value) == "give both g and omega_c, or neither"
+
     def test_default_baseline_takes_the_full_pair(self, base):
         pinned = default_baseline(g=PAIR_G, omega_c=PAIR_OMEGA_C)
         assert pinned.evaluate().e_n_pp == base.evaluate(
@@ -857,6 +869,17 @@ class TestDriveOverrides:
         with pytest.raises(ParameterError) as caught:
             default_baseline(**overrides)
         assert str(caught.value) == self.MESSAGE
+
+    def test_a_copy_with_a_drive_beside_a_target_raises(self, base):
+        # a copy once kept the drive, and the target won over it
+        with pytest.raises(ParameterError) as caught:
+            replace(base, drive_strength=1e20)
+        assert str(caught.value) == self.MESSAGE
+        pinned = replace(base, drive_strength=1e20, target_g_minus=None)
+        with pytest.raises(ParameterError) as caught:
+            replace(pinned, target_g_minus=TWO_PI * 1e6)
+        assert str(caught.value) == self.MESSAGE
+        assert replace(pinned, drive_strength=0.0, target_g_minus=TWO_PI * 1e6)
 
     def test_default_baseline_with_the_target_cleared_sets_the_drive(self, base):
         drive = 0.5 * base.evaluate().drive_strength

@@ -88,7 +88,6 @@ ALL_STATEMENTS = [(node, _names([node])) for tree in TREES.values()
 
 #: dataclasses that validate nothing, and why each is not a named tuple
 UNVALIDATED_DATACLASSES = {
-    "Baseline": "default_baseline and the tests copy it with dataclasses.replace",
     "PipelineResult": "the benchmark's tests copy it with dataclasses.replace",
 }
 
