@@ -1009,7 +1009,7 @@ class TestScaledConfig:
     @pytest.mark.parametrize("factor", SCALES)
     @pytest.mark.parametrize("kind", ["theta", "detuning", "g_minus", "kappa_grid",
                                       "temp_kappa_b"])
-    def test_records_invariant(self, tmp_path, kind, factor, capsys):
+    def test_records_invariant(self, tmp_path, kind, factor):
         # measured worst |dE_N| / max(E_N, 1e-3): 3.3e-11 (g_minus), 6.9e-12 (theta)
         reference = self.records(tmp_path, kind, 1.0)
         scaled = self.records(tmp_path, kind, factor)
