@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import __version__, experiments
-from .config import RunConfig, echo_config, parse_config
+from .config import RunConfig, _split_key, echo_config, parse_config
 from .errors import ConfigError, EntangleError
 
 #: frozen record column order (after the per-sweep axis columns); the
@@ -156,8 +156,7 @@ def _parse_overrides(pairs):
         if "=" not in pair:
             raise ConfigError(f"--set expects section.key=value, got {pair!r}")
         spec, _, value = pair.partition("=")
-        section, dot, key = spec.partition(".")
-        overrides.append((f"{section.strip()}{dot}{key.strip()}", value.strip()))
+        overrides.append((spec.strip(), value.strip()))
     return overrides
 
 
@@ -224,12 +223,13 @@ def main(argv=None) -> int:
     try:
         overrides = _parse_overrides(args.set)
         if args.command == "point":
-            if any(spec == "sweep.kind" for spec, _ in overrides):
+            if any(_split_key(spec) == ("sweep", "kind") for spec, _ in overrides):
                 raise ConfigError("point evaluates a single point and takes no "
                                   "sweep kind", "sweep.kind")
             overrides.append(("sweep.kind", "point"))
         if args.out is not None:  # wins over a --set output.dir
-            overrides = [entry for entry in overrides if entry[0] != "output.dir"]
+            overrides = [entry for entry in overrides
+                         if _split_key(entry[0]) != ("output", "dir")]
             overrides.append(("output.dir", args.out))
         return _execute(_load_config(getattr(args, "config", None), overrides))
     except ConfigError as exc:

@@ -78,6 +78,13 @@ def _at(location, prefix=""):
         raise ConfigError(prefix + str(exc), location) from None
 
 
+def _split_key(spec):
+    """``(section, key)`` of an override's ``section.key`` as entries are
+    keyed, each part stripped of spaces; None where ``spec`` has no dot."""
+    section, dot, key = spec.partition(".")
+    return (section.strip(), key.strip()) if dot else None
+
+
 def _value(key, raw, location):
     """The stripped value of one entry, file line or override alike: it
     must be non-empty, one line and free of ``#``, or its echo would not
@@ -191,9 +198,10 @@ def parse_config(text, overrides=()) -> RunConfig:
 
     overridden = set()
     for spec, value in overrides:
-        if "." not in spec:
+        parts = _split_key(spec)
+        if parts is None:
             raise ConfigError(f"override must look like section.key, got {spec!r}")
-        section, _, key = (part.strip() for part in spec.partition("."))
+        section, key = parts
         location = f"{section}.{key}"
         if location in overridden:
             raise ConfigError(f"{key!r} is already given by an earlier override",

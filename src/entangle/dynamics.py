@@ -273,15 +273,16 @@ def _steady_states(pairs):
     The Lyapunov kernel raises :class:`NumericalError` rather than return
     a covariance that misses the residual contract.
     """
-    lam, U = gaussian.drift_spectra(pairs[:, 0])
-    max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
-    stable = (max_re < 0.0).nonzero()[0]
-    if not stable.size:
-        return max_re, stable, None
-    if stable.size < len(pairs):
-        pairs, lam, U = pairs[stable], lam[stable], U[stable]
-    covs = _stage("Lyapunov solve", gaussian.solve_lyapunov_stacked,
-                  pairs[:, 0], pairs[:, 1], (lam, U))
+    with np.errstate(all="ignore"):  # one pass; the kernels' checks decide NaN, inf
+        lam, U = gaussian._spectra(pairs[:, 0])
+        max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
+        stable = (max_re < 0.0).nonzero()[0]
+        if not stable.size:
+            return max_re, stable, None
+        if stable.size < len(pairs):
+            pairs, lam, U = pairs[stable], lam[stable], U[stable]
+        covs = _stage("Lyapunov solve", gaussian._solve_stacked,
+                      pairs[:, 0], pairs[:, 1], (lam, U))
     return max_re, stable, covs
 
 

@@ -248,12 +248,18 @@ class Baseline:
         arrays by :func:`_columns`; with columns the result holds
         parameter columns (see :meth:`evaluate_all`).
         """
+        return self._params(overrides, convert=True)
+
+    def _params(self, overrides, convert=False):
+        """:meth:`params`, converting the overrides by :func:`_columns` if ``convert``."""
         check_geometry(overrides)
         fields = vars(self)
         if not overrides.keys() <= fields.keys():
             raise TypeError("Baseline.params() got an unexpected keyword "
                             f"argument {min(overrides.keys() - fields.keys())!r}")
-        eff = SimpleNamespace(**{**fields, **_columns(overrides)[0]})
+        if convert:
+            overrides = _columns(overrides)[0]
+        eff = SimpleNamespace(**{**fields, **overrides})
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
             g, omega_c = solve_g_omega_c_from_theta(
                 eff.theta, eff.omega_a, eff.omega_b)
@@ -306,10 +312,9 @@ class Baseline:
             raise
 
     def _point(self, overrides):
-        """``(SystemParams, target_g_minus)`` of one override set (floats or
-        columns)."""
+        """``(SystemParams, target_g_minus)`` of converted overrides (:func:`_columns`)."""
         target = _drive_target(self.target_g_minus, overrides)
-        return self.params(**overrides), target
+        return self._params(overrides), target
 
 
 def _drive_target(target, overrides):

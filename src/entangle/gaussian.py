@@ -114,14 +114,18 @@ def drift_spectra(drifts):
     and ``(N, n, n)`` eigenvectors (as columns); row ``i`` is stable iff
     every ``lam[i].real`` is strictly negative.
     """
-    R = np.asarray(drifts, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return _spectra(np.asarray(drifts, dtype=float))
+
+
+def _spectra(R):
+    """:func:`drift_spectra` of a float stack, under the caller's ``np.errstate``."""
     if R.ndim != 3 or R.shape[1] != R.shape[2]:
         raise ParameterError(f"drift matrix must be square, got shape {R.shape[1:]}")
     if not _COLUMN_MATH.all(np.isfinite(R)):
         raise ParameterError("drift matrix has non-finite entries")
     # complex output for every stack keeps each row independent of the rest
-    with np.errstate(invalid="ignore"):
-        lam, U = _lapack.eig(R, signature="d->DD")
+    lam, U = _lapack.eig(R, signature="d->DD")
     if _COLUMN_MATH.any(np.isnan(lam)):  # a row that fails comes back NaN
         raise NumericalError("eigensolver failed to converge on drift matrix:\n"
                              f"{R[np.isnan(lam).any(axis=1).argmax()]!r}")
@@ -135,14 +139,13 @@ def stability(drift):
     return max_re < 0.0, max_re
 
 
-def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
+def solve_lyapunov_stacked(drifts, diffusions):
     """Solve R V + V R^T = -D for the stationary covariance of each row.
 
     ``drifts`` and ``diffusions`` are ``(N, n, n)``; every drift must be
-    strictly stable.  ``spectra`` is :func:`drift_spectra` of ``drifts``
-    when the caller already has it.  Each row is solved in the drift's
-    eigenbasis, symmetrized and checked against ``1e-9 * ||D||_F``; rows
-    that miss the contract, or whose unit-norm eigenvectors are too badly
+    strictly stable.  Each row is solved in the drift's eigenbasis,
+    symmetrized and checked against ``1e-9 * ||D||_F``; rows that miss
+    the contract, or whose unit-norm eigenvectors are too badly
     conditioned to trust, fall back to the dense vectorized solve.
     """
     R = np.asarray(drifts, dtype=float)
@@ -152,46 +155,47 @@ def solve_lyapunov_stacked(drifts, diffusions, spectra=None):
     # an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly) defective
     # or singular row turn inf or NaN, which the checks and gates decide
     with np.errstate(all="ignore"):
-        d_norm = _frobenius(D)
-        if not _COLUMN_MATH.all(np.isfinite(d_norm)):
-            if np.isnan(d_norm).any() and not np.isinf(D).any():
-                raise NumericalError("diffusion matrix has NaN entries")
-            raise NumericalError(  # inf noise also leaves NaN where infinities cancel
-                "the residual contract cannot be checked: ||D||_F overflows "
-                f"(diffusion entries up to {np.nanmax(np.abs(D)):.3e})")
-        # max(1, |D_ij|) of each matrix, shaped to broadcast against the stack
-        d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
-        # exact symmetry (what the fill builds) settles the check in one pass
-        D_T = D.swapaxes(1, 2)
-        if (not _COLUMN_MATH.all(D == D_T)
-                and _COLUMN_MATH.any(np.abs(D - D_T) > 1e-10 * d_scale)):
-            raise ParameterError("diffusion matrix must be symmetric")
-        # ascending eigenvalues; a row that does not converge is NaN and fails
-        d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
-        if not _COLUMN_MATH.all(d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]):
-            raise ParameterError("diffusion matrix must be positive semidefinite")
+        return _solve_stacked(R, D)
 
-        lam, U = drift_spectra(R) if spectra is None else spectra
-        if lam.shape != R.shape[:2] or U.shape != R.shape:
-            raise ParameterError(f"spectra of shapes {lam.shape} and {U.shape} "
-                                 f"do not match the drift stack {R.shape}")
-        if not _COLUMN_MATH.all(lam.real < 0.0):
-            max_re = lam.real.max(axis=1)
-            raise ParameterError(
-                "drift matrix is not strictly stable (max Re eig = "
-                f"{max_re[~(max_re < 0.0)][0]:g}); no stationary state exists")
 
-        # X is divided in place and freed early (a lower peak for a full stack);
-        # -D's sign enters with the factor -0.5: IEEE rounding is sign-symmetric
-        U_inv = _lapack.inv(U, signature="D->D")
-        X = U_inv @ D @ U_inv.conj().swapaxes(1, 2)
-        X /= lam[:, :, None] + lam.conj()[:, None, :]
-        V = (U @ X @ U.conj().swapaxes(1, 2)).real
-        del X
-        V = -0.5 * (V + V.swapaxes(1, 2))
-        RV = R @ V
-        resid = _frobenius(RV + RV.swapaxes(1, 2) + D)
-        cond = math.sqrt(R.shape[1]) * _frobenius(U_inv.view(float))
+def _solve_stacked(R, D, stable_spectra=None):
+    """:func:`solve_lyapunov_stacked` under the caller's ``np.errstate``."""
+    d_norm = _frobenius(D)
+    if not _COLUMN_MATH.all(np.isfinite(d_norm)):
+        if np.isnan(d_norm).any() and not np.isinf(D).any():
+            raise NumericalError("diffusion matrix has NaN entries")
+        raise NumericalError(  # inf noise also leaves NaN where infinities cancel
+            "the residual contract cannot be checked: ||D||_F overflows "
+            f"(diffusion entries up to {np.nanmax(np.abs(D)):.3e})")
+    # max(1, |D_ij|) of each matrix, shaped to broadcast against the stack
+    d_scale = np.maximum.reduce(np.abs(D), axis=(1, 2), keepdims=True, initial=1.0)
+    # exact symmetry (what the fill builds) settles the check in one pass
+    D_T = D.swapaxes(1, 2)
+    if (not _COLUMN_MATH.all(D == D_T)
+            and _COLUMN_MATH.any(np.abs(D - D_T) > 1e-10 * d_scale)):
+        raise ParameterError("diffusion matrix must be symmetric")
+    # ascending eigenvalues; a row that does not converge is NaN and fails
+    d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
+    if not _COLUMN_MATH.all(d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]):
+        raise ParameterError("diffusion matrix must be positive semidefinite")
+    lam, U = _spectra(R) if stable_spectra is None else stable_spectra
+    if stable_spectra is None and not _COLUMN_MATH.all(lam.real < 0.0):
+        max_re = lam.real.max(axis=1)
+        raise ParameterError(
+            "drift matrix is not strictly stable (max Re eig = "
+            f"{max_re[~(max_re < 0.0)][0]:g}); no stationary state exists")
+
+    # X is divided in place and freed early (a lower peak for a full stack);
+    # -D's sign enters with the factor -0.5: IEEE rounding is sign-symmetric
+    U_inv = _lapack.inv(U, signature="D->D")
+    X = U_inv @ D @ U_inv.conj().swapaxes(1, 2)
+    X /= lam[:, :, None] + lam.conj()[:, None, :]
+    V = (U @ X @ U.conj().swapaxes(1, 2)).real
+    del X
+    V = -0.5 * (V + V.swapaxes(1, 2))
+    RV = R @ V
+    resid = _frobenius(RV + RV.swapaxes(1, 2) + D)
+    cond = math.sqrt(R.shape[1]) * _frobenius(U_inv.view(float))
     accepted = ((resid <= _LYAPUNOV_RESIDUAL_RTOL * d_norm)
                 & (cond <= _EIGENBASIS_COND_MAX))
     if not _COLUMN_MATH.all(accepted):

@@ -1,6 +1,7 @@
 """The summary ``tools/bench_pairs.py`` writes for one metric over paired
 runs: wins with ties for neither side, quartiles, the gap against the
-base's interquartile range, and the regression bound."""
+base's interquartile range, and the regression bound; and the metric
+keys it reads from the declared workloads or from one named workload."""
 
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import run_bench, summarize  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    bench_command, run_bench, summarize, summarize_workloads)
 
 
 def test_lower_is_better():
@@ -56,3 +58,55 @@ def test_run_without_a_result_line_reports_exit_and_stderr(tmp_path, stdout, las
     assert str(caught.value) == (
         f"bench/run.py ended without a result line (exit 3; last line {last!r}):\n"
         "worker died\n")
+
+
+METRICS = [{"name": "point_latency_p50_us", "better": "lower", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def fake_runs(prefix, p50s, rss=40.0):
+    """Result lines of paired runs, base first, with ``prefix`` on each key."""
+    return {side: [{"metrics": {
+        f"{prefix}point_latency_p50_us": {"value": value, "unit": "us"},
+        f"{prefix}peak_rss_mb": {"value": rss, "unit": "MB"}}} for value in values]
+        for side, values in zip(("base", "head"), p50s)}
+
+
+def test_single_workload_reads_unprefixed_keys():
+    # bench/run.py prints a lone workload's metrics without its name
+    runs = fake_runs("", ([160.0, 161.0, 162.0], [152.0, 153.0, 162.0]))
+    summary = summarize_workloads(runs, ["temp_kappa_b_cli"], METRICS)
+    assert list(summary) == ["temp_kappa_b_cli"]
+    p50 = summary["temp_kappa_b_cli"]["point_latency_p50_us"]
+    assert p50["base"]["runs"] == [160.0, 161.0, 162.0]
+    assert (p50["head_wins"], p50["ties"]) == (2, 1)
+    assert summary["temp_kappa_b_cli"]["peak_rss_mb"]["ties"] == 3
+
+
+def test_declared_workloads_read_prefixed_keys():
+    runs = fake_runs("point_api.", ([160.0, 161.0], [150.0, 151.0]))
+    for side in runs.values():
+        for run, value in zip(side, (7.0, 8.0)):
+            run["metrics"]["theta_cli.point_latency_p50_us"] = {"value": value}
+            run["metrics"]["theta_cli.peak_rss_mb"] = {"value": 41.0}
+    summary = summarize_workloads(runs, ["point_api", "theta_cli"], METRICS)
+    assert summary["point_api"]["point_latency_p50_us"]["head_wins"] == 2
+    assert summary["theta_cli"]["point_latency_p50_us"]["head"]["runs"] == [7.0, 8.0]
+
+
+def test_a_named_workload_is_passed_on(tmp_path):
+    assert bench_command(29) == ["bench/run.py", "--seed", "29"]
+    assert bench_command(29, "temp_kappa_b_cli") == [
+        "bench/run.py", "--seed", "29", "--workload", "temp_kappa_b_cli"]
+    # a stand-in run.py that reports the arguments it was given
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "out = pathlib.Path('.bench_out')\n"
+        "out.mkdir()\n"
+        "(out / 'result-temp_kappa_b_cli-seed3-trace0.json').write_text(\n"
+        "    json.dumps({'environment': {'python': 'x'}}))\n"
+        "print(json.dumps({'argv': sys.argv[1:]}))\n")
+    result = run_bench(tmp_path, 3, "temp_kappa_b_cli")
+    assert result == {"argv": ["--seed", "3", "--workload", "temp_kappa_b_cli"],
+                      "environment": {"python": "x"}}

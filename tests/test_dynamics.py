@@ -15,7 +15,7 @@ import pytest
 from entangle import dynamics, gaussian
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
 from entangle.errors import NumericalError
-from entangle.experiments import default_baseline
+from entangle.experiments import SweepSpec, default_baseline, run_sweep
 from entangle.gaussian import log_negativity_stacked, pair_blocks, solve_lyapunov
 from entangle.model import (
     TWO_PI,
@@ -337,14 +337,14 @@ class TestRunPipeline:
         assert stable >= 32
 
     @pytest.mark.parametrize("theta_pi, expected", [
-        (0.40, {"eig": 1, "inv": 1, "eigvalsh_lo": 1, "errstate": 2}),
+        (0.40, {"eig": 1, "inv": 1, "eigvalsh_lo": 1, "errstate": 1}),
         (0.20, {"eig": 1, "errstate": 1}),
     ], ids=["stable", "unstable"])
     def test_linalg_calls_of_one_point(self, monkeypatch, theta_pi, expected):
         # one eigendecomposition decides stability and serves the solve;
         # the kernels call the LAPACK gufuncs directly, the residual
-        # contract needs no np.linalg.norm, and drift_spectra and the
-        # solve each enter one np.errstate
+        # contract needs no np.linalg.norm, and the kernel step enters
+        # one np.errstate, stable point or not
         calls = {}
 
         def counting(name, fn):
@@ -365,6 +365,35 @@ class TestRunPipeline:
         res = default_baseline().evaluate(theta=theta_pi * math.pi)
         assert res.stable == (theta_pi == 0.40)
         assert calls == expected
+
+
+class TestKernelStep:
+    """``_steady_states`` runs the kernels' private cores in one pass under
+    one ``np.errstate`` and decides stability once; on the pipeline's own
+    stacks it must give the public kernels' bits."""
+
+    def test_kernel_step_equals_the_public_kernels(self, monkeypatch):
+        steps = []
+        step = dynamics._steady_states
+        monkeypatch.setattr(dynamics, "_steady_states",
+                            lambda pairs: steps.append((pairs, step(pairs))) or steps[-1][1])
+        base = default_baseline()
+        run_sweep(base, SweepSpec("theta"))  # the default grid: one 200-row slice
+        rng = random.Random(13)
+        for _ in range(64):  # the (theta, |G_-|) box of a single-point caller
+            base.evaluate(theta=(0.26 + 0.23 * rng.random()) * math.pi,
+                          target_g_minus=TWO_PI * 6e6 * rng.random())
+        assert [len(pairs) for pairs, _ in steps] == [200] + [1] * 64
+        stable_rows = [0, 0]
+        for i, (pairs, (max_re, stable, covs)) in enumerate(steps):
+            lam, _ = gaussian.drift_spectra(pairs[:, 0])
+            assert max_re.tobytes() == lam.real.max(axis=1).tobytes()
+            assert np.array_equal(stable, np.flatnonzero(max_re < 0.0))
+            if stable.size:
+                stable_rows[i > 0] += stable.size
+                public = gaussian.solve_lyapunov_stacked(pairs[stable, 0], pairs[stable, 1])
+                assert covs.tobytes() == public.tobytes()
+        assert stable_rows[0] == 158 and stable_rows[1] >= 32
 
 
 class TestBareModeOracle:

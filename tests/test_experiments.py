@@ -492,10 +492,10 @@ class TestStackedEvaluation:
         spec = SMALL_GRIDS["g_minus"]
         size = len(grid(spec.resolved_axes()))
         fills, slices = [], []
-        fill, spectra = dynamics._fill, gaussian.drift_spectra
+        fill, spectra = dynamics._fill, gaussian._spectra
         monkeypatch.setattr(dynamics, "_fill",
                             lambda *args: fills.append(args[2]) or fill(*args))
-        monkeypatch.setattr(gaussian, "drift_spectra",
+        monkeypatch.setattr(gaussian, "_spectra",
                             lambda drifts: slices.append(len(drifts)) or spectra(drifts))
         for chunk in (1, 7, size + 1):
             monkeypatch.setattr(dynamics, "CHUNK_SIZE", chunk)
@@ -599,8 +599,7 @@ class TestStackedEvaluation:
             self, base, monkeypatch, stack_sizes):
         # the model layer sees each whole stack, every kernel at most
         # dynamics.CHUNK_SIZE points (three two-mode blocks per point)
-        rows = {"drift_spectra": [], "solve_lyapunov_stacked": [],
-                "log_negativity_stacked": []}
+        rows = {"_spectra": [], "_solve_stacked": [], "log_negativity_stacked": []}
         for name, calls in rows.items():
             def counting(matrices, *args, kernel=getattr(gaussian, name), calls=calls):
                 calls.append(len(matrices))
@@ -608,10 +607,10 @@ class TestStackedEvaluation:
             monkeypatch.setattr(gaussian, name, counting)
         run_sweep(base, SweepSpec("temp_kappa_b"))
         assert stack_sizes == [3600, 120]
-        assert sum(rows["drift_spectra"]) == 3720
-        assert len(rows["drift_spectra"]) == 15 + 1
-        assert max(rows["drift_spectra"]) == dynamics.CHUNK_SIZE
-        assert max(rows["solve_lyapunov_stacked"]) <= dynamics.CHUNK_SIZE
+        assert sum(rows["_spectra"]) == 3720
+        assert len(rows["_spectra"]) == 15 + 1
+        assert max(rows["_spectra"]) == dynamics.CHUNK_SIZE
+        assert max(rows["_solve_stacked"]) <= dynamics.CHUNK_SIZE
         assert max(rows["log_negativity_stacked"]) <= 3 * dynamics.CHUNK_SIZE
 
     @pytest.mark.parametrize("overrides, named", [

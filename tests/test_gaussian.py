@@ -293,10 +293,12 @@ class TestDenseFallback:
         assert np.array_equal(V[2], V[0])
 
     def test_singular_eigenvector_matrix_takes_dense_solve(self):
+        # the pipeline's core, which takes the spectra of stable rows
         R, D = random_stable_system(np.random.default_rng(8))
         lam, U = drift_spectra(np.stack([R, R]))
         U[1, :, 0] = 0.0  # singular: the inverse turns this row NaN
-        V = solve_lyapunov_stacked(np.stack([R, R]), np.stack([D, D]), (lam, U))
+        with np.errstate(all="ignore"):
+            V = gaussian._solve_stacked(np.stack([R, R]), np.stack([D, D]), (lam, U))
         assert np.array_equal(V[0], solve_lyapunov(R, D))
         assert np.array_equal(V[1], gaussian._solve_lyapunov_dense(R, D))
 
@@ -317,11 +319,11 @@ def point_api_draws(seed, grid=16):
 
 @pytest.fixture(scope="module")
 def pipeline_stacks():
-    """Every drift stack the pipeline hands ``drift_spectra``, and every
-    ``(drifts, diffusions, spectra)`` it hands the Lyapunov solve, on the
+    """Every drift stack the pipeline's kernel step decomposes, and every
+    ``(drifts, diffusions, spectra)`` of stable rows it solves, on the
     ``point_api`` box (seeds 1 and 7) and the default theta grid."""
     spectra_calls, solve_calls, covs = [], [], []
-    spectra, solve = gaussian.drift_spectra, gaussian.solve_lyapunov_stacked
+    spectra, solve = gaussian._spectra, gaussian._solve_stacked
 
     def recording_spectra(R):
         spectra_calls.append(R)
@@ -333,8 +335,8 @@ def pipeline_stacks():
         return covs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gaussian, "drift_spectra", recording_spectra)
-        mp.setattr(gaussian, "solve_lyapunov_stacked", recording_solve)
+        mp.setattr(gaussian, "_spectra", recording_spectra)
+        mp.setattr(gaussian, "_solve_stacked", recording_solve)
         base = default_baseline()
         for seed in (1, 7):
             for theta, g_minus in point_api_draws(seed):
@@ -429,7 +431,8 @@ class TestEigenbasisGates:
         # a row the gates reject comes back as the dense solve's NaN stand-in
         monkeypatch.setattr(gaussian, "_solve_lyapunov_dense",
                             lambda R, D: np.full(R.shape, np.nan))
-        V = solve_lyapunov_stacked(R, D, spectra)
+        with np.errstate(all="ignore"):
+            V = gaussian._solve_stacked(R, D, spectra)
         return ~np.isnan(V).any(axis=(1, 2))
 
     def test_pipeline_rows_decide_as_the_defining_formulas(
@@ -444,19 +447,6 @@ class TestEigenbasisGates:
             assert not expected[-1]
             assert np.array_equal(self.kernel_accepted(R, D, (lam, U), monkeypatch),
                                   expected)
-
-    @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)],
-                             ids=["one_row", "eigenvectors_only"])
-    def test_spectra_must_match_the_drift_stack(self, rows):
-        # spectra of one row once broadcast over a three-row stack, and a
-        # row whose drift differed went quietly to the dense solve
-        rng = np.random.default_rng(26)
-        R, D = (np.stack(m) for m in zip(*(random_stable_system(rng)
-                                           for _ in range(3))))
-        lam, U = drift_spectra(R)
-        with pytest.raises(ParameterError, match=r"^spectra of shapes .* do not "
-                           r"match the drift stack \(3, 6, 6\)$"):
-            solve_lyapunov_stacked(R, D, (lam[rows], U[:1]))
 
 
 # -- stacked kernels: properties over random inputs --------------------------

@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of two commits, summarized into one JSON file.
 
     python3 tools/bench_pairs.py --out FILE [--base REV] [--head REV]
-                                 [--pairs N] [--seed S ...]
+                                 [--pairs N] [--seed S ...] [--workload NAME]
 
 Extracts the committed files of ``--base`` (default ``HEAD~1``) and
 ``--head`` (default ``HEAD``) into fresh temporary directories with
@@ -9,6 +9,9 @@ Extracts the committed files of ``--base`` (default ``HEAD~1``) and
 changes, and removes them afterwards.  For each seed it runs ``--pairs``
 pairs (default 10) of the unchanged ``python3 bench/run.py --seed S``,
 each in its own commit's directory, alternating which side runs first.
+``--workload NAME`` pairs that one workload (``bench/run.py --workload
+NAME``), which may be one ``BENCHMARK.json`` does not declare; by
+default the run covers the declared workloads.
 
 ``FILE`` holds, for each seed, workload and end-to-end metric of the
 head's ``BENCHMARK.json``: both sides' per-run values, medians and
@@ -54,10 +57,17 @@ def extract(rev, directory):
     return {"rev": sha, "subject": git("log", "-1", "--format=%s", sha)}
 
 
-def run_bench(checkout, seed):
+def bench_command(seed, workload=None):
+    """The ``bench/run.py`` arguments of one run: the declared workloads,
+    or the one named."""
+    return ["bench/run.py", "--seed", str(seed),
+            *(("--workload", workload) if workload else ())]
+
+
+def run_bench(checkout, seed, workload=None):
     """One ``bench/run.py`` invocation in ``checkout``: its final JSON line
     and the environment block of its report."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--seed", str(seed)],
+    proc = subprocess.run([sys.executable, *bench_command(seed, workload)],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines() or [""]
     try:
@@ -68,7 +78,8 @@ def run_bench(checkout, seed):
         raise RuntimeError(f"bench/run.py ended without a result line (exit "
                            f"{proc.returncode}; last line {lines[-1]!r}):\n"
                            f"{proc.stderr[-2000:]}")
-    reports = sorted((checkout / ".bench_out").glob(f"result-*-seed{seed}-trace0.json"))
+    reports = sorted((checkout / ".bench_out").glob(
+        f"result-{workload or '*'}-seed{seed}-trace0.json"))
     result["environment"] = json.loads(reports[0].read_text())["environment"]
     return result
 
@@ -96,6 +107,22 @@ def summarize(base, head, better, bound):
     }
 
 
+def summarize_workloads(runs, workloads, metrics):
+    """Each of ``workloads`` and ``metrics`` over ``runs``, the base's and
+    the head's result lines in pair order.  The metric keys of a run of
+    one workload carry no ``workload.`` prefix, as ``bench/run.py``
+    prints them."""
+    def key(workload, metric):
+        return metric if len(workloads) == 1 else f"{workload}.{metric}"
+
+    return {workload: {
+        m["name"]: summarize(
+            *([r["metrics"][key(workload, m["name"])]["value"] for r in runs[side]]
+              for side in SIDES),
+            m["better"], m["bound"])
+        for m in metrics} for workload in workloads}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path,
@@ -105,9 +132,13 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, action="append",
                         help="workload seed, repeatable (default 1)")
+    parser.add_argument("--workload", metavar="NAME",
+                        help="pair this one workload (default: the declared ones)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
+    if args.workload == "all":
+        parser.error("omit --workload to pair the declared workloads")
     seeds = args.seed or [1]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -116,29 +147,23 @@ def main(argv=None):
                      for side in SIDES}
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         metrics = spec["end_to_end"]
+        workloads = ([args.workload] if args.workload
+                     else [w["name"] for w in spec["workloads"]])
         environment, by_seed, all_correct = None, {}, True
         for seed in seeds:
             runs = {side: [] for side in SIDES}
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result = run_bench(checkouts[side], seed)
+                    result = run_bench(checkouts[side], seed, args.workload)
                     environment = environment or result["environment"]
                     runs[side].append(result)
                     print(f"seed {seed} pair {pair + 1}/{args.pairs} {side}: "
                           f"correct={result['correct']} failed={result['failed']}",
                           file=sys.stderr, flush=True)
             all_correct &= all(r["correct"] for side in SIDES for r in runs[side])
-            workloads = {}
-            for workload in (w["name"] for w in spec["workloads"]):
-                workloads[workload] = {
-                    m["name"]: summarize(
-                        *([r["metrics"][f"{workload}.{m['name']}"]["value"]
-                           for r in runs[side]] for side in SIDES),
-                        m["better"], m["bound"])
-                    for m in metrics}
             by_seed[str(seed)] = {
-                "workloads": workloads,
+                "workloads": summarize_workloads(runs, workloads, metrics),
                 **{side: {"correct": [r["correct"] for r in runs[side]],
                           "attempted": [r["attempted"] for r in runs[side]],
                           "failed": [r["failed"] for r in runs[side]]}
@@ -147,7 +172,7 @@ def main(argv=None):
 
     environment.pop("seed", None)
     report = {
-        "command": "python3 bench/run.py --seed S",
+        "command": " ".join(["python3", *bench_command("S", args.workload)]),
         "pairs": args.pairs,
         "order": "alternating: base first in odd-numbered pairs, head first in even",
         **revisions,
