@@ -96,9 +96,7 @@ class Quantity(NamedTuple):
     ``model._DOMAINS`` (bounds in angular units): ``positive``,
     ``non-negative``, ``finite`` or ``inside (0, pi/2)``.
     ``default`` is the quoted default; ``sweepable`` marks the keys a
-    generic sweep can vary.  ``unset`` stands in for the quoted value
-    while an either-or partner is given instead (theta beside an
-    explicit ``(g, omega_c)``, drive_strength beside g_minus).
+    generic sweep can vary.
     """
 
     column: str
@@ -107,12 +105,9 @@ class Quantity(NamedTuple):
     domain: str
     default: float | None = None
     sweepable: bool = False
-    unset: float | None = None
 
     def angular(self, quoted):
-        """The :class:`Baseline` field value of a quoted value."""
-        if quoted is None:
-            quoted = self.unset
+        """The :class:`Baseline` field value of a quoted value (None: not given)."""
         return None if quoted is None else UNITS[self.unit].angular(quoted)
 
     def parse(self, raw):
@@ -140,7 +135,7 @@ PARAMS = {
     "omega_b": Quantity("omega_b_hz", "omega_b", "Hz", "positive", 10e6,
                         sweepable=True),
     "theta": Quantity("theta_pi", "theta", "pi", "inside (0, pi/2)", 0.40,
-                      sweepable=True, unset=0.25),
+                      sweepable=True),
     "g": Quantity("g_hz", "g", "Hz", "non-negative"),
     "omega_c": Quantity("omega_c_hz", "omega_c", "Hz", "positive"),
     # None: the drive sits at the midpoint (omega_a + omega_c) / 2
@@ -157,7 +152,7 @@ PARAMS = {
                         2e6, sweepable=True),
     # the product G0 * Omega, the one drive knob
     "drive_strength": Quantity("drive_strength_hz2", "drive_strength", "Hz^2",
-                               "non-negative", unset=0.0),
+                               "non-negative"),
 }
 
 #: the parameters a generic sweep can vary
@@ -209,13 +204,13 @@ def axis_fault(start, stop, count, scale):
 class Baseline:
     """Base parameter set shared by all grid points (angular units).
 
-    Geometry comes either from an explicit ``(g, omega_c)`` pair or from
-    ``theta`` via the fixed-splitting inverse (splitting = 2 omega_b).
-    The drive is pinned per point to hit ``target_g_minus`` unless that
-    is None, in which case ``drive_strength`` is used directly.  A
-    baseline holding one of ``g`` and ``omega_c``, or a non-zero
-    ``drive_strength`` beside a ``target_g_minus``, raises
-    :class:`ParameterError`, however it is built.
+    Exactly one of ``theta`` (via the fixed-splitting inverse, splitting
+    = 2 omega_b) or the pair ``(g, omega_c)`` fixes the geometry; the
+    other is None.  The drive is pinned per point to hit
+    ``target_g_minus`` unless that is None, in which case
+    ``drive_strength`` is used directly (None: no drive).  A baseline
+    breaking either rule, or with a ``drive_strength`` (0.0 too) beside a
+    ``target_g_minus``, raises :class:`ParameterError`, however it is built.
     """
 
     omega_a: float
@@ -224,17 +219,19 @@ class Baseline:
     kappa_c: float
     kappa_b: float
     temperature: float
-    theta: float
+    theta: float | None
     g: float | None
     omega_c: float | None
     omega_0: float | None
     target_g_minus: float | None
-    drive_strength: float
+    drive_strength: float | None
 
     def __post_init__(self):
-        check_geometry([name for name in ("g", "omega_c")
-                        if getattr(self, name) is not None])
-        if self.drive_strength:
+        given = [name for name in ("theta", "g", "omega_c") if getattr(self, name) is not None]
+        check_geometry(given)
+        if not given:
+            raise ParameterError(_NO_GEOMETRY)
+        if self.drive_strength is not None:
             _drive_target(self.target_g_minus, {"drive_strength": self.drive_strength})
 
     def params(self, **overrides) -> SystemParams:
@@ -248,19 +245,19 @@ class Baseline:
         arrays by :func:`_columns`; with columns the result holds
         parameter columns (see :meth:`evaluate_all`).
         """
-        return self._params(overrides, convert=True)
+        return self._params(_columns(overrides)[0])
 
-    def _params(self, overrides, convert=False):
-        """:meth:`params`, converting the overrides by :func:`_columns` if ``convert``."""
+    def _params(self, overrides):
+        """:meth:`params` of overrides :func:`_columns` has converted."""
         check_geometry(overrides)
         fields = vars(self)
         if not overrides.keys() <= fields.keys():
             raise TypeError("Baseline.params() got an unexpected keyword "
                             f"argument {min(overrides.keys() - fields.keys())!r}")
-        if convert:
-            overrides = _columns(overrides)[0]
         eff = SimpleNamespace(**{**fields, **overrides})
         if "theta" in overrides or eff.g is None or eff.omega_c is None:
+            if eff.theta is None:  # the overrides unset the pair
+                raise ParameterError(_NO_GEOMETRY)
             g, omega_c = solve_g_omega_c_from_theta(
                 eff.theta, eff.omega_a, eff.omega_b)
         else:
@@ -271,8 +268,8 @@ class Baseline:
         return SystemParams(
             omega_a=eff.omega_a, omega_c=omega_c, omega_b=eff.omega_b,
             g=g, kappa_a=eff.kappa_a, kappa_c=eff.kappa_c,
-            kappa_b=eff.kappa_b, temperature=eff.temperature,
-            omega_0=omega_0, drive_strength=eff.drive_strength,
+            kappa_b=eff.kappa_b, temperature=eff.temperature, omega_0=omega_0,
+            drive_strength=0.0 if eff.drive_strength is None else eff.drive_strength,
         )
 
     def evaluate(self, **overrides) -> PipelineResult:
@@ -368,6 +365,10 @@ def _columns(overrides):
     return {**overrides, **converted}, tuple(shapes)
 
 
+#: what a baseline or an evaluation that holds no geometry lacks
+_NO_GEOMETRY = "give theta or the pair (g, omega_c)"
+
+
 def check_geometry(given):
     """Raise :class:`ParameterError` unless the names ``given`` hold both
     of ``g`` and ``omega_c`` or neither, and not beside ``theta``."""
@@ -400,17 +401,14 @@ def quoted_baseline(quoted) -> Baseline:
 def default_baseline(**overrides) -> Baseline:
     """The experimentally feasible cavity-magnomechanics parameter set.
 
-    Overrides are :class:`Baseline` fields in angular units.  Like those
-    of :meth:`Baseline.evaluate`, they follow :func:`check_geometry`, and
-    a ``drive_strength`` needs ``target_g_minus=None``, so none is dropped.
+    Overrides are :class:`Baseline` fields in angular units, copied in by
+    :func:`dataclasses.replace` under the baseline's rules; a given ``g``
+    or ``omega_c`` clears the default ``theta``.
     """
-    base = quoted_baseline({param.column: param.default
-                            for param in PARAMS.values()})
-    if not overrides:
-        return base
-    check_geometry(overrides)
-    _drive_target(base.target_g_minus, overrides)
-    return replace(base, **overrides)
+    if any(overrides.get(name) is not None for name in ("g", "omega_c")):
+        overrides = {"theta": None, **overrides}
+    return replace(quoted_baseline({param.column: param.default
+                                    for param in PARAMS.values()}), **overrides)
 
 
 class SweepRecord(NamedTuple):

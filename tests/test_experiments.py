@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from entangle import dynamics, experiments, gaussian
 from entangle.cli import emit_records
+from entangle.config import parse_config
 from entangle.errors import EntangleError, NumericalError, ParameterError
 from entangle.experiments import (
     EN_THRESHOLD,
@@ -202,7 +203,7 @@ class TestDetuningSweep:
         from entangle.model import solve_g_omega_c_from_theta
         g, omega_c = solve_g_omega_c_from_theta(
             0.40 * math.pi, base.omega_a, base.omega_b)
-        pinned = replace(base, g=g, omega_c=omega_c, theta=0.1)
+        pinned = replace(base, g=g, omega_c=omega_c, theta=None)
         spec = SweepSpec("detuning", SweepAxis(9.5e6, 10.5e6, 5))
         sweep = run_sweep(pinned, spec)
         reference = run_sweep(base, spec)
@@ -768,7 +769,7 @@ class TestGeometryOverrides:
     def test_override_that_would_be_dropped_raises(self, base, overrides,
                                                    message, pinned):
         if pinned:
-            base = replace(base, g=TWO_PI * 5e6, omega_c=TWO_PI * 10.01e9)
+            base = replace(base, theta=None, g=TWO_PI * 5e6, omega_c=TWO_PI * 10.01e9)
         with pytest.raises(ParameterError) as caught:
             base.evaluate(**overrides)
         assert str(caught.value) == message
@@ -878,7 +879,7 @@ class TestDriveOverrides:
         with pytest.raises(ParameterError) as caught:
             replace(pinned, target_g_minus=TWO_PI * 1e6)
         assert str(caught.value) == self.MESSAGE
-        assert replace(pinned, drive_strength=0.0, target_g_minus=TWO_PI * 1e6)
+        assert replace(pinned, drive_strength=None, target_g_minus=TWO_PI * 1e6)
 
     def test_default_baseline_with_the_target_cleared_sets_the_drive(self, base):
         drive = 0.5 * base.evaluate().drive_strength
@@ -886,6 +887,72 @@ class TestDriveOverrides:
         assert point.drive_strength == drive
         assert point.e_n_pp == base.evaluate(drive_strength=drive,
                                              target_g_minus=None).e_n_pp
+
+
+#: a config that pins the pair (g, omega_c), so its theta is not given
+PINNED_CONFIG = "[params]\ng = 5 MHz\nomega_c = 10.01 GHz\n"
+
+
+class TestGivenInputsOnly:
+    """A baseline holds None in exactly the either-or fields nobody gave,
+    so no copy or override can drop a given value or use an invented one."""
+
+    NO_GEOMETRY = "give theta or the pair (g, omega_c)"
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return parse_config(PINNED_CONFIG).baseline()
+
+    def test_an_explicit_zero_drive_beside_a_target_raises(self, base):
+        # a copy once kept 0.0, which read as no drive, and the target won
+        with pytest.raises(ParameterError) as caught:
+            replace(base, drive_strength=0.0)
+        assert str(caught.value) == TestDriveOverrides.MESSAGE
+
+    def test_theta_beside_a_pinned_pair_raises(self, pinned):
+        # a copy once took it and evaluated at the pair's 0.375 pi
+        with pytest.raises(ParameterError) as caught:
+            replace(pinned, theta=0.3 * math.pi)
+        assert str(caught.value) == "give either theta or the pair (g, omega_c)"
+
+    @pytest.mark.parametrize("attempt", [
+        lambda base: base.evaluate(g=None, omega_c=None),
+        lambda base: base.evaluate_all({"g": None, "omega_c": None}),
+        lambda base: base.params(g=None, omega_c=None),
+        lambda base: replace(base, g=None, omega_c=None),
+    ], ids=["evaluate", "evaluate_all", "params", "replace"])
+    def test_unsetting_the_pinned_pair_raises(self, pinned, attempt):
+        # each once evaluated at a stand-in theta of 0.25 pi
+        with pytest.raises(ParameterError) as caught:
+            attempt(pinned)
+        assert str(caught.value) == self.NO_GEOMETRY
+
+    def test_unsetting_theta_raises(self, base):
+        with pytest.raises(ParameterError) as caught:
+            replace(base, theta=None)
+        assert str(caught.value) == self.NO_GEOMETRY
+
+    def test_default_baseline_with_the_pair_clears_theta(self):
+        pinned = default_baseline(g=PAIR_G, omega_c=PAIR_OMEGA_C)
+        assert (pinned.theta, pinned.g, pinned.omega_c) == (None, PAIR_G, PAIR_OMEGA_C)
+        assert default_baseline(g=None, omega_c=None) == default_baseline()
+
+    @pytest.mark.parametrize("text, unset, e_n", [
+        ("", {"g", "omega_c", "drive_strength"},
+         (0.2923147965322678, 0.13661763551506287, 0.0)),
+        (PINNED_CONFIG, {"theta", "drive_strength"},
+         (0.22888304160182646, 0.113986530595702, 0.0)),
+        ("[params]\ndrive_strength = 2e13\n", {"g", "omega_c", "target_g_minus"},
+         (0.20234231418810653, 0.3216423834932923, 0.0)),
+        (PINNED_CONFIG + "drive_strength = 2e13\n", {"theta", "target_g_minus"},
+         (0.248734976815832, 0.09880461377572644, 0.0)),
+    ], ids=["theta-g_minus", "pair-g_minus", "theta-drive", "pair-drive"])
+    def test_a_config_baseline_holds_only_what_the_config_gave(self, text, unset, e_n):
+        baseline = parse_config(text).baseline()
+        partners = ("theta", "g", "omega_c", "target_g_minus", "drive_strength")
+        assert {name for name in partners if getattr(baseline, name) is None} == unset
+        point = baseline.evaluate()
+        assert (point.e_n_pp, point.e_n_mb, point.e_n_pb) == e_n
 
 
 def _feasible_or_not(finite_values):
