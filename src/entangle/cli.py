@@ -11,7 +11,9 @@ output directory: ``records.csv`` (one row per grid point, shortest
 round-trip decimals), ``resolved_config.cfg`` (parseable echo of the
 fully resolved configuration), ``metadata.txt`` (config echo plus a
 summary with argmax/threshold extractions), and gnuplot-ready
-``plot_*.dat`` blocks with unstable points masked as nan.
+``plot_*.dat`` blocks with unstable points masked as nan.  Both files
+render each output column once, each distinct value of it once: equal
+non-zero floats have the same bits, so the bytes are one ``repr`` per cell.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 unwritable output path.
@@ -45,23 +47,34 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _cells(result: experiments.SweepResult):
-    """Each record's CSV cells, its axis values first: shortest round-trip
-    decimals, ``true``/``false``, and empty for a missing negativity."""
-    return [[_fmt(a) for a in rec.axis] + [_fmt(v) for v in rec[1:]]
-            for rec in result.records]
+def _cells(result: experiments.SweepResult, text=_fmt, width=None):
+    """The texts of each output column, the axis columns first, as far as
+    ``width`` columns: by default the CSV cells, shortest round-trip
+    decimals, ``true``/``false``, and empty for a missing negativity.
+    A column renders each distinct non-zero float once, because equal
+    non-zero floats have the same bits (a NaN, equal to nothing, is found
+    again only as the same object); zeros (``0.0 == -0.0``), bools
+    (``True == 1.0``), None and other types are rendered per cell."""
+    values = list(zip(*result.records)) or [()] * (1 + len(RECORD_COLUMNS))
+    columns = (list(zip(*values[0])) or [()] * len(result.axis_names)) + values[1:]
+    cells = []
+    for column in columns[:width]:
+        memo = {}
+        cells.append([memo.get(v) or memo.setdefault(v, text(v))
+                      if type(v) is float and v else text(v) for v in column])
+    return cells
 
 
 def emit_records(result: experiments.SweepResult, cells=None) -> str:
     """Render a sweep result as CSV text with the frozen column order.
 
-    ``cells`` are the result's rendered cells when the caller already
-    has them (see :func:`write_outputs`).
+    ``cells`` are the result's rendered columns (:func:`_cells`) when
+    the caller already has them (see :func:`write_outputs`).
     """
     if cells is None:
         cells = _cells(result)
     lines = [",".join(result.axis_names + RECORD_COLUMNS)]
-    lines += [",".join(row) for row in cells]
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 
@@ -104,29 +117,27 @@ def emit_plot_data(result: experiments.SweepResult, precision=None,
             cells = _cells(result)
     else:
         num = lambda v: f"{v:.{precision}g}"  # noqa: E731
-        # laid out like the record cells, as far as the curves
-        cells = [[num(float(v)) if v is not None else ""
-                  for v in rec[0] + rec[1:4]]
-                 for rec in result.records]
+        # laid out like the record columns, as far as the curves
+        cells = _cells(result, lambda v: "" if v is None else num(float(v)), n + 3)
 
     blocks = []
     if n <= 1:
-        labels = [" ".join(row[:n]) or "0" for row in cells]
-        for i, curve in enumerate(CURVES, n):
+        labels = [text or "0" for text in cells[0]] if n else ["0"] * len(result.records)
+        for curve, column in zip(CURVES, cells[n:]):
             rows = [f"# {result.kind}: {curve} vs {', '.join(result.axis_names) or 'point'}"]
-            rows += [f"{label} {row[i] or 'nan'}" for label, row in zip(labels, cells)]
+            rows += [f"{label} {text or 'nan'}" for label, text in zip(labels, column)]
             blocks.append("\n".join(rows))
     else:
         xs = sorted({rec.axis[0] for rec in result.records})
         ys = sorted({rec.axis[1] for rec in result.records})
-        row_at = {rec.axis: row for rec, row in zip(result.records, cells)}
-        for i, curve in enumerate(CURVES, n):
+        index = {rec.axis: k for k, rec in enumerate(result.records)}
+        for curve, column in zip(CURVES, cells[n:]):
             rows = [f"# {result.kind}: {curve} matrix "
                     f"({result.axis_names[0]} down, {result.axis_names[1]} across)",
                     " ".join([str(len(ys))] + [num(float(y)) for y in ys])]
             for x in xs:
                 rows.append(" ".join([num(float(x))]
-                                     + [row_at[x, y][i] or "nan" for y in ys]))
+                                     + [column[index[x, y]] or "nan" for y in ys]))
             blocks.append("\n".join(rows))
     return ("\n\n\n").join(blocks) + "\n"
 
@@ -136,7 +147,7 @@ def write_outputs(result, cfg, out_dir, elapsed=None):
     out.mkdir(parents=True, exist_ok=True)
     formats, precision = cfg.output.formats, cfg.output.precision
     (out / "resolved_config.cfg").write_text(echo_config(cfg))
-    # each record's numbers are rendered once, for records.csv and for
+    # each column's numbers are rendered once, for records.csv and for
     # the plot data at shortest round-trip precision alike
     cells = (_cells(result)
              if "csv" in formats or ("dat" in formats and precision is None)

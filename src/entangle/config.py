@@ -281,8 +281,10 @@ def _build_config(entries):
                 quoted[key] = param.parse(entry[0])
     with _at(None):
         quoted = experiments.settle_partners(quoted)
-    params = ParamsConfig(**{experiments.PARAMS[key].column: value
-                             for key, value in quoted.items()})
+    # the block just parsed and settled: __post_init__ would parse each value again
+    params = object.__new__(ParamsConfig)
+    params.__dict__.update({param.column: quoted.get(key, param.default)
+                            for key, param in experiments.PARAMS.items()})
 
     output_values = {}
     for key, (field_name, parse, _) in _OUTPUT_KEYS.items():

@@ -239,17 +239,20 @@ class Baseline:
 
         An overriding ``theta`` re-derives the geometry even when the
         baseline pins ``(g, omega_c)`` explicitly.  Like the config,
-        overrides follow :func:`check_geometry`, so none is dropped, and
-        one that is not a field raises :class:`TypeError`.  Overrides may
-        be one value each or columns, made Python floats and float64
-        arrays by :func:`_columns`; with columns the result holds
-        parameter columns (see :meth:`evaluate_all`).
+        overrides follow :func:`check_geometry`, so none is dropped (nor
+        a pair with one member None), and one that is not a field raises
+        :class:`TypeError`.  Overrides may be one value each or columns,
+        made Python floats and float64 arrays by :func:`_columns`; with
+        columns the result holds parameter columns (see
+        :meth:`evaluate_all`).
         """
         return self._params(_columns(overrides)[0])
 
     def _params(self, overrides):
         """:meth:`params` of overrides :func:`_columns` has converted."""
         check_geometry(overrides)
+        if "g" in overrides and (overrides["g"] is None) != (overrides["omega_c"] is None):
+            raise ParameterError(_LONE_MEMBER)  # one member unset, the other given
         fields = vars(self)
         if not overrides.keys() <= fields.keys():
             raise TypeError("Baseline.params() got an unexpected keyword "
@@ -368,13 +371,16 @@ def _columns(overrides):
 #: what a baseline or an evaluation that holds no geometry lacks
 _NO_GEOMETRY = "give theta or the pair (g, omega_c)"
 
+#: what one member of the pair (g, omega_c) given alone lacks
+_LONE_MEMBER = "give both g and omega_c, or neither"
+
 
 def check_geometry(given):
     """Raise :class:`ParameterError` unless the names ``given`` hold both
     of ``g`` and ``omega_c`` or neither, and not beside ``theta``."""
     pair = ("g" in given) + ("omega_c" in given)
     if pair == 1:
-        raise ParameterError("give both g and omega_c, or neither")
+        raise ParameterError(_LONE_MEMBER)
     if pair and "theta" in given:
         raise ParameterError("give either theta or the pair (g, omega_c)")
 

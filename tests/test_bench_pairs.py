@@ -1,7 +1,8 @@
 """The summary ``tools/bench_pairs.py`` writes for one metric over paired
 runs: wins with ties for neither side, quartiles, the gap against the
-base's interquartile range, and the regression bound; and the metric
-keys it reads from the declared workloads or from one named workload."""
+base's interquartile range, and the regression bound; the metric keys it
+reads from the declared workloads or from one named workload; and the
+trees its sides name."""
 
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import (  # noqa: E402
-    bench_command, run_bench, summarize, summarize_workloads)
+    bench_command, checkout, run_bench, summarize, summarize_workloads)
 
 
 def test_lower_is_better():
@@ -110,3 +112,30 @@ def test_a_named_workload_is_passed_on(tmp_path):
     result = run_bench(tmp_path, 3, "temp_kappa_b_cli")
     assert result == {"argv": ["--seed", "3", "--workload", "temp_kappa_b_cli"],
                       "environment": {"python": "x"}}
+
+
+def test_a_directory_is_a_tree_as_it_stands(tmp_path, monkeypatch):
+    # a working tree pairs against a revision before it is committed
+    monkeypatch.setattr(bench_pairs, "extract", lambda *args: pytest.fail("extracted"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "work").mkdir()
+    for spec in ("work", str(tmp_path / "work"), "work/"):
+        tree, record = checkout(spec, tmp_path / "side")
+        assert tree == tmp_path / "work"
+        assert record == {"directory": str(tmp_path / "work")}
+    assert not (tmp_path / "side").exists()
+
+
+def test_a_revision_is_extracted(tmp_path, monkeypatch):
+    extracted = []
+
+    def extract(rev, directory):
+        extracted.append((rev, directory))
+        return {"rev": "0" * 40, "subject": "a commit"}
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.chdir(tmp_path)
+    tree, record = checkout("HEAD~1", tmp_path / "base")
+    assert tree == tmp_path / "base"
+    assert record == {"rev": "0" * 40, "subject": "a commit"}
+    assert extracted == [("HEAD~1", tmp_path / "base")]

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entangle import cli, experiments
 from entangle.cli import (
     emit_metadata,
     emit_plot_data,
@@ -28,6 +31,8 @@ from entangle.experiments import (
     PARAMS,
     SWEEPS,
     SweepAxis,
+    SweepRecord,
+    SweepResult,
     SweepSpec,
     UNITS,
     default_baseline,
@@ -318,6 +323,28 @@ NON_DEFAULT = {
 class TestEchoRoundTrip:
     def test_default_round_trip(self):
         cfg = parse_config("")
+        assert parse_config(echo_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("block, absent", [
+        ("omega_0 = 10.005 GHz\n", {"g", "omega_c", "drive_strength"}),
+        ("g = 5.878 MHz\nomega_c = 10.01618 GHz\nomega_0 = 10.005 GHz\n"
+         "drive_strength = 1.25e4\n", {"theta", "g_minus"}),
+    ], ids=["theta-g_minus", "pair-drive"])
+    def test_a_parsed_block_is_parsed_once(self, monkeypatch, block, absent):
+        # the parser settles its [params] block; the block's own check
+        # once parsed every value of it a second time
+        full = echo_config(parse_config("[params]\n" + block)).split("\n\n")[0] + "\n"
+        entries = full.count(" = ")
+        assert entries == len(PARAMS) - len(absent)  # all but the partners
+        parsed = []
+        parse = experiments.Quantity.parse
+        monkeypatch.setattr(experiments.Quantity, "parse",
+                            lambda self, raw: parsed.append(raw) or parse(self, raw))
+        cfg = parse_config(full)
+        assert len(parsed) == entries
+        # a block built through the API keeps the check, and is equal
+        assert ParamsConfig(**vars(cfg.params)) == cfg.params
+        assert len(parsed) == 2 * entries
         assert parse_config(echo_config(cfg)) == cfg
 
     def test_modified_round_trip(self):
@@ -744,6 +771,118 @@ class TestWriteOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
         for name, text in files.items():
             assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+def _cell(value):
+    """One record cell as a per-cell renderer gives it: the oracle of the
+    column renderer."""
+    if type(value) is float:
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(float(value))
+
+
+def _oracle_rows(result, precision):
+    """Each record's texts, its axis values first, one render per cell;
+    with ``precision``, the plot data's axis and curve texts."""
+    if precision is None:
+        return [[_cell(a) for a in rec.axis] + [_cell(v) for v in rec[1:]]
+                for rec in result.records]
+    return [[f"{float(v):.{precision}g}" if v is not None else ""
+             for v in rec[0] + rec[1:4]] for rec in result.records]
+
+
+def _oracle_records(result):
+    lines = [",".join(result.axis_names + cli.RECORD_COLUMNS)]
+    lines += [",".join(row) for row in _oracle_rows(result, None)]
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_plot_data(result, precision):
+    n, rows_of = len(result.axis_names), _oracle_rows(result, precision)
+    num = repr if precision is None else (lambda v: f"{v:.{precision}g}")
+    blocks = []
+    if n <= 1:
+        labels = [" ".join(row[:n]) or "0" for row in rows_of]
+        for i, curve in enumerate(cli.CURVES, n):
+            rows = [f"# {result.kind}: {curve} vs {', '.join(result.axis_names) or 'point'}"]
+            rows += [f"{label} {row[i] or 'nan'}" for label, row in zip(labels, rows_of)]
+            blocks.append("\n".join(rows))
+    else:
+        xs = sorted({rec.axis[0] for rec in result.records})
+        ys = sorted({rec.axis[1] for rec in result.records})
+        row_at = {rec.axis: row for rec, row in zip(result.records, rows_of)}
+        for i, curve in enumerate(cli.CURVES, n):
+            rows = [f"# {result.kind}: {curve} matrix "
+                    f"({result.axis_names[0]} down, {result.axis_names[1]} across)",
+                    " ".join([str(len(ys))] + [num(float(y)) for y in ys])]
+            for x in xs:
+                rows.append(" ".join([num(float(x))]
+                                     + [row_at[x, y][i] or "nan" for y in ys]))
+            blocks.append("\n".join(rows))
+    return "\n\n\n".join(blocks) + "\n"
+
+
+#: cell values whose texts a value-keyed memo could mix up: equal floats
+#: as distinct objects, both zeros, bools beside 0 and 1, NaN and the
+#: infinities, None, numpy floats and ints
+_NUMBERS = st.one_of(
+    st.sampled_from([0.1, -2.5, 1.0, 0.0, -0.0, 1e-300, 3e8]).map(
+        lambda v: float(repr(v))),
+    st.sampled_from([math.inf, -math.inf, True, False, 0, 1, -3]),
+    st.just("nan").map(float),  # a new NaN object each time
+    st.sampled_from([0.1, 1.0, -0.0, 0.0, math.nan]).map(np.float64),
+    st.floats(allow_nan=True, allow_infinity=True))
+_CELLS = st.one_of(_NUMBERS, st.none())
+
+
+@st.composite
+def _results(draw):
+    """A sweep result of 0, 1 or 2 axes whose cells mix every kind of
+    value; the 2-D axes form a full grid, as the matrix blocks need."""
+    n = draw(st.integers(0, 2))
+    if n < 2:
+        axes = draw(st.lists(st.tuples(*[_CELLS] * n), min_size=int(n == 0),
+                             max_size=1 if n == 0 else 12))
+    else:
+        xs = draw(st.lists(_NUMBERS.filter(lambda v: v == v), min_size=1, max_size=4))
+        ys = draw(st.lists(_NUMBERS.filter(lambda v: v == v), min_size=1, max_size=4))
+        axes = [(x, y) for x in xs for y in ys]
+    records = tuple(SweepRecord(axis, *draw(st.lists(_CELLS, min_size=10, max_size=10)))
+                    for axis in axes)
+    return SweepResult("made", ("x", "y")[:n], records, {})
+
+
+class TestColumnRendering:
+    """Each output column renders each distinct value once, and its bytes
+    are those of one render per cell."""
+
+    @given(_results())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_texts_equal_one_render_per_cell(self, result):
+        assert emit_records(result) == _oracle_records(result)
+        for precision in (None, 3):
+            assert emit_plot_data(result, precision) == _oracle_plot_data(result, precision)
+        cells = cli._cells(result)
+        assert emit_plot_data(result, None, cells) == _oracle_plot_data(result, None)
+
+    def test_a_default_theta_run_renders_each_distinct_float_once(self, tmp_path,
+                                                                  monkeypatch):
+        cfg = parse_config("")
+        result = run_sweep(cfg.baseline(), cfg.sweep)
+        columns = zip(*(rec.axis + rec[1:] for rec in result.records))
+        distinct = sum(len({v for v in column if type(v) is float and v})
+                       for column in columns)
+        rendered = []
+        monkeypatch.setattr(cli, "repr", lambda v: rendered.append(v) or repr(v),
+                            raising=False)
+        assert main(["run", "/dev/null", "--out", str(tmp_path)]) == 0
+        floats = [v for v in rendered if type(v) is float and v]
+        # one per cell would be about 1.5 times as many
+        assert 0 < len(floats) <= distinct
 
 
 class TestExitCodes:

@@ -777,6 +777,25 @@ class TestGeometryOverrides:
             base.evaluate_all(overrides)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("overrides", [
+        {"g": None, "omega_c": PAIR_OMEGA_C},
+        {"g": PAIR_G, "omega_c": None},
+        {"g": None, "omega_c": [PAIR_OMEGA_C, 1.001 * PAIR_OMEGA_C]},
+    ], ids=["g-unset", "omega_c-unset", "g-unset-omega_c-column"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["theta_base", "pinned_base"])
+    def test_a_pair_with_one_member_unset_raises(self, base, overrides, pinned):
+        # the given member was once dropped: on the theta baseline the
+        # point kept the default point's bits
+        if pinned:
+            base = replace(base, theta=None, g=TWO_PI * 5e6, omega_c=TWO_PI * 10.01e9)
+        calls = [lambda: base.evaluate_all(overrides), lambda: base.params(**overrides)]
+        if not any(isinstance(v, list) for v in overrides.values()):
+            calls.append(lambda: base.evaluate(**overrides))
+        for call in calls:
+            with pytest.raises(ParameterError) as caught:
+                call()
+            assert str(caught.value) == "give both g and omega_c, or neither"
+
     @pytest.mark.parametrize("overrides, message", [
         ({"g": TWO_PI * 1e6}, "give both g and omega_c, or neither"),
         ({"omega_c": PAIR_OMEGA_C}, "give both g and omega_c, or neither"),

@@ -3,12 +3,16 @@
     python3 tools/bench_pairs.py --out FILE [--base REV] [--head REV]
                                  [--pairs N] [--seed S ...] [--workload NAME]
 
-Extracts the committed files of ``--base`` (default ``HEAD~1``) and
-``--head`` (default ``HEAD``) into fresh temporary directories with
-``git archive``, so nothing in the checkout, its index or its ``.git``
-changes, and removes them afterwards.  For each seed it runs ``--pairs``
-pairs (default 10) of the unchanged ``python3 bench/run.py --seed S``,
-each in its own commit's directory, alternating which side runs first.
+``--base`` (default ``HEAD~1``) and ``--head`` (default ``HEAD``) each
+name a tree, as in ``tools/digest.py``: a directory holding the
+repository's files (``.`` is the checkout as it stands, so a working
+tree pairs against ``HEAD`` before it is committed), or a git revision,
+whose committed files are extracted into a fresh temporary directory
+with ``git archive``, so nothing in the checkout, its index or its
+``.git`` changes, and removed afterwards.  For each seed it runs
+``--pairs`` pairs (default 10) of the unchanged ``python3 bench/run.py
+--seed S``, each in its own tree, alternating which side runs first; a
+run leaves its reports in the tree's ``.bench_out``.
 ``--workload NAME`` pairs that one workload (``bench/run.py --workload
 NAME``), which may be one ``BENCHMARK.json`` does not declare; by
 default the run covers the declared workloads.
@@ -18,9 +22,9 @@ head's ``BENCHMARK.json``: both sides' per-run values, medians and
 quartiles, the head's wins (ties count for neither side), the relative
 change of the medians, whether that gap exceeds the base's
 interquartile range, and whether the head's median stays within the
-metric's bound.  It also records both revisions, each run's correctness
-and failure counts, the command, and the environment block the
-benchmark reports.
+metric's bound.  It also records both trees (the revision and its
+subject, or the directory), each run's correctness and failure counts,
+the command, and the environment block the benchmark reports.
 
 Exit status: 0 when every run passed the benchmark's correctness gate,
 1 otherwise (the file is written either way).
@@ -55,6 +59,15 @@ def extract(rev, directory):
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
     return {"rev": sha, "subject": git("log", "-1", "--format=%s", sha)}
+
+
+def checkout(spec, directory):
+    """The tree ``spec`` names and its record: a directory as it stands,
+    or the committed files of a revision, extracted under ``directory``."""
+    if Path(spec).is_dir():
+        tree = Path(spec).resolve()
+        return tree, {"directory": str(tree)}
+    return directory, extract(spec, directory)
 
 
 def bench_command(seed, workload=None):
@@ -127,8 +140,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path,
                         help="the JSON file to write (relative to the checkout root)")
-    parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--head", default="HEAD")
+    parser.add_argument("--base", default="HEAD~1",
+                        help="directory or git revision (default: HEAD~1)")
+    parser.add_argument("--head", default="HEAD",
+                        help="directory or git revision (default: HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, action="append",
                         help="workload seed, repeatable (default 1)")
@@ -142,9 +157,10 @@ def main(argv=None):
     seeds = args.seed or [1]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {side: Path(tmp) / side for side in SIDES}
-        revisions = {side: extract(getattr(args, side), checkouts[side])
-                     for side in SIDES}
+        checkouts, revisions = {}, {}
+        for side in SIDES:
+            checkouts[side], revisions[side] = checkout(getattr(args, side),
+                                                        Path(tmp) / side)
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         metrics = spec["end_to_end"]
         workloads = ([args.workload] if args.workload

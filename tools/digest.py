@@ -60,7 +60,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, extract
+from bench_pairs import ROOT, checkout
 
 #: the relative output directory of every CLI run
 OUT = "out"
@@ -265,10 +265,8 @@ def render(report):
 
 def _tree(spec, tmp, side):
     """The directory of a ``TREE`` argument, extracting a revision under ``tmp``."""
-    if Path(spec).is_dir():
-        return Path(spec), spec
-    info = extract(spec, Path(tmp) / side)
-    return Path(tmp) / side, f"{info['rev'][:12]} {info['subject']}"
+    tree, info = checkout(spec, Path(tmp) / side)
+    return tree, info.get("directory") or f"{info['rev'][:12]} {info['subject']}"
 
 
 def main(argv=None):
