@@ -69,15 +69,15 @@ class PipelineResult:
 
 
 class PipelineColumns(NamedTuple):
-    """Everything computed for a stack of ``size`` points, as columns.
+    """Everything computed for a stack of n points, as columns.
 
-    Every field but ``size`` and ``covs`` is a ``(size,)`` array, the
-    fields of ``basis`` and ``couplings`` included (a value every point
-    shares fills its column); ``covs`` is ``(size, 6, 6)``.
+    Every field but ``covs`` is an ``(n,)`` array, the fields of
+    ``basis`` and ``couplings`` included (a value every point shares
+    fills its column), so ``len(result.stable)`` is the row count;
+    ``covs`` is ``(n, 6, 6)``.
     The covariances and negativities of unstable points are NaN.
     """
 
-    size: int
     basis: PolaritonBasis
     couplings: EffectiveCouplings
     drive_strength: np.ndarray
@@ -232,7 +232,7 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
     def full(value):
         return value if getattr(value, "ndim", 0) else np.full(size, value)
 
-    return PipelineColumns(size, basis._make(map(full, basis)),
+    return PipelineColumns(basis._make(map(full, basis)),
                            couplings._make(map(full, couplings)), full(drive),
                            max_re < 0.0, max_re * params.omega_b, covs, *e_n.T)
 

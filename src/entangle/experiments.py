@@ -244,12 +244,10 @@ class Baseline:
         :class:`TypeError`.  Overrides may be one value each or columns,
         made Python floats and float64 arrays by :func:`_columns`; with
         columns the result holds parameter columns (see
-        :meth:`evaluate_all`).
+        :meth:`evaluate_all`).  It is the one resolver behind :meth:`evaluate`
+        and :meth:`evaluate_all`.
         """
-        return self._params(_columns(overrides)[0])
-
-    def _params(self, overrides):
-        """:meth:`params` of overrides :func:`_columns` has converted."""
+        overrides = _columns(overrides)[0]
         check_geometry(overrides)
         if "g" in overrides and (overrides["g"] is None) != (overrides["omega_c"] is None):
             raise ParameterError(_LONE_MEMBER)  # one member unset, the other given
@@ -314,7 +312,7 @@ class Baseline:
     def _point(self, overrides):
         """``(SystemParams, target_g_minus)`` of converted overrides (:func:`_columns`)."""
         target = _drive_target(self.target_g_minus, overrides)
-        return self._params(overrides), target
+        return self.params(**overrides), target
 
 
 def _drive_target(target, overrides):

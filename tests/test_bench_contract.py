@@ -53,7 +53,7 @@ def test_cli_workload_counts_the_points_a_default_run_evaluates(workload, monkey
 
     def counting(*args):
         result = run_pipelines(*args)
-        rows.append(result.size)
+        rows.append(len(result.stable))
         return result
 
     monkeypatch.setattr(experiments, "run_pipelines", counting)

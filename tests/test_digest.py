@@ -12,10 +12,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from digest import (  # noqa: E402
-    compare, compare_csv, compare_metadata, digests, normalize_metadata,
-    point_api_header, point_api_row, render)
+    NON_DEFAULT_RUNS, compare, compare_csv, compare_metadata, digests,
+    normalize_metadata, point_api_header, point_api_row, render, runs)
 
-from entangle.experiments import default_baseline  # noqa: E402
+from entangle.config import parse_config  # noqa: E402
+from entangle.experiments import SWEEPS, SweepAxis, SweepSpec, default_baseline  # noqa: E402
 
 HEADER = "theta_pi,e_n_pp,e_n_mb,e_n_pb,stable,max_re_eig"
 ROWS = ["0.3,0.25,0.0,0.0,true,-1.5",
@@ -143,3 +144,24 @@ def test_a_point_api_row_holds_every_field_of_its_result(theta_pi):
         assert cov == result.state.cov.ravel().tolist()
     else:
         assert cells["cov"] == ""
+
+
+def test_runs_are_every_default_kind_the_point_and_five_off_the_defaults():
+    table = runs(list(SWEEPS))
+    assert table == {"point": None,
+                     **{kind: f"[sweep]\nkind = {kind}\n"
+                        for kind in SWEEPS if kind not in ("point", "generic")},
+                     **NON_DEFAULT_RUNS}
+
+
+def test_the_runs_off_the_defaults_parse_to_what_they_name():
+    parsed = {name: parse_config(text) for name, text in NON_DEFAULT_RUNS.items()}
+    assert {name: (cfg.sweep, cfg.output.precision) for name, cfg in parsed.items()} == {
+        "theta-precision-3": (SweepSpec("theta"), 3),
+        "kappa_grid-precision-5": (SweepSpec("kappa_grid"), 5),
+        "temp_kappa_b-precision-0": (SweepSpec("temp_kappa_b"), 0),
+        "g_minus-precision-12": (SweepSpec("g_minus"), 12),
+        "generic-kappa_b-log": (SweepSpec("generic", SweepAxis(100.0, 1e6, 41, "log"),
+                                          param="kappa_b"), None),
+    }
+    assert all(cfg.baseline() == default_baseline() for cfg in parsed.values())

@@ -43,7 +43,7 @@ def stack_sizes(monkeypatch):
 
     def counting(*args):
         result = run_pipelines(*args)
-        sizes.append(result.size)
+        sizes.append(len(result.stable))
         return result
 
     monkeypatch.setattr(experiments, "run_pipelines", counting)
@@ -513,7 +513,7 @@ class TestStackedEvaluation:
         columns = tuple(np.array(column) for column in zip(*grid(axes)))
         result = base.evaluate_all(SWEEPS["g_minus"].overrides(base, axes)(columns))
         size = axes[0].count
-        assert result.size == size
+        assert len(result.stable) == size
         for part in (result.basis, result.couplings):
             for name, value in part._asdict().items():
                 assert isinstance(value, np.ndarray) and value.shape == (size,), name
@@ -536,7 +536,7 @@ class TestStackedEvaluation:
         theta = np.repeat([0.27, 0.33, 0.40, 0.46], 3) * math.pi
         g_minus = np.tile([0.0, 2e6, 5e6], 4) * TWO_PI
         stack = base.evaluate_all({"theta": theta, "target_g_minus": g_minus})
-        assert stack.size == 12
+        assert len(stack.stable) == 12
         assert {bool(s) for s in stack.stable} == {True, False}
         for i, (t, g) in enumerate(zip(theta, g_minus)):
             point = base.evaluate(theta=t, target_g_minus=g)
@@ -561,7 +561,7 @@ class TestStackedEvaluation:
 
     def test_shared_overrides_are_one_point(self, base):
         result = base.evaluate_all({"theta": 0.40 * math.pi})
-        assert result.size == 1
+        assert len(result.stable) == 1
         point = base.evaluate(theta=0.40 * math.pi)
         assert result.e_n_pp.tolist() == [point.e_n_pp]
         assert np.array_equal(result.covs[0], point.state.cov)
@@ -595,6 +595,24 @@ class TestStackedEvaluation:
             base.evaluate_all({"temperature": temperature, "kappa_b": kappa_b})
         assert str(stack.value) == str(point.value)
         assert "[Lyapunov solve]" in str(point.value)
+
+    def test_replay_without_a_failing_point_re_raises_the_stack_error(
+            self, base, monkeypatch):
+        # a kernel that fails only on stacks of more than one row: every
+        # point of the replay passes, so the stack's own error is raised
+        solve = gaussian._solve_stacked
+        replayed = []
+
+        def stacks_only(R, D, spectra):
+            if len(R) > 1:
+                raise NumericalError("stacks only")
+            replayed.append(len(R))
+            return solve(R, D, spectra)
+
+        monkeypatch.setattr(gaussian, "_solve_stacked", stacks_only)
+        with pytest.raises(NumericalError, match=r"^\[Lyapunov solve\] stacks only$"):
+            base.evaluate_all({"theta": np.array([0.35, 0.40]) * math.pi})
+        assert replayed == [1, 1]
 
     def test_kernel_calls_of_the_default_temp_kappa_b_run_are_bounded(
             self, base, monkeypatch, stack_sizes):
@@ -691,7 +709,7 @@ class TestStackedEvaluation:
         for given in one_value_draws(carry):
             floats = {name: float(value) for name, value in given.items()}
             stack = base.evaluate_all(given)
-            assert stack.size == 1
+            assert len(stack.stable) == 1
             assert stack_point_bits(stack) == point_bits(base.evaluate(**floats)), given
 
     @pytest.mark.parametrize("text", ["0.4", np.array("0.4")], ids=["str", "0-d-str"])
@@ -741,13 +759,13 @@ class TestStackedEvaluation:
 
     def test_empty_columns_are_an_empty_stack(self, base):
         stack = base.evaluate_all({"theta": np.array([]), "kappa_b": []})
-        assert stack.size == 0
+        assert len(stack.stable) == 0
         assert stack.covs.shape == (0, 6, 6)
         assert stack.stable.shape == stack.max_re_eig.shape == stack.e_n_pb.shape == (0,)
         assert SweepRecord.from_columns([], stack) == []
         direct = dynamics.run_pipelines(base.params(theta=np.array([])),
                                         base.target_g_minus)
-        assert direct.size == 0 and direct.covs.shape == (0, 6, 6)
+        assert len(direct.stable) == 0 and direct.covs.shape == (0, 6, 6)
 
 
 #: a (g, omega_c) override pair other than the baseline's geometry

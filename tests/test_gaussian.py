@@ -9,6 +9,7 @@ Routh-Hurwitz criterion on the characteristic polynomial.
 
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,6 +245,17 @@ class TestSolveLyapunov:
         with pytest.raises(ParameterError, match="positive semidefinite"):
             solve_lyapunov(-np.eye(6), np.eye(6))
 
+    @pytest.mark.parametrize("drifts, diffusions", [
+        (-np.eye(6)[None], np.eye(5)[None]),
+        (-np.eye(6)[None], np.stack([np.eye(6)] * 2)),
+        (-np.eye(6), np.eye(6)),
+        (-np.ones((1, 6, 5)), np.ones((1, 6, 5))),
+    ], ids=["sizes", "rows", "unstacked", "not-square"])
+    def test_unequal_or_non_square_shapes_rejected(self, drifts, diffusions):
+        with pytest.raises(ParameterError,
+                           match="^drift and diffusion must be square and equal-size$"):
+            solve_lyapunov_stacked(drifts, diffusions)
+
     def test_empty_stack(self):
         # a chunk whose points are all unstable hands the kernels nothing
         empty = np.zeros((0, 6, 6))
@@ -283,6 +295,16 @@ class TestDenseFallback:
         assert np.linalg.norm(R @ V + V @ R.T + D) <= 1e-9 * np.linalg.norm(D)
         V_bs = sla.solve_continuous_lyapunov(R, -D)
         assert np.linalg.norm(V - V_bs) <= 1e-9 * np.linalg.norm(V_bs)
+
+    def test_singular_vectorized_system_is_named(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        # kron(I, R) + kron(R, I) is -2 I for R = -I: condition number 1
+        with pytest.raises(NumericalError, match=r"^vectorized Lyapunov system is "
+                           r"singular \(condition estimate 1\.000e\+00\)$"):
+            gaussian._solve_lyapunov_dense(-np.eye(6), np.eye(6))
 
     def test_defective_row_leaves_other_rows_unchanged(self):
         R, D = random_stable_system(np.random.default_rng(4))
@@ -732,6 +754,12 @@ class TestReduceTwoMode:
         with pytest.raises(ParameterError):
             reduce_two_mode(0.5 * np.eye(6), "b-")
 
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 5), (1, 6, 6)])
+    def test_non_6x6_input_rejected(self, shape):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"expected a 6x6 covariance matrix, got {shape}")):
+            reduce_two_mode(np.zeros(shape), "+-")
+
 
 # -- logarithmic negativity --------------------------------------------------
 
@@ -741,6 +769,18 @@ class TestLogNegativity:
 
     def test_thermal_product_is_zero(self):
         assert log_negativity(2.7 * np.eye(4)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 3), (1, 4, 4)])
+    def test_non_4x4_input_rejected(self, shape):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"expected a 4x4 covariance matrix, got {shape}")):
+            log_negativity(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 6, 6), (2, 4, 3), (2, 16)])
+    def test_non_4x4_stack_rejected(self, shape):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"expected 4x4 covariance matrices, got {shape}")):
+            log_negativity_stacked(np.zeros(shape))
 
     def test_two_mode_squeezed_vacuum(self):
         # analytic smallest PT symplectic eigenvalue: eta = exp(-2r)/2

@@ -1,14 +1,16 @@
 """Closed-form layer: hybridization, occupations, steady-state couplings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from entangle.errors import ParameterError
+from entangle.errors import NumericalError, ParameterError
 from entangle.experiments import default_baseline
 from entangle.model import (
     TWO_PI,
+    PolaritonBasis,
     SystemParams,
     drive_for_target_g_minus,
     hybridize,
@@ -381,6 +383,15 @@ class TestSteadyStateAmplitudes:
         _, basis = self.reference_basis()
         with pytest.raises(ParameterError, match="drive_strength must be non-negative"):
             steady_state_amplitudes(basis, -1.0 * G0)
+
+    def test_vanishing_denominator_is_named(self):
+        # both polaritons on resonance with the drive, and delta_kappa equal
+        # to their rates: (0 - i)(0 - i) + 1 = 0
+        basis = PolaritonBasis._make([0.3 * math.pi] + [0.0] * 14)._replace(
+            kappa_plus=1.0, kappa_minus=1.0, delta_kappa=1.0)
+        with pytest.raises(NumericalError, match=re.escape(
+                "steady-state denominator (dm - i km)(dp - i kp) + dk^2 vanishes")):
+            steady_state_amplitudes(basis, 1.0 * G0)
 
 
 class TestDriveForTarget:

@@ -20,6 +20,13 @@ directory with the tree's ``src`` as the only ``PYTHONPATH`` entry:
   ``KIND/plot_KIND.dat``, ``KIND/resolved_config.cfg`` and
   ``KIND/metadata.txt``; the last without its ``elapsed seconds:`` and
   ``timestamp:`` lines, which change from run to run.
+- ``entangle run`` of five configs off the defaults, each of
+  :data:`NON_DEFAULT_RUNS` under its own name in place of ``KIND``:
+  the default ``theta`` grid at ``output.precision = 3``,
+  ``kappa_grid`` at 5, ``temp_kappa_b`` at 0 and ``g_minus`` at 12,
+  which take the ``.dat`` path that formats with ``:.{p}g``, and a
+  ``generic`` sweep of ``kappa_b`` on a log axis, the one kind with no
+  default run.
 - ``point_api.csv``: the ``Baseline.evaluate`` result of every draw of
   the benchmark's ``point_api`` workload for seeds 1 and 7, the
   ``calls`` of ``bench/workloads.PointApi(seed, dir)`` evaluated by its
@@ -73,6 +80,16 @@ E_N_FLOOR = 1e-3
 
 #: metadata lines that change from run to run
 VOLATILE = ("elapsed seconds:", "timestamp:")
+
+#: the runs off the defaults: output name -> config text
+NON_DEFAULT_RUNS = {
+    "theta-precision-3": "[sweep]\nkind = theta\n\n[output]\nprecision = 3\n",
+    "kappa_grid-precision-5": "[sweep]\nkind = kappa_grid\n\n[output]\nprecision = 5\n",
+    "temp_kappa_b-precision-0": "[sweep]\nkind = temp_kappa_b\n\n[output]\nprecision = 0\n",
+    "g_minus-precision-12": "[sweep]\nkind = g_minus\n\n[output]\nprecision = 12\n",
+    "generic-kappa_b-log": ("[sweep]\nkind = generic\nparam = kappa_b\n"
+                            "start = 100 Hz\nstop = 1 MHz\ncount = 41\nscale = log\n"),
+}
 
 #: where a metadata summary ends
 CONFIG_MARK = "# resolved configuration"
@@ -139,26 +156,31 @@ def _python(tree, args, cwd):
     return proc.stdout
 
 
+def runs(kinds):
+    """Run name -> config text of every CLI run (see the module docstring),
+    given the kinds ``entangle list-sweeps`` names; None runs ``entangle point``."""
+    return {**{kind: None if kind == "point" else f"[sweep]\nkind = {kind}\n"
+               for kind in kinds if kind != "generic"}, **NON_DEFAULT_RUNS}
+
+
 def collect(tree):
     """Every output of ``tree`` (see the module docstring): name -> text."""
     tree = Path(tree).resolve()
     kinds = _python(tree, ["-m", "entangle.cli", "list-sweeps"], tree).split()
     outputs = {}
-    for kind in kinds:
-        if kind == "generic":
-            continue
-        with tempfile.TemporaryDirectory(prefix=f"digest-{kind}-") as work:
-            if kind == "point":
+    for name, config in runs(kinds).items():
+        with tempfile.TemporaryDirectory(prefix=f"digest-{name}-") as work:
+            if config is None:
                 args = ["point"]
             else:
-                Path(work, "sweep.cfg").write_text(f"[sweep]\nkind = {kind}\n")
+                Path(work, "sweep.cfg").write_text(config)
                 args = ["run", "sweep.cfg"]
             _python(tree, ["-m", "entangle.cli", *args, "--out", OUT], work)
             for path in sorted(Path(work, OUT).iterdir()):
                 text = path.read_text()
                 if path.name == "metadata.txt":
                     text = normalize_metadata(text)
-                outputs[f"{kind}/{path.name}"] = text
+                outputs[f"{name}/{path.name}"] = text
     outputs["point_api.csv"] = _python(tree, ["-c", (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
