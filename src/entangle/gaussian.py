@@ -2,9 +2,9 @@
 
 Steady-state covariance matrices of linearized bosonic dynamics,
 evaluated on stacks of points at once.  One batched eigendecomposition
-of ``(N, n, n)`` drift matrices (:func:`drift_spectra`) gives spectral
-stability as ``max Re lambda`` and the eigenbasis in which
-:func:`solve_lyapunov_stacked` solves ``R V + V R^T = -D`` entrywise,
+of ``(N, n, n)`` drift matrices (``_spectra``) gives spectral stability
+as ``max Re lambda`` and the eigenbasis in which ``_solve_stacked``
+solves ``R V + V R^T = -D`` for the stable rows entrywise,
 ``V = U [-(U^-1 D U^-H)_ij / (lambda_i + conj(lambda_j))] U^H``.  Every
 solution must meet the residual contract
 ``||R V + V R^T + D||_F <= 1e-9 ||D||_F``.  A row that misses it, or
@@ -26,14 +26,15 @@ fallback keeps ``np.linalg``.  The gates are cheap beside the calls:
 LAPACK's eigenvectors have unit norm, so ``||U||_F = sqrt(n)``, and the
 symmetrized ``V`` is exactly symmetric, so ``V R^T = (R V)^T``.
 
-:func:`stability` and :func:`solve_lyapunov` are the one-point views of
-the stacked kernels: a stack of one.  The negativity has one body for
-both: :func:`log_negativity` and :func:`pair_log_negativities` run it
-on Python floats, which one point needs without the dispatch of about
-fifty tiny numpy calls, and :func:`log_negativity_stacked` runs it on
-columns with one entry per matrix.  Every row of a stacked call runs
-the same arithmetic as the one-point call on that row, so the two
-agree bit for bit.
+:func:`stability` and :func:`solve_lyapunov` run the two cores on a
+stack of one, in the kernel step's order: the drift is decomposed, and
+refused if unstable, before the diffusion is checked.  The negativity
+has one body for a point and a stack: :func:`log_negativity` and
+:func:`pair_log_negativities` run it on Python floats, which one point
+needs without the dispatch of about fifty tiny numpy calls, and
+:func:`log_negativity_stacked` runs it on columns with one entry per
+matrix.  Every row of a stacked call runs the same arithmetic as the
+one-point call on that row, so the two agree bit for bit.
 
 Quadrature ordering is fixed globally as (X+, Y+, X-, Y-, Xb, Yb) and
 the vacuum covariance matrix is identity/2.  Drift and diffusion inputs
@@ -107,19 +108,14 @@ class GaussianState:
         self.cov = V
 
 
-def drift_spectra(drifts):
-    """Eigenvalues and right eigenvectors of a stack of drift matrices.
+def _spectra(R):
+    """Eigenvalues and right eigenvectors of a float stack of drift
+    matrices, under the caller's ``np.errstate``.
 
-    ``drifts`` is ``(N, n, n)``.  Returns complex ``(N, n)`` eigenvalues
-    and ``(N, n, n)`` eigenvectors (as columns); row ``i`` is stable iff
+    ``R`` is ``(N, n, n)``.  Returns complex ``(N, n)`` eigenvalues and
+    ``(N, n, n)`` eigenvectors (as columns); row ``i`` is stable iff
     every ``lam[i].real`` is strictly negative.
     """
-    with np.errstate(invalid="ignore"):
-        return _spectra(np.asarray(drifts, dtype=float))
-
-
-def _spectra(R):
-    """:func:`drift_spectra` of a float stack, under the caller's ``np.errstate``."""
     if R.ndim != 3 or R.shape[1] != R.shape[2]:
         raise ParameterError(f"drift matrix must be square, got shape {R.shape[1:]}")
     if not _COLUMN_MATH.all(np.isfinite(R)):
@@ -135,31 +131,23 @@ def _spectra(R):
 def stability(drift):
     """Spectral stability of a drift matrix: ``(stable, max_re_eig)``,
     ``stable`` iff every eigenvalue has a strictly negative real part."""
-    max_re = float(drift_spectra(np.asarray(drift, dtype=float)[None])[0].real.max())
+    with np.errstate(invalid="ignore"):
+        lam, _ = _spectra(np.asarray(drift, dtype=float)[None])
+    max_re = float(lam.real.max())
     return max_re < 0.0, max_re
 
 
-def solve_lyapunov_stacked(drifts, diffusions):
-    """Solve R V + V R^T = -D for the stationary covariance of each row.
+def _solve_stacked(R, D, spectra):
+    """Solve R V + V R^T = -D for the stationary covariance of each row,
+    under the caller's ``np.errstate``.
 
-    ``drifts`` and ``diffusions`` are ``(N, n, n)``; every drift must be
+    ``R`` and ``D`` are float ``(N, n, n)`` stacks and ``spectra`` the
+    ``(lam, U)`` of :func:`_spectra` on ``R``, whose rows must all be
     strictly stable.  Each row is solved in the drift's eigenbasis,
     symmetrized and checked against ``1e-9 * ||D||_F``; rows that miss
     the contract, or whose unit-norm eigenvectors are too badly
     conditioned to trust, fall back to the dense vectorized solve.
     """
-    R = np.asarray(drifts, dtype=float)
-    D = np.asarray(diffusions, dtype=float)
-    if R.ndim != 3 or R.shape[1] != R.shape[2] or D.shape != R.shape:
-        raise ParameterError("drift and diffusion must be square and equal-size")
-    # an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly) defective
-    # or singular row turn inf or NaN, which the checks and gates decide
-    with np.errstate(all="ignore"):
-        return _solve_stacked(R, D)
-
-
-def _solve_stacked(R, D, stable_spectra=None):
-    """:func:`solve_lyapunov_stacked` under the caller's ``np.errstate``."""
     d_norm = _frobenius(D)
     if not _COLUMN_MATH.all(np.isfinite(d_norm)):
         if np.isnan(d_norm).any() and not np.isinf(D).any():
@@ -178,13 +166,8 @@ def _solve_stacked(R, D, stable_spectra=None):
     d_eig = _lapack.eigvalsh_lo(D, signature="d->d")
     if not _COLUMN_MATH.all(d_eig[:, 0] >= -1e-12 * d_scale[:, 0, 0]):
         raise ParameterError("diffusion matrix must be positive semidefinite")
-    lam, U = _spectra(R) if stable_spectra is None else stable_spectra
-    if stable_spectra is None and not _COLUMN_MATH.all(lam.real < 0.0):
-        max_re = lam.real.max(axis=1)
-        raise ParameterError(
-            "drift matrix is not strictly stable (max Re eig = "
-            f"{max_re[~(max_re < 0.0)][0]:g}); no stationary state exists")
 
+    lam, U = spectra
     # X is divided in place and freed early (a lower peak for a full stack);
     # -D's sign enters with the factor -0.5: IEEE rounding is sign-symmetric
     U_inv = _lapack.inv(U, signature="D->D")
@@ -205,11 +188,23 @@ def _solve_stacked(R, D, stable_spectra=None):
 
 
 def solve_lyapunov(drift, diffusion):
-    """Solve R V + V R^T = -D for the stationary covariance V: the
-    one-point view of :func:`solve_lyapunov_stacked`, with its eigenbasis
-    solve, dense fallback and residual contract."""
-    return solve_lyapunov_stacked(np.asarray(drift, dtype=float)[None],
-                                  np.asarray(diffusion, dtype=float)[None])[0]
+    """Solve R V + V R^T = -D for the stationary covariance V of a
+    strictly stable drift: the kernel step on a stack of one, with its
+    eigenbasis solve, dense fallback and residual contract."""
+    R = np.asarray(drift, dtype=float)[None]
+    D = np.asarray(diffusion, dtype=float)[None]
+    if R.ndim != 3 or R.shape[1] != R.shape[2] or D.shape != R.shape:
+        raise ParameterError("drift and diffusion must be square and equal-size")
+    # an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly) defective
+    # or singular drift turn inf or NaN, which the checks and gates decide
+    with np.errstate(all="ignore"):
+        lam, U = _spectra(R)
+        max_re = lam.real.max()
+        if not max_re < 0.0:
+            raise ParameterError(
+                f"drift matrix is not strictly stable (max Re eig = {max_re:g}); "
+                "no stationary state exists")
+        return _solve_stacked(R, D, (lam, U))[0]
 
 
 def _frobenius(x):

@@ -370,7 +370,8 @@ class TestRunPipeline:
 class TestKernelStep:
     """``_steady_states`` runs the kernels' private cores in one pass under
     one ``np.errstate`` and decides stability once; on the pipeline's own
-    stacks it must give the public kernels' bits."""
+    stacks it must give the bits of the public one-point kernels, row by
+    row."""
 
     def test_kernel_step_equals_the_public_kernels(self, monkeypatch):
         steps = []
@@ -386,12 +387,13 @@ class TestKernelStep:
         assert [len(pairs) for pairs, _ in steps] == [200] + [1] * 64
         stable_rows = [0, 0]
         for i, (pairs, (max_re, stable, covs)) in enumerate(steps):
-            lam, _ = gaussian.drift_spectra(pairs[:, 0])
-            assert max_re.tobytes() == lam.real.max(axis=1).tobytes()
+            verdicts = [gaussian.stability(R) for R in pairs[:, 0]]
+            assert max_re.tobytes() == np.array([m for _, m in verdicts]).tobytes()
             assert np.array_equal(stable, np.flatnonzero(max_re < 0.0))
             if stable.size:
                 stable_rows[i > 0] += stable.size
-                public = gaussian.solve_lyapunov_stacked(pairs[stable, 0], pairs[stable, 1])
+                public = np.stack([gaussian.solve_lyapunov(R, D)
+                                   for R, D in pairs[stable]])
                 assert covs.tobytes() == public.tobytes()
         assert stable_rows[0] == 158 and stable_rows[1] >= 32
 

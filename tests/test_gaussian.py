@@ -27,13 +27,11 @@ from entangle.experiments import SweepSpec, default_baseline, run_sweep
 from entangle.gaussian import (
     PAIR_CHOICES,
     GaussianState,
-    drift_spectra,
     log_negativity,
     log_negativity_stacked,
     pair_blocks,
     reduce_two_mode,
     solve_lyapunov,
-    solve_lyapunov_stacked,
     stability,
 )
 
@@ -45,6 +43,20 @@ from oracles import (
     symplectic_eigenvalues,
     symplectic_form,
 )
+
+
+# -- the stacked cores -------------------------------------------------------
+
+def core_spectra(R):
+    """The kernel step's eigendecomposition of a stack of drifts."""
+    with np.errstate(invalid="ignore"):
+        return gaussian._spectra(np.asarray(R, dtype=float))
+
+
+def core_solve(R, D):
+    """The kernel step's Lyapunov solve of a stack of stable rows."""
+    with np.errstate(all="ignore"):
+        return gaussian._solve_stacked(R, D, gaussian._spectra(R))
 
 
 # -- oracles -----------------------------------------------------------------
@@ -186,6 +198,13 @@ class TestSolveLyapunov:
         with pytest.raises(ParameterError, match="not strictly stable"):
             solve_lyapunov(R, np.eye(6))
 
+    def test_unstable_drift_is_refused_before_the_diffusion_is_checked(self):
+        # the kernel step's order: drift first, then diffusion
+        D = np.eye(6)
+        D[0, 1] = 0.5
+        with pytest.raises(ParameterError, match="not strictly stable"):
+            solve_lyapunov(np.diag([1.0, -1, -1, -1, -1, -1.0]), D)
+
     def test_asymmetric_diffusion_rejected(self):
         R = -np.eye(6)
         D = np.eye(6)
@@ -241,25 +260,22 @@ class TestSolveLyapunov:
         # a diffusion whose eigenvalues do not converge comes back NaN,
         # which must not pass as positive semidefinite
         monkeypatch.setattr(gaussian, "_lapack", SimpleNamespace(
+            eig=gaussian._lapack.eig,
             eigvalsh_lo=lambda a, signature: np.full(a.shape[:2], np.nan)))
         with pytest.raises(ParameterError, match="positive semidefinite"):
             solve_lyapunov(-np.eye(6), np.eye(6))
 
-    @pytest.mark.parametrize("drifts, diffusions", [
-        (-np.eye(6)[None], np.eye(5)[None]),
-        (-np.eye(6)[None], np.stack([np.eye(6)] * 2)),
-        (-np.eye(6), np.eye(6)),
-        (-np.ones((1, 6, 5)), np.ones((1, 6, 5))),
-    ], ids=["sizes", "rows", "unstacked", "not-square"])
-    def test_unequal_or_non_square_shapes_rejected(self, drifts, diffusions):
+    @pytest.mark.parametrize("drift, diffusion", [
+        (-np.eye(6), np.eye(5)),
+        (-np.ones((6, 5)), np.ones((6, 5))),
+    ], ids=["sizes", "not-square"])
+    def test_unequal_or_non_square_shapes_rejected(self, drift, diffusion):
         with pytest.raises(ParameterError,
                            match="^drift and diffusion must be square and equal-size$"):
-            solve_lyapunov_stacked(drifts, diffusions)
+            solve_lyapunov(drift, diffusion)
 
     def test_empty_stack(self):
-        # a chunk whose points are all unstable hands the kernels nothing
-        empty = np.zeros((0, 6, 6))
-        assert solve_lyapunov_stacked(empty, empty).shape == (0, 6, 6)
+        # a stack of no matrices gives no negativities
         assert log_negativity_stacked(np.zeros((0, 4, 4))).shape == (0,)
 
     def test_non_finite_solution_rejected(self):
@@ -308,8 +324,7 @@ class TestDenseFallback:
 
     def test_defective_row_leaves_other_rows_unchanged(self):
         R, D = random_stable_system(np.random.default_rng(4))
-        V = solve_lyapunov_stacked(np.stack([R, self.JORDAN, R]),
-                                   np.stack([D, np.eye(6), D]))
+        V = core_solve(np.stack([R, self.JORDAN, R]), np.stack([D, np.eye(6), D]))
         assert np.array_equal(V[0], solve_lyapunov(R, D))
         assert np.array_equal(V[1], solve_lyapunov(self.JORDAN, np.eye(6)))
         assert np.array_equal(V[2], V[0])
@@ -317,7 +332,7 @@ class TestDenseFallback:
     def test_singular_eigenvector_matrix_takes_dense_solve(self):
         # the pipeline's core, which takes the spectra of stable rows
         R, D = random_stable_system(np.random.default_rng(8))
-        lam, U = drift_spectra(np.stack([R, R]))
+        lam, U = core_spectra(np.stack([R, R]))
         U[1, :, 0] = 0.0  # singular: the inverse turns this row NaN
         with np.errstate(all="ignore"):
             V = gaussian._solve_stacked(np.stack([R, R]), np.stack([D, D]), (lam, U))
@@ -390,9 +405,9 @@ def gate_cases():
     whose second eigenvector matrix is singular."""
     cases = []
     for R in (TestDenseFallback.JORDAN, TestDenseFallback.NEAR_JORDAN):
-        cases.append((R[None], np.eye(6)[None], drift_spectra(R[None])))
+        cases.append((R[None], np.eye(6)[None], core_spectra(R[None])))
     R, D = random_stable_system(np.random.default_rng(8))
-    lam, U = drift_spectra(np.stack([R, R]))
+    lam, U = core_spectra(np.stack([R, R]))
     U[1, :, 0] = 0.0
     cases.append((np.stack([R, R]), np.stack([D, D]), (lam, U)))
     return cases
@@ -426,7 +441,7 @@ class TestEigenbasisGates:
 
     @staticmethod
     def assert_unit_eigenvectors(R):
-        _, U = drift_spectra(R)
+        _, U = core_spectra(R)
         np.testing.assert_allclose(np.linalg.norm(U, axis=(1, 2)),
                                    math.sqrt(R.shape[1]), rtol=1e-12, atol=0.0)
 
@@ -440,7 +455,7 @@ class TestEigenbasisGates:
         R = np.random.default_rng(27).standard_normal((16, 6, 6))
         if symmetric:
             R = R + R.swapaxes(1, 2)
-        lam, _ = drift_spectra(R)
+        lam, _ = core_spectra(R)
         assert (lam.imag == 0.0).all() == symmetric
         self.assert_unit_eigenvectors(R)
 
@@ -503,7 +518,7 @@ class TestStackedKernelProperties:
     @given(_system_stacks)
     def test_residual_contract_and_kronecker_agreement(self, systems):
         Rs, Ds = (np.stack(m) for m in zip(*systems))
-        Vs = solve_lyapunov_stacked(Rs, Ds)
+        Vs = core_solve(Rs, Ds)
         for R, D, V in zip(Rs, Ds, Vs):
             assert np.array_equal(V, V.T)
             assert np.linalg.norm(R @ V + V @ R.T + D) <= 1e-9 * np.linalg.norm(D)
@@ -514,8 +529,8 @@ class TestStackedKernelProperties:
     @given(_system_stacks)
     def test_stacked_solve_equals_one_point_calls(self, systems):
         Rs, Ds = (np.stack(m) for m in zip(*systems))
-        lam, _ = drift_spectra(Rs)
-        Vs = solve_lyapunov_stacked(Rs, Ds)
+        lam, _ = core_spectra(Rs)
+        Vs = core_solve(Rs, Ds)
         for R, D, V, row_lam in zip(Rs, Ds, Vs, lam):
             assert np.array_equal(V, solve_lyapunov(R, D))
             assert stability(R) == (True, row_lam.real.max())
@@ -588,7 +603,7 @@ class TestLapackGufuncs:
             R = R + R.swapaxes(1, 2)
         ref_lam, ref_U = np.linalg.eig(R)
         assert (ref_lam.dtype == float) == symmetric
-        lam, U = drift_spectra(R)
+        lam, U = core_spectra(R)
         self.assert_same_bits(lam, ref_lam.astype(complex))
         self.assert_same_bits(U, ref_U.astype(complex))
 
@@ -623,7 +638,7 @@ class TestLapackGufuncs:
         monkeypatch.setattr(gaussian, "_lapack",
                             SimpleNamespace(eig=eig_failing_on_row_1))
         with pytest.raises(NumericalError, match="failed to converge") as info:
-            drift_spectra(R)
+            core_spectra(R)
         assert str(info.value).endswith(f":\n{R[1]!r}")
 
 

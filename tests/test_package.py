@@ -14,10 +14,12 @@ the start-up time of every ``entangle`` command.
 """
 
 import ast
+import importlib.metadata
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,9 @@ import pytest
 import entangle
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: the ``[project]`` table of ``pyproject.toml``
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 #: the syntax tree of every package module, by module name
 TREES = {path.stem: ast.parse(path.read_text())
@@ -161,9 +166,7 @@ def _import_time_imports(tree):
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_imports_only_declared_dependencies(module):
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]}
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in PROJECT["dependencies"]}
     for node in _import_time_imports(TREES[module]):
         if isinstance(node, ast.ImportFrom) and node.level:
             continue  # the package itself
@@ -174,6 +177,22 @@ def test_imports_only_declared_dependencies(module):
             assert top in sys.stdlib_module_names or top in declared, (
                 f"entangle.{module} line {node.lineno} imports {name!r}, which "
                 "is neither standard library nor a runtime dependency")
+
+
+def _python_floor(spec):
+    """``(major, minor)`` of the one ``>=X.Y`` clause of a Python version
+    specifier."""
+    (floor,) = re.findall(r">=\s*(\d+)\.(\d+)", spec)
+    return tuple(map(int, floor))
+
+
+def test_python_floor_is_at_least_numpys():
+    # the package's numpy cannot be installed below numpy's own floor, so a
+    # lower requires-python promises an install that fails
+    numpy_floor = importlib.metadata.metadata("numpy")["Requires-Python"]
+    assert _python_floor(PROJECT["requires-python"]) >= _python_floor(numpy_floor), (
+        f"requires-python {PROJECT['requires-python']!r} is below the "
+        f"installed numpy's {numpy_floor!r}")
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
