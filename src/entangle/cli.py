@@ -142,8 +142,9 @@ def emit_plot_data(result: experiments.SweepResult, precision=None,
     return ("\n\n\n").join(blocks) + "\n"
 
 
-def write_outputs(result, cfg, out_dir, elapsed=None):
-    out = Path(out_dir)
+def write_outputs(result, cfg, elapsed=None):
+    """Write the files of ``cfg.output.formats`` into ``cfg.output.directory``."""
+    out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     formats, precision = cfg.output.formats, cfg.output.precision
     (out / "resolved_config.cfg").write_text(echo_config(cfg))
@@ -184,7 +185,7 @@ def _execute(cfg: RunConfig) -> int:
     result = experiments.run_sweep(cfg.baseline(), cfg.sweep)
     elapsed = time.perf_counter() - start
     try:
-        write_outputs(result, cfg, cfg.output.directory, elapsed)
+        write_outputs(result, cfg, elapsed)
     except OSError as exc:
         print(f"error: cannot write outputs to {cfg.output.directory!r}: {exc}",
               file=sys.stderr)

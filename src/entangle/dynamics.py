@@ -5,8 +5,8 @@ the matching diffusion matrix from the model layer, then composes
 hybridization, drive calibration, the Lyapunov solve, and the
 logarithmic negativity of all three mode pairs.  A point and a stack
 take one path: the model layer, one fill of the drift and the diffusion
-(:func:`_pairs`), one kernel step (:func:`_steady_states`:
-eigendecomposition, eigenbasis Lyapunov solve with its dense fallback)
+(:func:`_pairs`), one ``gaussian._steady_states`` kernel step
+(eigendecomposition, eigenbasis Lyapunov solve with its dense fallback)
 and the closed-form negativities.  :func:`run_pipelines` runs the model
 layer and the fill once on whole parameter columns, and each
 ``gaussian`` kernel once per slice of at most :data:`CHUNK_SIZE` rows.
@@ -192,8 +192,8 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
     floats, the fill and the kernel step on the stack of one.
     """
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    max_re, stable, covs = _steady_states(
-        _pairs(params, basis, couplings, 1, _FLOAT_MATH))
+    R, D = _pairs(params, basis, couplings, 1, _FLOAT_MATH)
+    max_re, stable, covs = _stage("Lyapunov solve", gaussian._steady_states, R, D)
     max_re_eig = max_re[0].item() * params.omega_b
     if not stable.size:
         return PipelineResult(basis, couplings, drive, False, max_re_eig,
@@ -217,12 +217,13 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
     basis, couplings, drive = _model_layer(params, target_g_minus)
-    pairs = _pairs(params, basis, couplings, size, _COLUMN_MATH)
+    R, D = _pairs(params, basis, couplings, size, _COLUMN_MATH)
     max_re = np.empty(size)
     covs, e_n = np.full((size, 6, 6), np.nan), np.full((size, 3), np.nan)
     for start in range(0, size, CHUNK_SIZE):
         rows = slice(start, start + CHUNK_SIZE)  # covs[rows] is a view: writes land
-        max_re[rows], stable, solved = _steady_states(pairs[rows])
+        max_re[rows], stable, solved = _stage(
+            "Lyapunov solve", gaussian._steady_states, R[rows], D[rows])
         if stable.size:
             covs[rows][stable] = solved
             blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
@@ -256,34 +257,13 @@ def _model_layer(params, target_g_minus):
 
 
 def _pairs(params, basis, couplings, size, m):
-    """The ``(size, 2, 6, 6)`` drift and diffusion of ``size`` points
-    (``m``: their math), each divided by ``omega_b``."""
+    """The ``(size, 6, 6)`` drift and diffusion stacks of ``size`` points
+    (``m``: their math), each divided by ``omega_b``: views of one fill."""
     with m.quiet():  # the Lyapunov solve names noise that overflows to inf
         noise = _diffusion_entries(basis, params.kappa_b, basis.n_b)
-    return _fill(_PAIR_SLOTS, _drift_entries(
+    pairs = _fill(_PAIR_SLOTS, _drift_entries(
         basis, couplings, params.omega_b, params.kappa_b) + noise, size, params.omega_b)
-
-
-def _steady_states(pairs):
-    """Stability and covariances of the points of a fill of :func:`_pairs`.
-
-    Returns ``(max_re, stable, covs)``: the largest real part of each
-    drift spectrum in units of ``omega_b``, the indices of the stable
-    points, and their ``(n, 6, 6)`` covariances (None if there is none).
-    The Lyapunov kernel raises :class:`NumericalError` rather than return
-    a covariance that misses the residual contract.
-    """
-    with np.errstate(all="ignore"):  # one pass; the kernels' checks decide NaN, inf
-        lam, U = gaussian._spectra(pairs[:, 0])
-        max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
-        stable = (max_re < 0.0).nonzero()[0]
-        if not stable.size:
-            return max_re, stable, None
-        if stable.size < len(pairs):
-            pairs, lam, U = pairs[stable], lam[stable], U[stable]
-        covs = _stage("Lyapunov solve", gaussian._solve_stacked,
-                      pairs[:, 0], pairs[:, 1], (lam, U))
-    return max_re, stable, covs
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _stage(name, fn, *args):

@@ -240,14 +240,16 @@ class Baseline:
         An overriding ``theta`` re-derives the geometry even when the
         baseline pins ``(g, omega_c)`` explicitly.  Like the config,
         overrides follow :func:`check_geometry`, so none is dropped (nor
-        a pair with one member None), and one that is not a field raises
-        :class:`TypeError`.  Overrides may be one value each or columns,
-        made Python floats and float64 arrays by :func:`_columns`; with
-        columns the result holds parameter columns (see
-        :meth:`evaluate_all`).  It is the one resolver behind :meth:`evaluate`
-        and :meth:`evaluate_all`.
+        a pair with one member None, nor a ``drive_strength`` beside a
+        target: see :func:`_drive_target`), and one that is not a field
+        raises :class:`TypeError`.  Overrides may be one value each or
+        columns, made Python floats and float64 arrays by :func:`_columns`;
+        with columns the result holds parameter columns (see
+        :meth:`evaluate_all`).  It is the one resolver, and the one check of
+        every per-call rule, behind :meth:`evaluate` and :meth:`evaluate_all`.
         """
         overrides = _columns(overrides)[0]
+        _drive_target(self.target_g_minus, overrides)
         check_geometry(overrides)
         if "g" in overrides and (overrides["g"] is None) != (overrides["omega_c"] is None):
             raise ParameterError(_LONE_MEMBER)  # one member unset, the other given
@@ -282,7 +284,8 @@ class Baseline:
             raise ParameterError(
                 f"evaluate() takes one point, but override {columns[0]!r} is a "
                 "column; evaluate_all() evaluates a stack")
-        return run_pipeline(*self._point(overrides))
+        return run_pipeline(self.params(**overrides),
+                            overrides.get("target_g_minus", self.target_g_minus))
 
     def evaluate_all(self, overrides) -> PipelineColumns:
         """Evaluate a stack of points given as override columns.
@@ -301,7 +304,8 @@ class Baseline:
         """
         overrides, columns = _columns(overrides)
         try:
-            return run_pipelines(*self._point(overrides))
+            return run_pipelines(self.params(**overrides),
+                                 overrides.get("target_g_minus", self.target_g_minus))
         except EntangleError:
             # raises at the first failing point
             for i in range(len(overrides[columns[0]]) if columns else 1):
@@ -309,22 +313,15 @@ class Baseline:
                                  for name, value in overrides.items()})
             raise
 
-    def _point(self, overrides):
-        """``(SystemParams, target_g_minus)`` of converted overrides (:func:`_columns`)."""
-        target = _drive_target(self.target_g_minus, overrides)
-        return self.params(**overrides), target
-
 
 def _drive_target(target, overrides):
-    """The |G_-| target of ``overrides`` over a baseline's ``target``.
-    Raises :class:`ParameterError` where a target would drop an
-    overriding ``drive_strength``."""
+    """Raise :class:`ParameterError` where the |G_-| target of ``overrides``
+    over a baseline's ``target`` would drop an overriding ``drive_strength``."""
     target = overrides.get("target_g_minus", target)
     if target is not None and "drive_strength" in overrides:
         raise ParameterError(
             "give either target_g_minus or drive_strength "
             "(target_g_minus=None pins the drive)")
-    return target
 
 
 def _columns(overrides):

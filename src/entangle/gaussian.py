@@ -1,9 +1,10 @@
 """Dense linear algebra for small Gaussian states.
 
 Steady-state covariance matrices of linearized bosonic dynamics,
-evaluated on stacks of points at once.  One batched eigendecomposition
-of ``(N, n, n)`` drift matrices (``_spectra``) gives spectral stability
-as ``max Re lambda`` and the eigenbasis in which ``_solve_stacked``
+evaluated on stacks of points at once by one kernel step
+(``_steady_states``): one batched eigendecomposition of ``(N, n, n)``
+drift matrices (``_spectra``) gives spectral stability as
+``max Re lambda`` and the eigenbasis in which ``_solve_stacked``
 solves ``R V + V R^T = -D`` for the stable rows entrywise,
 ``V = U [-(U^-1 D U^-H)_ij / (lambda_i + conj(lambda_j))] U^H``.  Every
 solution must meet the residual contract
@@ -26,12 +27,11 @@ fallback keeps ``np.linalg``.  The gates are cheap beside the calls:
 LAPACK's eigenvectors have unit norm, so ``||U||_F = sqrt(n)``, and the
 symmetrized ``V`` is exactly symmetric, so ``V R^T = (R V)^T``.
 
-:func:`stability` and :func:`solve_lyapunov` run the two cores on a
-stack of one, in the kernel step's order: the drift is decomposed, and
-refused if unstable, before the diffusion is checked.  The negativity
-has one body for a point and a stack: :func:`log_negativity` and
-:func:`pair_log_negativities` run it on Python floats, which one point
-needs without the dispatch of about fifty tiny numpy calls, and
+:func:`solve_lyapunov` is the kernel step on a stack of one, refusing
+an unstable drift, and :func:`stability` its decomposition alone.  The
+negativity has one body for a point and a stack: :func:`log_negativity`
+and :func:`pair_log_negativities` run it on Python floats, which one
+point needs without the dispatch of about fifty tiny numpy calls, and
 :func:`log_negativity_stacked` runs it on columns with one entry per
 matrix.  Every row of a stacked call runs the same arithmetic as the
 one-point call on that row, so the two agree bit for bit.
@@ -187,6 +187,25 @@ def _solve_stacked(R, D, spectra):
     return V
 
 
+def _steady_states(R, D):
+    """The kernel step on float ``(N, n, n)`` drift and diffusion stacks:
+    ``(max_re, stable, covs)``, the largest real part of each drift
+    spectrum, the indices of the strictly stable rows and their
+    covariances (None if there is none).  The drift is decomposed, and
+    its stability decided, before the stable rows' diffusion is checked."""
+    # one pass: an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly)
+    # defective or singular drift turn inf or NaN, which the checks decide
+    with np.errstate(all="ignore"):
+        lam, U = _spectra(R)
+        max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
+        stable = (max_re < 0.0).nonzero()[0]
+        if not stable.size:
+            return max_re, stable, None
+        if stable.size < len(R):
+            R, D, lam, U = R[stable], D[stable], lam[stable], U[stable]
+        return max_re, stable, _solve_stacked(R, D, (lam, U))
+
+
 def solve_lyapunov(drift, diffusion):
     """Solve R V + V R^T = -D for the stationary covariance V of a
     strictly stable drift: the kernel step on a stack of one, with its
@@ -195,16 +214,12 @@ def solve_lyapunov(drift, diffusion):
     D = np.asarray(diffusion, dtype=float)[None]
     if R.ndim != 3 or R.shape[1] != R.shape[2] or D.shape != R.shape:
         raise ParameterError("drift and diffusion must be square and equal-size")
-    # an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly) defective
-    # or singular drift turn inf or NaN, which the checks and gates decide
-    with np.errstate(all="ignore"):
-        lam, U = _spectra(R)
-        max_re = lam.real.max()
-        if not max_re < 0.0:
-            raise ParameterError(
-                f"drift matrix is not strictly stable (max Re eig = {max_re:g}); "
-                "no stationary state exists")
-        return _solve_stacked(R, D, (lam, U))[0]
+    max_re, stable, covs = _steady_states(R, D)
+    if not stable.size:
+        raise ParameterError(
+            f"drift matrix is not strictly stable (max Re eig = {max_re[0]:g}); "
+            "no stationary state exists")
+    return covs[0]
 
 
 def _frobenius(x):

@@ -568,6 +568,8 @@ def _api_check(field, value, partner):
     if field == "target_g_minus":
         drive_for_target_g_minus(hybridize(base.params()), value)
     else:
+        if field == "drive_strength":  # a given drive replaces the |G_-| target
+            partner = {**partner, "target_g_minus": None}
         with warnings.catch_warnings():  # a tiny omega_a leaves omega_b >> omega_a
             warnings.simplefilter("ignore")
             base.params(**{field: value}, **partner)
@@ -758,10 +760,10 @@ class TestWriteOutputs:
     def test_files_equal_standalone_emitters(self, tmp_path, entries, precision):
         if precision is not None:
             entries = entries + [("output.precision", str(precision))]
-        cfg = parse_config("", entries)
+        cfg = parse_config("", entries + [("output.dir", str(tmp_path))])
         result = run_sweep(cfg.baseline(), cfg.sweep)
         assert {rec.stable for rec in result.records} == {True, False}
-        write_outputs(result, cfg, tmp_path)
+        write_outputs(result, cfg)
         files = {
             "records.csv": emit_records(result),
             f"plot_{result.kind}.dat": emit_plot_data(result, precision),
@@ -771,6 +773,17 @@ class TestWriteOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
         for name, text in files.items():
             assert (tmp_path / name).read_bytes() == text.encode(), name
+
+    def test_files_land_where_the_echoed_config_says(self, tmp_path, monkeypatch):
+        # an API caller once passed a directory beside the config's own
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config("", [("sweep.kind", "point"), ("output.dir", "run/a")])
+        write_outputs(run_sweep(cfg.baseline(), cfg.sweep), cfg)
+        echoed = parse_config((tmp_path / "run/a/resolved_config.cfg").read_text())
+        assert echoed.output.directory == "run/a"
+        assert sorted(p.name for p in (tmp_path / "run/a").iterdir()) == [
+            "metadata.txt", "plot_point.dat", "records.csv", "resolved_config.cfg"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
 def _cell(value):

@@ -368,32 +368,33 @@ class TestRunPipeline:
 
 
 class TestKernelStep:
-    """``_steady_states`` runs the kernels' private cores in one pass under
-    one ``np.errstate`` and decides stability once; on the pipeline's own
-    stacks it must give the bits of the public one-point kernels, row by
-    row."""
+    """``gaussian._steady_states`` runs the kernels' private cores in one
+    pass under one ``np.errstate`` and decides stability once; on the
+    pipeline's own stacks it must give the bits of the public one-point
+    kernels, row by row."""
 
     def test_kernel_step_equals_the_public_kernels(self, monkeypatch):
         steps = []
-        step = dynamics._steady_states
-        monkeypatch.setattr(dynamics, "_steady_states",
-                            lambda pairs: steps.append((pairs, step(pairs))) or steps[-1][1])
+        step = gaussian._steady_states
+        monkeypatch.setattr(gaussian, "_steady_states",
+                            lambda R, D: steps.append((R, D, step(R, D))) or steps[-1][2])
         base = default_baseline()
         run_sweep(base, SweepSpec("theta"))  # the default grid: one 200-row slice
         rng = random.Random(13)
         for _ in range(64):  # the (theta, |G_-|) box of a single-point caller
             base.evaluate(theta=(0.26 + 0.23 * rng.random()) * math.pi,
                           target_g_minus=TWO_PI * 6e6 * rng.random())
-        assert [len(pairs) for pairs, _ in steps] == [200] + [1] * 64
+        monkeypatch.undo()  # solve_lyapunov runs the step too: record no more
+        assert [len(R) for R, _, _ in steps] == [200] + [1] * 64
         stable_rows = [0, 0]
-        for i, (pairs, (max_re, stable, covs)) in enumerate(steps):
-            verdicts = [gaussian.stability(R) for R in pairs[:, 0]]
+        for i, (R, D, (max_re, stable, covs)) in enumerate(steps):
+            verdicts = [gaussian.stability(r) for r in R]
             assert max_re.tobytes() == np.array([m for _, m in verdicts]).tobytes()
             assert np.array_equal(stable, np.flatnonzero(max_re < 0.0))
             if stable.size:
                 stable_rows[i > 0] += stable.size
-                public = np.stack([gaussian.solve_lyapunov(R, D)
-                                   for R, D in pairs[stable]])
+                public = np.stack([gaussian.solve_lyapunov(r, d)
+                                   for r, d in zip(R[stable], D[stable])])
                 assert covs.tobytes() == public.tobytes()
         assert stable_rows[0] == 158 and stable_rows[1] >= 32
 

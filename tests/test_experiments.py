@@ -925,6 +925,48 @@ class TestDriveOverrides:
         assert point.e_n_pp == base.evaluate(drive_strength=drive,
                                              target_g_minus=None).e_n_pp
 
+    def test_params_beside_a_target_raises(self, base):
+        # params once returned the drive, which run_pipeline with the
+        # baseline's target then dropped for the calibrated one
+        with pytest.raises(ParameterError) as caught:
+            base.params(drive_strength=1e12)
+        assert str(caught.value) == self.MESSAGE
+        assert base.params(drive_strength=1e12, target_g_minus=None).drive_strength == 1e12
+        pinned = replace(base, target_g_minus=None)
+        assert pinned.params(drive_strength=1e12).drive_strength == 1e12
+
+
+class TestPerCallRules:
+    """:meth:`Baseline.params`, :meth:`Baseline.evaluate` and
+    :meth:`Baseline.evaluate_all` check one set of per-call rules, so each
+    refuses an override as the others do."""
+
+    @pytest.mark.parametrize("pinned, overrides, error, message", [
+        (False, {"g": PAIR_G}, ParameterError, "give both g and omega_c, or neither"),
+        (False, {"theta": 0.35 * math.pi, "g": PAIR_G, "omega_c": PAIR_OMEGA_C},
+         ParameterError, "give either theta or the pair (g, omega_c)"),
+        (False, {"g": None, "omega_c": PAIR_OMEGA_C},
+         ParameterError, "give both g and omega_c, or neither"),
+        (True, {"g": None, "omega_c": None},
+         ParameterError, "give theta or the pair (g, omega_c)"),
+        (False, {"drive_strength": 1e12}, ParameterError,
+         "give either target_g_minus or drive_strength "
+         "(target_g_minus=None pins the drive)"),
+        (False, {"thet": 0.35 * math.pi}, TypeError,
+         "Baseline.params() got an unexpected keyword argument 'thet'"),
+    ], ids=["lone-g", "theta-beside-pair", "pair-member-unset", "no-geometry",
+            "drive-beside-target", "unknown-field"])
+    def test_every_entry_raises_alike(self, base, pinned, overrides, error, message):
+        if pinned:
+            base = default_baseline(g=PAIR_G, omega_c=PAIR_OMEGA_C)
+        for call in (lambda: base.params(**overrides),
+                     lambda: base.evaluate(**overrides),
+                     lambda: base.evaluate_all(overrides)):
+            with pytest.raises(Exception) as caught:
+                call()
+            assert type(caught.value) is error
+            assert str(caught.value) == message
+
 
 #: a config that pins the pair (g, omega_c), so its theta is not given
 PINNED_CONFIG = "[params]\ng = 5 MHz\nomega_c = 10.01 GHz\n"
@@ -1123,6 +1165,20 @@ class TestOverflowingNoise:
         with pytest.raises(NumericalError, match=r"^\[Lyapunov solve\] .*"
                            r"\|\|D\|\|_F overflows \(diffusion entries up to inf\)$"):
             base.evaluate(temperature=temperature, theta=0.4 * math.pi)
+
+    def test_non_finite_drift_names_the_stage(self, base):
+        # the drift's own check runs inside the kernel step, so the
+        # pipeline names the stage; the one-point kernel does not
+        message = "[Lyapunov solve] drift matrix has non-finite entries"
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the fill divides by omega_b
+            with pytest.raises(ParameterError) as caught:
+                base.evaluate(omega_b=1e-303, temperature=0.0)
+        assert str(caught.value) == message
+        R = -np.eye(6)
+        R[0, 0] = np.inf
+        with pytest.raises(ParameterError) as caught:
+            gaussian.solve_lyapunov(R, np.eye(6))
+        assert str(caught.value) == "drift matrix has non-finite entries"
 
     def test_column_noise_overflowing_to_inf_names_the_overflow(self, base):
         # the column model layer once warned on the overflow, unlike the

@@ -14,6 +14,7 @@ the start-up time of every ``entangle`` command.
 """
 
 import ast
+import importlib
 import importlib.metadata
 import os
 import re
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import entangle
+from entangle import experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,6 +195,15 @@ def test_python_floor_is_at_least_numpys():
     assert _python_floor(PROJECT["requires-python"]) >= _python_floor(numpy_floor), (
         f"requires-python {PROJECT['requires-python']!r} is below the "
         f"installed numpy's {numpy_floor!r}")
+
+
+def test_console_script_runs_the_cli(capsys):
+    # the installed ``entangle`` command exits with what the entry point
+    # that [project.scripts] names returns
+    module, _, attribute = PROJECT["scripts"]["entangle"].partition(":")
+    entry = getattr(importlib.import_module(module), attribute)
+    assert entry(["list-sweeps"]) == 0
+    assert capsys.readouterr().out.splitlines() == list(experiments.SWEEPS)
 
 
 def test_cold_start_loads_no_scipy(tmp_path):

@@ -6,18 +6,23 @@ test here reads the marked text back and recomputes it.  The quoted
 rounding is the tolerance: a cell holds when the computed value, rounded
 to the cell's significant digits, is the cell's number.  A number the
 README quotes as a bound holds when the computed value, so rounded, is
-at most the number.
+at most the number, and a bare power of ten quoted as "about" or "near"
+one holds when the computed value's decimal logarithm rounds to its
+exponent.
 """
 
+import math
 import re
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
+from entangle import gaussian
 from entangle.dynamics import run_pipeline
+from entangle.errors import EntangleError
 from entangle.experiments import EN_THRESHOLD, PARAMS, SWEEPS, default_baseline
-from entangle.model import TWO_PI
+from entangle.model import TWO_PI, hbar, hybridize, k_B, thermal_occupation
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_covariance, symplectic_log_negativity
 
@@ -39,14 +44,15 @@ def marked_table(name):
 
 
 def marked_item(name):
-    """The list item after the marker ``name``, its lines joined by single
-    spaces."""
+    """The list item or paragraph after the marker ``name``, its lines
+    joined by single spaces."""
     text = README.read_text()
     start = text.index(f"<!-- readme-number: {name} ")
     first, *rest = text[start:].splitlines()[1:]
     item = [first]
     for line in rest:
-        if not line.startswith("  "):
+        # an item goes on in its indented lines, a paragraph to a blank one
+        if not (line.startswith("  ") if first.startswith("* ") else line):
             break
         item.append(line)
     return " ".join(line.strip() for line in item)
@@ -56,6 +62,12 @@ def as_quoted(value, quoted):
     """``value`` rounded to the significant digits of the text ``quoted``."""
     digits = len(Decimal(quoted).as_tuple().digits)
     return float(f"{value:.{digits - 1}e}")
+
+
+def as_power_of_ten(value):
+    """The power of ten nearest ``value`` in decimal logarithm, as text
+    such as ``1e301``."""
+    return f"1e{round(math.log10(value))}"
 
 
 def test_as_quoted_keeps_the_digits_of_the_text():
@@ -162,3 +174,88 @@ def test_omega_c_shift_crossings():
     g_pm = base.evaluate().couplings.g_pm
     assert as_quoted(-abs(g_pm) ** 2 / (2.0 * params.omega_b) / TWO_PI, shift_hz) \
         == float(shift_hz)
+
+
+def test_dimensionless_groups():
+    # "Python API": the default baseline's groups and the quoted values
+    # they come from
+    (kappa_pm, linewidth, kappa_b, omega_b, n_b, omega_b_mhz, temperature_mk) = re.search(
+        r"`kappa_±/omega_b = (\S+)` \(both bare linewidths are (\S+) MHz\), "
+        r"`kappa_b/omega_b = (\S+)`, `omega_b/omega_a = (\S+)` and `n_b ≈ (\S+)` "
+        r"\((\S+) MHz at (\S+) mK\)", marked_item("dimensionless-groups")).groups()
+    assert [PARAMS[key].default for key in ("kappa_a", "kappa_c", "omega_b", "temperature")] \
+        == [1e6 * float(linewidth)] * 2 + [1e6 * float(omega_b_mhz), float(temperature_mk)]
+    params = default_baseline().params()
+    basis = hybridize(params)
+    assert [as_quoted(k / params.omega_b, kappa_pm)
+            for k in (basis.kappa_plus, basis.kappa_minus)] == [float(kappa_pm)] * 2
+    assert as_quoted(params.kappa_b / params.omega_b, kappa_b) == float(kappa_b)
+    assert as_quoted(params.omega_b / params.omega_a, omega_b) == float(omega_b)
+    assert as_quoted(basis.n_b, n_b) == float(n_b)
+
+
+def test_polariton_occupations():
+    # "Acceptance status": the polaritons' own thermal occupation, ln n of
+    # omega_a and omega_± at 10 mK, and hbar omega_±/k_B T at t_crit_mk
+    log_n, temperature_mk, ratio, t_crit = re.search(
+        r"It is about `e\^(\S+)` at (\S+) mK .* where `hbar omega_±/k_B T ≈ (\S+)`"
+        r".* reports `t_crit_mk = (\S+)`", marked_item("temperature-crossing")).groups()
+    temperature = PARAMS["temperature"]
+    params = default_baseline().params(temperature=temperature.angular(float(temperature_mk)))
+    basis = hybridize(params)
+    omegas = (params.omega_a, basis.omega_plus, basis.omega_minus)
+    assert [as_quoted(math.log(thermal_occupation(omega, params.temperature)), log_n)
+            for omega in omegas] == [float(log_n)] * 3
+    hot = temperature.angular(float(t_crit))
+    assert [as_quoted(hbar * omega / (k_B * hot), ratio) for omega in omegas[1:]] \
+        == [float(ratio)] * 2
+
+
+#: what the default point's errors say as its temperature rises, in order:
+#: each is raised from its own threshold on until the next takes over
+OVERFLOWS = ("overflow the block determinants", "||D||_F overflows",
+             "(diffusion entries up to inf)", "the thermal occupation")
+
+
+def overflow_threshold(stage):
+    """The lowest temperature (K) from which the default point raises the
+    error of :data:`OVERFLOWS` at ``stage`` or a later one, by bisection
+    on log10 T in [0, 308]."""
+    base = default_baseline()
+
+    def raises(log_t):
+        try:
+            base.evaluate(temperature=10.0 ** log_t)
+        except EntangleError as exc:
+            return any(text in str(exc) for text in OVERFLOWS[stage:])
+        return False
+
+    lo, hi = 0.0, 308.0
+    assert not raises(lo) and raises(hi)
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if raises(mid) else (mid, hi)
+    return 10.0 ** hi
+
+
+def test_noise_overflow_temperatures():
+    # "Numerical notes": the temperatures from which the default point's
+    # covariance, ||D||_F, the noise and n overflow, and the entry bound
+    text = marked_item("noise-overflow")
+    entry_max, cov_t = re.search(r"covariance entries exceed `(\S+)`, so the block "
+                                 r"determinants would overflow \(on the default point "
+                                 r"from about `(\S+) K`\)", text).groups()
+    norm_t = re.search(r"overflows `\|\|D\|\|_F`, which squares each entry "
+                       r"\(from about `(\S+) K`\)", text).group(1)
+    inf_t = re.search(r"From about `(\S+) K` the polariton noise", text).group(1)
+    n_t = re.search(r"Near `(\S+) K` the occupation `n` overflows", text).group(1)
+
+    thresholds = [overflow_threshold(stage) for stage in range(len(OVERFLOWS))]
+    assert [as_quoted(t, quoted) for t, quoted in zip(thresholds, (cov_t, norm_t))] \
+        == [float(cov_t), float(norm_t)]
+    assert [as_power_of_ten(t) for t in thresholds[2:]] == [inf_t, n_t]
+    # just below the first threshold the largest entry is within the bound
+    assert float(entry_max) == gaussian._ENTRY_MAX
+    base = default_baseline()
+    below = base.evaluate(temperature=thresholds[0] * (1.0 - 1e-5)).state.cov
+    assert np.abs(below).max() <= gaussian._ENTRY_MAX
