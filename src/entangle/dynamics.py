@@ -38,8 +38,6 @@ from .model import (
     EffectiveCouplings,
     PolaritonBasis,
     SystemParams,
-    _COLUMN_MATH,
-    _FLOAT_MATH,
     _amplitudes_per_unit_drive,
     _math_for,
     drive_for_target_g_minus,
@@ -191,17 +189,18 @@ def run_pipeline(params: SystemParams, target_g_minus=None) -> PipelineResult:
     is used directly.  The model layer and the negativities run on
     floats, the fill and the kernel step on the stack of one.
     """
-    basis, couplings, drive = _model_layer(params, target_g_minus)
-    R, D = _pairs(params, basis, couplings, 1, _FLOAT_MATH)
-    max_re, stable, covs = _stage("Lyapunov solve", gaussian._steady_states, R, D)
-    max_re_eig = max_re[0].item() * params.omega_b
-    if not stable.size:
-        return PipelineResult(basis, couplings, drive, False, max_re_eig,
-                              None, None, None, None)
-    return PipelineResult(
-        basis, couplings, drive, True, max_re_eig, gaussian.GaussianState(covs[0]),
-        *_stage("log-negativity", gaussian.pair_log_negativities,
-                covs[0].ravel().tolist()))
+    with np.errstate(all="ignore"):
+        basis, couplings, drive = _model_layer(params, target_g_minus)
+        R, D = _pairs(params, basis, couplings, 1)
+        max_re, stable, covs = _stage("Lyapunov solve", gaussian._steady_states, R, D)
+        max_re_eig = max_re[0].item() * params.omega_b
+        if not stable.size:
+            return PipelineResult(basis, couplings, drive, False, max_re_eig,
+                                  None, None, None, None)
+        return PipelineResult(
+            basis, couplings, drive, True, max_re_eig, gaussian.GaussianState(covs[0]),
+            *_stage("log-negativity", gaussian.pair_log_negativities,
+                    covs[0].ravel().tolist()))
 
 
 def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
@@ -216,19 +215,20 @@ def run_pipelines(params: SystemParams, target_g_minus=None) -> PipelineColumns:
     shared value of the result fills a column.
     """
     size = np.broadcast(*vars(params).values(), target_g_minus).size
-    basis, couplings, drive = _model_layer(params, target_g_minus)
-    R, D = _pairs(params, basis, couplings, size, _COLUMN_MATH)
-    max_re = np.empty(size)
-    covs, e_n = np.full((size, 6, 6), np.nan), np.full((size, 3), np.nan)
-    for start in range(0, size, CHUNK_SIZE):
-        rows = slice(start, start + CHUNK_SIZE)  # covs[rows] is a view: writes land
-        max_re[rows], stable, solved = _stage(
-            "Lyapunov solve", gaussian._steady_states, R[rows], D[rows])
-        if stable.size:
-            covs[rows][stable] = solved
-            blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
-            e_n[rows][stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
-                                       blocks).reshape(-1, 3)
+    with np.errstate(all="ignore"):
+        basis, couplings, drive = _model_layer(params, target_g_minus)
+        R, D = _pairs(params, basis, couplings, size)
+        max_re = np.empty(size)
+        covs, e_n = np.full((size, 6, 6), np.nan), np.full((size, 3), np.nan)
+        for start in range(0, size, CHUNK_SIZE):
+            rows = slice(start, start + CHUNK_SIZE)  # covs[rows] is a view: writes land
+            max_re[rows], stable, solved = _stage(
+                "Lyapunov solve", gaussian._steady_states, R[rows], D[rows])
+            if stable.size:
+                covs[rows][stable] = solved
+                blocks = gaussian.pair_blocks(solved).reshape(-1, 4, 4)
+                e_n[rows][stable] = _stage("log-negativity", gaussian.log_negativity_stacked,
+                                           blocks).reshape(-1, 3)
     # full columns after the fill, which takes sin(2 theta) of a shared theta with math
     def full(value):
         return value if getattr(value, "ndim", 0) else np.full(size, value)
@@ -256,13 +256,12 @@ def _model_layer(params, target_g_minus):
     return basis, couplings, drive
 
 
-def _pairs(params, basis, couplings, size, m):
-    """The ``(size, 6, 6)`` drift and diffusion stacks of ``size`` points
-    (``m``: their math), each divided by ``omega_b``: views of one fill."""
-    with m.quiet():  # the Lyapunov solve names noise that overflows to inf
-        noise = _diffusion_entries(basis, params.kappa_b, basis.n_b)
-    pairs = _fill(_PAIR_SLOTS, _drift_entries(
-        basis, couplings, params.omega_b, params.kappa_b) + noise, size, params.omega_b)
+def _pairs(params, basis, couplings, size):
+    """The ``(size, 6, 6)`` drift and diffusion stacks of ``size`` points,
+    each divided by ``omega_b``: views of one fill."""
+    entries = (_drift_entries(basis, couplings, params.omega_b, params.kappa_b)
+               + _diffusion_entries(basis, params.kappa_b, basis.n_b))
+    pairs = _fill(_PAIR_SLOTS, entries, size, params.omega_b)
     return pairs[:, 0], pairs[:, 1]
 
 

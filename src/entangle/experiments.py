@@ -303,15 +303,16 @@ class Baseline:
         runs only on the error path.
         """
         overrides, columns = _columns(overrides)
-        try:
-            return run_pipelines(self.params(**overrides),
-                                 overrides.get("target_g_minus", self.target_g_minus))
-        except EntangleError:
-            # raises at the first failing point
-            for i in range(len(overrides[columns[0]]) if columns else 1):
-                self.evaluate(**{name: value[i] if name in columns else value
-                                 for name, value in overrides.items()})
-            raise
+        with np.errstate(all="ignore"):
+            try:
+                return run_pipelines(self.params(**overrides),
+                                     overrides.get("target_g_minus", self.target_g_minus))
+            except EntangleError:
+                # raises at the first failing point
+                for i in range(len(overrides[columns[0]]) if columns else 1):
+                    self.evaluate(**{name: value[i] if name in columns else value
+                                     for name, value in overrides.items()})
+                raise
 
 
 def _drive_target(target, overrides):
@@ -642,14 +643,15 @@ def run_sweep(base: Baseline, spec: SweepSpec) -> SweepResult:
     axes = spec.resolved_axes()
     points = grid(axes)
     columns = tuple(np.array(column) for column in zip(*points))
-    records = tuple(SweepRecord.from_columns(
-        points, base.evaluate_all(kind.overrides(base, axes)(columns))))
-    names = tuple(line.column for line in kind.axes)
-    result = SweepResult(spec.kind, names, records, {})
-    if names:
-        best = result.argmax()
-        result.summary["argmax"] = None if best is None else {
-            **dict(zip(names, best.axis)), "e_n_pp": best.e_n_pp}
-    if kind.summary is not None:
-        result.summary.update(kind.summary(base, axes, records))
+    with np.errstate(all="ignore"):  # the point map and the summary too
+        records = tuple(SweepRecord.from_columns(
+            points, base.evaluate_all(kind.overrides(base, axes)(columns))))
+        names = tuple(line.column for line in kind.axes)
+        result = SweepResult(spec.kind, names, records, {})
+        if names:
+            best = result.argmax()
+            result.summary["argmax"] = None if best is None else {
+                **dict(zip(names, best.axis)), "e_n_pp": best.e_n_pp}
+        if kind.summary is not None:
+            result.summary.update(kind.summary(base, axes, records))
     return result

@@ -131,7 +131,7 @@ def _spectra(R):
 def stability(drift):
     """Spectral stability of a drift matrix: ``(stable, max_re_eig)``,
     ``stable`` iff every eigenvalue has a strictly negative real part."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         lam, _ = _spectra(np.asarray(drift, dtype=float)[None])
     max_re = float(lam.real.max())
     return max_re < 0.0, max_re
@@ -192,18 +192,18 @@ def _steady_states(R, D):
     ``(max_re, stable, covs)``, the largest real part of each drift
     spectrum, the indices of the strictly stable rows and their
     covariances (None if there is none).  The drift is decomposed, and
-    its stability decided, before the stable rows' diffusion is checked."""
-    # one pass: an overflowing ||D||_F, a NaN eigenvalue of D and a (nearly)
-    # defective or singular drift turn inf or NaN, which the checks decide
-    with np.errstate(all="ignore"):
-        lam, U = _spectra(R)
-        max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
-        stable = (max_re < 0.0).nonzero()[0]
-        if not stable.size:
-            return max_re, stable, None
-        if stable.size < len(R):
-            R, D, lam, U = R[stable], D[stable], lam[stable], U[stable]
-        return max_re, stable, _solve_stacked(R, D, (lam, U))
+    its stability decided, before the stable rows' diffusion is checked.
+    It runs under the caller's ``np.errstate``: an overflowing ``||D||_F``,
+    a NaN eigenvalue of D and a (nearly) defective or singular drift turn
+    inf or NaN, which the checks decide."""
+    lam, U = _spectra(R)
+    max_re = np.maximum.reduce(lam.real, axis=1)  # no numpy Python wrappers
+    stable = (max_re < 0.0).nonzero()[0]
+    if not stable.size:
+        return max_re, stable, None
+    if stable.size < len(R):
+        R, D, lam, U = R[stable], D[stable], lam[stable], U[stable]
+    return max_re, stable, _solve_stacked(R, D, (lam, U))
 
 
 def solve_lyapunov(drift, diffusion):
@@ -214,7 +214,8 @@ def solve_lyapunov(drift, diffusion):
     D = np.asarray(diffusion, dtype=float)[None]
     if R.ndim != 3 or R.shape[1] != R.shape[2] or D.shape != R.shape:
         raise ParameterError("drift and diffusion must be square and equal-size")
-    max_re, stable, covs = _steady_states(R, D)
+    with np.errstate(all="ignore"):
+        max_re, stable, covs = _steady_states(R, D)
     if not stable.size:
         raise ParameterError(
             f"drift matrix is not strictly stable (max Re eig = {max_re[0]:g}); "
@@ -229,31 +230,30 @@ def _frobenius(x):
 
 
 def _solve_lyapunov_dense(R, D):
-    """Dense solve of the vectorized n^2-unknown Lyapunov system.
+    """Dense solve of the vectorized n^2-unknown Lyapunov system, under
+    the caller's ``np.errstate``.
 
     One residual-refinement pass; the result is symmetrized and must
-    meet the residual contract or :class:`NumericalError` is raised.
+    meet the residual contract or :class:`NumericalError` is raised, so
+    a nearly singular system that overflows or turns NaN is rejected.
     """
     n = R.shape[0]
     eye = np.eye(n)
     A = np.kron(eye, R) + np.kron(R, eye)
-    # a nearly singular system may overflow or turn NaN; the residual
-    # check below rejects such a solution
-    with np.errstate(all="ignore"):
-        try:
-            v = np.linalg.solve(A, -D.reshape(-1))
-            V = v.reshape(n, n)
-            # one refinement pass tightens the residual near the stability
-            # boundary, where the vectorized system is ill-conditioned
-            resid = R @ V + V @ R.T + D
-            V = V - np.linalg.solve(A, resid.reshape(-1)).reshape(n, n)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "vectorized Lyapunov system is singular "
-                f"(condition estimate {np.linalg.cond(A):.3e})"
-            ) from exc
-        V = 0.5 * (V + V.T)
-        resid_norm = np.linalg.norm(R @ V + V @ R.T + D)
+    try:
+        v = np.linalg.solve(A, -D.reshape(-1))
+        V = v.reshape(n, n)
+        # one refinement pass tightens the residual near the stability
+        # boundary, where the vectorized system is ill-conditioned
+        resid = R @ V + V @ R.T + D
+        V = V - np.linalg.solve(A, resid.reshape(-1)).reshape(n, n)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "vectorized Lyapunov system is singular "
+            f"(condition estimate {np.linalg.cond(A):.3e})"
+        ) from exc
+    V = 0.5 * (V + V.T)
+    resid_norm = np.linalg.norm(R @ V + V @ R.T + D)
     d_norm = np.linalg.norm(D)
     if not resid_norm <= _LYAPUNOV_RESIDUAL_RTOL * d_norm:  # NaN fails too
         raise NumericalError(

@@ -23,12 +23,12 @@ and every input check names the first offending point in stack order.
 
 All frequencies, rates and couplings are angular (rad/s); temperatures
 are in kelvin.  Only the CLI layer speaks ordinary frequency (Hz) and
-millikelvin.  Everything here is a pure function of its inputs.
+millikelvin.  Everything here is a pure function of its inputs; none
+touches numpy's error state, which the evaluation entry points own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,25 +48,24 @@ hbar = 6.62607015e-34 / TWO_PI
 k_B = 1.380649e-23
 
 
-#: the functions a formula calls on Python floats, which overflow silently;
-#: ``log`` is numpy's, so that a float and a column entry get the same bits
+#: the functions a formula calls on Python floats; ``log`` is numpy's, so
+#: that a float and a column entry get the same bits
 _FLOAT_MATH = SimpleNamespace(
     atan2=math.atan2, hypot=math.hypot, sin=math.sin, cos=math.cos, expm1=math.expm1,
     sqrt=math.sqrt, log=lambda x: float(np.log(x)), isfinite=math.isfinite,
     maximum=max, minimum=min, max=float, any=bool, all=bool, first=lambda value, flags: value,
-    where=lambda condition, if_true, if_false: if_true if condition else if_false,
-    quiet=contextlib.nullcontext)
+    where=lambda condition, if_true, if_false: if_true if condition else if_false)
 
 #: the same on parameter columns: ``any`` and ``all`` reduce every axis without
 #: their Python wrappers, ``first(value, flags)`` is ``value`` at the first set
-#: flag as a Python number, and ``quiet`` makes numpy overflow silently too
+#: flag as a Python number
 _COLUMN_MATH = SimpleNamespace(
     atan2=np.arctan2, hypot=np.hypot, sin=np.sin, cos=np.cos, expm1=np.expm1,
     sqrt=np.sqrt, log=np.log, isfinite=np.isfinite,
     maximum=np.maximum, minimum=np.minimum, max=np.max,
     any=partial(np.logical_or.reduce, axis=None), all=partial(np.logical_and.reduce, axis=None),
     first=lambda value, flags: np.broadcast_to(value, flags.shape)[flags.argmax()].item(),
-    where=np.where, quiet=lambda: np.errstate(over="ignore", invalid="ignore"))
+    where=np.where)
 
 
 def _math_for(*values):
@@ -261,14 +260,12 @@ def hybridize(params: SystemParams) -> PolaritonBasis:
 
     kappa_plus = params.kappa_a * c2 + params.kappa_c * s2
     kappa_minus = params.kappa_a * s2 + params.kappa_c * c2
-    # the Lyapunov solve names inf noise (kappa_plus: a column if a rate or theta is)
-    with _math_for(kappa_plus, n_a, n_c).quiet():
-        n_plus = 0.5 * ((params.kappa_a * c2 * (2.0 * n_a + 1.0)
-                         + params.kappa_c * s2 * (2.0 * n_c + 1.0))
-                        / kappa_plus - 1.0)
-        n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
-                          + params.kappa_c * c2 * (2.0 * n_c + 1.0))
-                         / kappa_minus - 1.0)
+    n_plus = 0.5 * ((params.kappa_a * c2 * (2.0 * n_a + 1.0)
+                     + params.kappa_c * s2 * (2.0 * n_c + 1.0))
+                    / kappa_plus - 1.0)
+    n_minus = 0.5 * ((params.kappa_a * s2 * (2.0 * n_a + 1.0)
+                      + params.kappa_c * c2 * (2.0 * n_c + 1.0))
+                     / kappa_minus - 1.0)
     delta_kappa = (params.kappa_c - params.kappa_a) * s * c
     # At theta = 0 or pi/2 the polaritons coincide with the bare modes;
     # select the bare values so kappa_plus == kappa_a, n_plus == n_a and

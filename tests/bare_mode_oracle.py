@@ -37,7 +37,10 @@ KAPPA_B_LINE = SweepAxis(1e2, 1e8, 61, "log")
 def _bose(omega, temperature):
     if temperature == 0.0:
         return 0.0
-    return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
+    try:
+        return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
+    except OverflowError:  # hbar omega / k_B T past about 709: n underflows to 0
+        return 0.0
 
 
 def _mixing_angle(params):

@@ -977,6 +977,28 @@ class TestExitCodes:
             "checked: ||D||_F overflows (diffusion entries up to inf)\n")
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["point", "--set", "params.omega_b=1e-303 Hz", "--set", "params.temperature=0 mK"],
+        ["run", "/dev/null", "--set", "sweep.kind=generic", "--set", "sweep.param=kappa_a",
+         "--set", "sweep.start=1 MHz", "--set", "sweep.stop=1e299 Hz",
+         "--set", "sweep.count=3", "--set", "sweep.scale=log"],
+        ["run", "/dev/null", "--set", "sweep.kind=generic", "--set", "sweep.param=omega_a",
+         "--set", "sweep.start=10 GHz", "--set", "sweep.stop=2.7e307 Hz",
+         "--set", "sweep.count=3", "--set", "sweep.scale=log"],
+        ["run", "/dev/null", "--set", "sweep.kind=detuning", "--set", "sweep.start=6 MHz",
+         "--set", "sweep.stop=1e200 Hz", "--set", "sweep.count=3", "--set", "sweep.scale=log"],
+    ], ids=["tiny-omega_b", "kappa_a-sweep", "omega_a-sweep", "detuning-sweep"])
+    def test_overflow_prints_one_error_line(self, args, tmp_path, capsys):
+        # a value that overflows inside an evaluation (the fill's division
+        # by omega_b, the drive calibration, omega_0, the detuning map)
+        # once printed numpy's RuntimeWarning lines before the error;
+        # pytest turns any warning into an exception
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not (out / "records.csv").exists()
+
     def test_overflowing_occupation_exits_3(self, tmp_path, capsys):
         # hbar omega_a / k_B T underflows to 0 at 10 mK: once a
         # ZeroDivisionError traceback with exit 1

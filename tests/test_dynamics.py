@@ -343,8 +343,8 @@ class TestRunPipeline:
     def test_linalg_calls_of_one_point(self, monkeypatch, theta_pi, expected):
         # one eigendecomposition decides stability and serves the solve;
         # the kernels call the LAPACK gufuncs directly, the residual
-        # contract needs no np.linalg.norm, and the kernel step enters
-        # one np.errstate, stable point or not
+        # contract needs no np.linalg.norm, and the point enters one
+        # np.errstate (run_pipeline's), stable point or not
         calls = {}
 
         def counting(name, fn):
@@ -369,7 +369,7 @@ class TestRunPipeline:
 
 class TestKernelStep:
     """``gaussian._steady_states`` runs the kernels' private cores in one
-    pass under one ``np.errstate`` and decides stability once; on the
+    pass under its caller's ``np.errstate`` and decides stability once; on the
     pipeline's own stacks it must give the bits of the public one-point
     kernels, row by row."""
 
@@ -424,6 +424,11 @@ class TestBareModeOracle:
         self.assert_agrees(reference_params(
             kappa_a=TWO_PI * kappa_a_hz, kappa_c=TWO_PI * kappa_c_hz,
             temperature=temperature))
+
+    @pytest.mark.parametrize("temperature", [0.5e-3, 0.1e-3])
+    def test_matches_where_the_occupations_underflow(self, temperature):
+        # hbar omega_a / k_B T is past 709, where math.expm1 overflows
+        self.assert_agrees(reference_params(temperature=temperature))
 
     def test_10_mk_kappa_b_line_stays_entangled(self):
         # thermal noise entering through b alone cannot separate the

@@ -1168,11 +1168,12 @@ class TestOverflowingNoise:
 
     def test_non_finite_drift_names_the_stage(self, base):
         # the drift's own check runs inside the kernel step, so the
-        # pipeline names the stage; the one-point kernel does not
+        # pipeline names the stage; the one-point kernel does not.  The
+        # fill's overflowing division by omega_b warns nothing: warnings
+        # are errors here
         message = "[Lyapunov solve] drift matrix has non-finite entries"
-        with pytest.warns(RuntimeWarning, match="overflow"):  # the fill divides by omega_b
-            with pytest.raises(ParameterError) as caught:
-                base.evaluate(omega_b=1e-303, temperature=0.0)
+        with pytest.raises(ParameterError) as caught:
+            base.evaluate(omega_b=1e-303, temperature=0.0)
         assert str(caught.value) == message
         R = -np.eye(6)
         R[0, 0] = np.inf
@@ -1185,3 +1186,26 @@ class TestOverflowingNoise:
         # float one; warnings are errors here
         with pytest.raises(NumericalError, match=r"\|\|D\|\|_F overflows"):
             base.evaluate_all({"temperature": [0.01, 1e303]})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"omega_b": 1e-303, "temperature": 0.0},
+         "[Lyapunov solve] drift matrix has non-finite entries"),
+        ({"omega_b": [1e-303] * 2, "temperature": 0.0},
+         "[Lyapunov solve] drift matrix has non-finite entries"),
+        ({"target_g_minus": [1e300] * 2},
+         "[Lyapunov solve] drift matrix has non-finite entries"),
+        ({"kappa_a": [1e300] * 2},
+         "[steady-state amplitudes] drive_strength must be finite, got nan"),
+        ({"omega_a": [1.7e308] * 2}, "omega_0 must be finite, got inf"),
+    ], ids=["omega_b-point", "omega_b-stack", "target-stack", "kappa_a-stack",
+            "omega_a-stack"])
+    def test_overflow_raises_the_check_without_a_warning(self, base, overrides, message):
+        # each evaluation runs under one np.errstate, so a value that
+        # overflows reaches the check that names it and numpy warns
+        # nothing (warnings are errors here); a case with a list is a stack
+        with pytest.raises(ParameterError) as caught:
+            if any(isinstance(value, list) for value in overrides.values()):
+                base.evaluate_all(overrides)
+            else:
+                base.evaluate(**overrides)
+        assert str(caught.value) == message

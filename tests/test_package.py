@@ -153,6 +153,32 @@ def test_no_private_name_is_defined_in_two_modules():
     assert not twice, f"private names defined in more than one module: {twice}"
 
 
+#: the public functions that evaluate the model: each enters one
+#: ``np.errstate``, and nothing beneath them touches numpy's error state
+ERRSTATE_OWNERS = ("dynamics.run_pipeline", "dynamics.run_pipelines",
+                   "experiments.evaluate_all", "experiments.run_sweep",
+                   "gaussian.solve_lyapunov", "gaussian.stability")
+
+
+def _errstate_calls(node, function=None):
+    """``(function, source)`` of every ``errstate`` call below ``node``, with
+    the name of the innermost function around it (None: none)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "errstate" in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+            yield function, ast.unparse(child)
+        yield from _errstate_calls(
+            child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+def test_only_the_evaluation_entry_points_set_numpys_error_state():
+    # one floating-point policy: a formula that carries its own errstate
+    # leaves every other formula to remember one
+    calls = sorted((f"{module}.{function}", source) for module, tree in TREES.items()
+                   for function, source in _errstate_calls(tree))
+    assert calls == [(owner, "np.errstate(all='ignore')") for owner in ERRSTATE_OWNERS]
+
+
 def _import_time_imports(tree):
     """The import statements that run when the module is imported: all
     but those inside a function body."""

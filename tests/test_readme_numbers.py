@@ -118,11 +118,14 @@ def test_oracle_agreement_along_the_kappa_b_line():
 
 def test_temperature_crossing():
     # "Acceptance status": E_N(+,-) on both sides of the 0.1 mK scan, the
-    # default temperature grid's t_crit_mk, and n_+ and n_- at each
+    # default temperature grid's t_crit_mk, and n_+ and n_- at each and
+    # at the crossing
+    text = marked_item("temperature-crossing")
     (e_n_below, t_below, e_n_above, t_above, n_scan, step, t_crit, n_crit) = re.search(
         r"`E_N` is `(\S+)` at (\S+) mK and (\S+) at (\S+) mK \(`n_± = (\S+)`\), "
         r"and the default (\S+) mK grid reports `t_crit_mk = (\S+)` \(`n_± = (\S+)`\)",
-        marked_item("temperature-crossing")).groups()
+        text).groups()
+    n_crossing = re.search(r"`n_± ≈ (\S+)` at the crossing", text).group(1)
     assert float(Decimal(t_above) - Decimal(t_below)) == 0.1
     base = default_baseline()
     temperature = PARAMS["temperature"]
@@ -132,6 +135,10 @@ def test_temperature_crossing():
     assert scan.e_n_pp[1] == float(e_n_above) == 0.0
     assert [as_quoted(n[0], n_scan) for n in (scan.basis.n_plus, scan.basis.n_minus)] \
         == [float(n_scan)] * 2
+    # the crossing's occupations at the scan's first disentangled temperature
+    # (at the last entangled one, n_+ = 0.15499 rounds to 0.15)
+    assert [as_quoted(n[1], n_crossing) for n in (scan.basis.n_plus, scan.basis.n_minus)] \
+        == [float(n_crossing)] * 2
     # t_crit_mk: the first grid temperature below EN_THRESHOLD at the
     # baseline's kappa_b, 100 Hz
     temps = SWEEPS["temp_kappa_b"].defaults[0].values()
