@@ -8,8 +8,9 @@ class EntangleError(Exception):
 class ParameterError(EntangleError):
     """Invalid, non-finite, or out-of-range physical parameters, or ones
     the model cannot realize: a mixing angle where the polaritons
-    decouple, a |G_-| target no drive reaches, or a drift with no
-    stationary state handed to the Lyapunov solve."""
+    decouple, a |G_-| target no drive reaches, rates and detunings whose
+    steady-state denominator overflows, or a drift with no stationary
+    state handed to the Lyapunov solve."""
 
 
 class NumericalError(EntangleError):

@@ -45,9 +45,9 @@ conditioning; the covariance matrix itself is dimensionless either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
@@ -86,26 +86,12 @@ _EIGENBASIS_COND_MAX = 1e3
 _ENTRY_MAX = 1e76
 
 
-@dataclass
-class GaussianState:
+class GaussianState(NamedTuple):
     """Steady-state Gaussian state of the three-mode fluctuations:
-    ``cov`` is the 6x6 covariance matrix (vacuum = identity/2)."""
+    ``cov`` is the 6x6 covariance matrix (vacuum = identity/2), which the
+    kernel step has checked finite and made exactly symmetric."""
 
     cov: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.cov, dtype=float)
-        if V.shape != (6, 6):
-            raise ParameterError(f"covariance must be 6x6, got {V.shape}")
-        # an exactly symmetric V, which the solve returns, passes the
-        # tolerance anyway; a NaN is unequal to itself and is refused here
-        if not _COLUMN_MATH.all(V == V.T):
-            if not _COLUMN_MATH.all(np.isfinite(V)):
-                raise NumericalError("covariance matrix has non-finite entries")
-            scale = np.abs(V).max()
-            if np.abs(V - V.T).max() > 1e-10 * max(scale, 1.0):
-                raise NumericalError("covariance matrix is not symmetric")
-        self.cov = V
 
 
 def _spectra(R):

@@ -329,8 +329,14 @@ def _amplitudes_per_unit_drive(basis: PolaritonBasis):
     m = _math_for(den)  # a column wherever theta or a rate is one
     s = m.sin(basis.theta)
     c = m.cos(basis.theta)
+    size = abs(den)
     scale = m.maximum(abs(zm) * abs(zp), dk * dk)
-    if m.any(abs(den) <= 1e-12 * scale):
+    # an overflowed product is NaN or inf, which the relative test below
+    # would pass or call vanishing
+    if not m.all(m.isfinite(size) & m.isfinite(scale)):
+        raise ParameterError("steady-state denominator (dm - i km)(dp - i kp) + dk^2 "
+                             "overflows: the rates and detunings are too large")
+    if m.any(size <= 1e-12 * scale):
         raise NumericalError(
             "steady-state denominator (dm - i km)(dp - i kp) + dk^2 vanishes"
         )

@@ -1147,6 +1147,11 @@ class TestPlatformInvariance:
                     assert abs(getattr(rec, name) - getattr(ref, name)) <= 1e-12 * scale
 
 
+OVERFLOWING_DENOMINATOR = ("[drive calibration] steady-state denominator (dm - i km)"
+                           "(dp - i kp) + dk^2 overflows: the rates and detunings "
+                           "are too large")
+
+
 class TestOverflowingNoise:
     @pytest.mark.parametrize("temperature, stage", [(1e300, "Lyapunov solve"),
                                                     (1e120, "log-negativity")])
@@ -1194,11 +1199,16 @@ class TestOverflowingNoise:
          "[Lyapunov solve] drift matrix has non-finite entries"),
         ({"target_g_minus": [1e300] * 2},
          "[Lyapunov solve] drift matrix has non-finite entries"),
-        ({"kappa_a": [1e300] * 2},
-         "[steady-state amplitudes] drive_strength must be finite, got nan"),
+        ({"kappa_a": [1e300] * 2}, OVERFLOWING_DENOMINATOR),
         ({"omega_a": [1.7e308] * 2}, "omega_0 must be finite, got inf"),
+        # the drive calibration's denominator overflows to NaN or inf
+        ({"kappa_a": 1e300}, OVERFLOWING_DENOMINATOR),
+        ({"omega_0": 1e300}, OVERFLOWING_DENOMINATOR),
+        ({"omega_0": 1e160}, OVERFLOWING_DENOMINATOR),
+        ({"omega_0": [1e300] * 2}, OVERFLOWING_DENOMINATOR),
     ], ids=["omega_b-point", "omega_b-stack", "target-stack", "kappa_a-stack",
-            "omega_a-stack"])
+            "omega_a-stack", "kappa_a-point", "omega_0-point", "omega_0-1e160-point",
+            "omega_0-stack"])
     def test_overflow_raises_the_check_without_a_warning(self, base, overrides, message):
         # each evaluation runs under one np.errstate, so a value that
         # overflows reaches the check that names it and numpy warns

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import entangle
-from entangle import experiments
+from entangle import dynamics, experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +116,15 @@ def test_only_a_validating_type_is_a_dataclass():
     assert unvalidated == UNVALIDATED_DATACLASSES.keys(), (
         "dataclasses that validate nothing: make them named tuples or list "
         f"why they are not: {sorted(unvalidated)}")
+
+
+@pytest.mark.parametrize("carrier", [
+    entangle.PolaritonBasis, entangle.EffectiveCouplings, entangle.GaussianState,
+    dynamics.PipelineColumns, entangle.SweepRecord, entangle.SweepResult,
+], ids=lambda carrier: carrier.__name__)
+def test_result_carriers_are_named_tuples(carrier):
+    # a result checks nothing that the step computing it has not checked
+    assert issubclass(carrier, tuple) and hasattr(carrier, "_fields")
 
 
 @pytest.mark.parametrize("name", entangle.__all__)
