@@ -5,9 +5,9 @@ and ``[output]``; README "Config format" has an example) in the units
 the experimental parameters are usually quoted in.  This module owns the
 entry syntax, the ``[output]`` section and the location of every fault.
 The ``[params]`` keys with their units, domains and defaults are the
-entries of :data:`entangle.experiments.PARAMS`, and each unit's
-suffixes, echo and conversion an entry of
-:data:`entangle.experiments.UNITS`.  Unknown sections or keys, a key
+entries of :data:`entangle.experiments.PARAMS`, each a
+:class:`~entangle.experiments.Quantity` whose ``text`` writes what its
+``parse`` reads.  Unknown sections or keys, a key
 given twice in one file, values outside a key's domain (every value must
 be finite), invalid sweep axes and sweep grids the parameters cannot
 realize are rejected with the line number of the entry, or the
@@ -39,7 +39,7 @@ def _check_params(block):
     for key, param in experiments.PARAMS.items():
         if quoted[key] is not None:
             try:
-                read[key] = param.parse(f"{quoted[key]!r}{experiments.UNITS[param.unit].echo}")
+                read[key] = param.parse(param.text(quoted[key]))
             except ParameterError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
     with _at(None):
@@ -311,7 +311,7 @@ def echo_config(cfg: RunConfig) -> str:
     for key, param in experiments.PARAMS.items():
         value = getattr(p, param.column)
         if value is not None:
-            lines.append(f"{key} = {value!r}{experiments.UNITS[param.unit].echo}")
+            lines.append(f"{key} = {param.text(value)}")
 
     lines.append("")
     lines.append("[sweep]")
@@ -320,9 +320,8 @@ def echo_config(cfg: RunConfig) -> str:
         lines.append(f"param = {s.param}")
     for line, axis, suffix in zip(s.sweep_kind().axes, (s.axis, s.axis2), ("", "2")):
         if axis is not None:
-            unit = experiments.UNITS[line.unit].echo
-            lines.append(f"start{suffix} = {axis.start!r}{unit}")
-            lines.append(f"stop{suffix} = {axis.stop!r}{unit}")
+            lines.append(f"start{suffix} = {line.text(axis.start)}")
+            lines.append(f"stop{suffix} = {line.text(axis.stop)}")
             lines.append(f"count{suffix} = {axis.count}")
             if axis.scale == "log":  # linear is the default
                 lines.append(f"scale{suffix} = log")

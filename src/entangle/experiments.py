@@ -95,8 +95,7 @@ class Quantity(NamedTuple):
     ``domain`` names the values it admits, a row of the one domain table
     ``model._DOMAINS`` (bounds in angular units): ``positive``,
     ``non-negative``, ``finite`` or ``inside (0, pi/2)``.
-    ``default`` is the quoted default; ``sweepable`` marks the keys a
-    generic sweep can vary.
+    ``default`` is the quoted default.
     """
 
     column: str
@@ -104,7 +103,6 @@ class Quantity(NamedTuple):
     unit: str
     domain: str
     default: float | None = None
-    sweepable: bool = False
 
     def angular(self, quoted):
         """The :class:`Baseline` field value of a quoted value (None: not given)."""
@@ -127,36 +125,35 @@ class Quantity(NamedTuple):
         _require("value", value, self.domain, raw)
         return value
 
+    def text(self, quoted):
+        """The config text of a quoted value: its ``repr`` and the unit's
+        echo suffix, which :meth:`parse` reads back to ``quoted``."""
+        return f"{quoted!r}{UNITS[self.unit].echo}"
+
 
 #: every ``[params]`` key, in the order the config echo lists them
 PARAMS = {
-    "omega_a": Quantity("omega_a_hz", "omega_a", "Hz", "positive", 10e9,
-                        sweepable=True),
-    "omega_b": Quantity("omega_b_hz", "omega_b", "Hz", "positive", 10e6,
-                        sweepable=True),
-    "theta": Quantity("theta_pi", "theta", "pi", "inside (0, pi/2)", 0.40,
-                      sweepable=True),
+    "omega_a": Quantity("omega_a_hz", "omega_a", "Hz", "positive", 10e9),
+    "omega_b": Quantity("omega_b_hz", "omega_b", "Hz", "positive", 10e6),
+    "theta": Quantity("theta_pi", "theta", "pi", "inside (0, pi/2)", 0.40),
     "g": Quantity("g_hz", "g", "Hz", "non-negative"),
     "omega_c": Quantity("omega_c_hz", "omega_c", "Hz", "positive"),
     # None: the drive sits at the midpoint (omega_a + omega_c) / 2
     "omega_0": Quantity("omega_0_hz", "omega_0", "Hz", "positive"),
-    "kappa_a": Quantity("kappa_a_hz", "kappa_a", "Hz", "positive", 1e6,
-                        sweepable=True),
-    "kappa_c": Quantity("kappa_c_hz", "kappa_c", "Hz", "positive", 1e6,
-                        sweepable=True),
-    "kappa_b": Quantity("kappa_b_hz", "kappa_b", "Hz", "positive", 100.0,
-                        sweepable=True),
-    "temperature": Quantity("temperature_mk", "temperature", "mK",
-                            "non-negative", 10.0, sweepable=True),
-    "g_minus": Quantity("g_minus_hz", "target_g_minus", "Hz", "non-negative",
-                        2e6, sweepable=True),
+    "kappa_a": Quantity("kappa_a_hz", "kappa_a", "Hz", "positive", 1e6),
+    "kappa_c": Quantity("kappa_c_hz", "kappa_c", "Hz", "positive", 1e6),
+    "kappa_b": Quantity("kappa_b_hz", "kappa_b", "Hz", "positive", 100.0),
+    "temperature": Quantity("temperature_mk", "temperature", "mK", "non-negative", 10.0),
+    "g_minus": Quantity("g_minus_hz", "target_g_minus", "Hz", "non-negative", 2e6),
     # the product G0 * Omega, the one drive knob
     "drive_strength": Quantity("drive_strength_hz2", "drive_strength", "Hz^2",
                                "non-negative"),
 }
 
 #: the parameters a generic sweep can vary
-GENERIC_PARAMS = {key: param for key, param in PARAMS.items() if param.sweepable}
+GENERIC_PARAMS = {key: PARAMS[key] for key in (
+    "omega_a", "omega_b", "theta", "kappa_a", "kappa_c", "kappa_b",
+    "temperature", "g_minus")}
 
 
 @dataclass(frozen=True)
@@ -513,6 +510,7 @@ def _detuning_map(base, axes):
     else:
         g_fixed, _ = solve_g_omega_c_from_theta(base.theta, base.omega_a,
                                                 base.omega_b)
+        # not hybridize's theta: it reads >= pi/4 where omega_c rounds to omega_a
         theta_ref = base.theta
     if TWO_PI * axes[0].start < g_fixed:
         raise ParameterError(

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entangle import dynamics, gaussian
 from entangle.dynamics import build_diffusion, build_drift, run_pipeline
@@ -429,6 +431,30 @@ class TestBareModeOracle:
     def test_matches_where_the_occupations_underflow(self, temperature):
         # hbar omega_a / k_B T is past 709, where math.expm1 overflows
         self.assert_agrees(reference_params(temperature=temperature))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(log_omega_b=st.floats(5.0, 8.0), log_ratio=st.floats(1.0, 4.0),
+           log_kappas=st.tuples(*[st.floats(-3.0, math.log10(0.3))] * 2,
+                                st.floats(-8.0, -2.0)),
+           log_temperature=st.floats(-3.0, 0.0), target=st.floats(0.0, 0.6),
+           theta_pi=st.floats(0.02, 0.48))
+    def test_stability_flags_agree_over_the_feasible_box(
+            self, log_omega_b, log_ratio, log_kappas, log_temperature, target,
+            theta_pi):
+        # log-uniform omega_b/2pi, omega_a/omega_b, rates (in units of
+        # omega_b) and T; the target |G_-| reaches past the stability
+        # boundary, so both flags are drawn
+        omega_b = TWO_PI * 10.0 ** log_omega_b
+        omega_a = omega_b * 10.0 ** log_ratio
+        assume(omega_b <= omega_a / 10.0)  # SystemParams warns past it
+        kappa_a, kappa_c, kappa_b = (omega_b * 10.0 ** x for x in log_kappas)
+        params = default_baseline(
+            omega_a=omega_a, omega_b=omega_b, kappa_a=kappa_a, kappa_c=kappa_c,
+            kappa_b=kappa_b, temperature=10.0 ** log_temperature,
+        ).params(theta=theta_pi * math.pi)
+        target_g_minus = target * omega_b
+        assert (run_pipeline(params, target_g_minus).stable
+                == (bare_mode_covariance(params, target_g_minus) is not None))
 
     def test_10_mk_kappa_b_line_stays_entangled(self):
         # thermal noise entering through b alone cannot separate the

@@ -366,6 +366,49 @@ class TestGenericSweep:
         with pytest.raises(ParameterError):
             SweepSpec("generic", SweepAxis(1.0, 2.0, 3), param="lattice_constant")
 
+    @pytest.mark.parametrize("key", ["g", "omega_c", "omega_0", "drive_strength"])
+    def test_parameter_outside_the_generic_keys_rejected(self, key):
+        with pytest.raises(ParameterError) as info:
+            SweepSpec("generic", SweepAxis(1.0, 2.0, 3), param=key)
+        assert str(info.value) == (
+            f"cannot sweep {key!r}; choose from ['g_minus', 'kappa_a', 'kappa_b', "
+            "'kappa_c', 'omega_a', 'omega_b', 'temperature', 'theta']")
+
+    def test_generic_keys_in_listing_order(self):
+        assert tuple(experiments.GENERIC_PARAMS) == (
+            "omega_a", "omega_b", "theta", "kappa_a", "kappa_c", "kappa_b",
+            "temperature", "g_minus")
+        assert all(param is experiments.PARAMS[key]
+                   for key, param in experiments.GENERIC_PARAMS.items())
+
+
+#: one quoted value per [params] key and the detuning axis; for 3.3e6 Hz
+#: (v * 2pi) / 2pi differs from v, so only the quoted value reads back
+_QUOTED = {
+    "omega_a": 10e9, "omega_b": 12345.678, "theta": 0.1 + 0.2, "g": 0.0,
+    "omega_c": 9.98e9, "omega_0": 9.99e9, "kappa_a": 3.3e6, "kappa_c": 1e6,
+    "kappa_b": 100.0, "temperature": 1 / 3, "g_minus": 2e6,
+    "drive_strength": 1e14 / 7, "detuning": 3.3e6,
+}
+
+
+class TestQuantityText:
+    """:meth:`Quantity.text` writes the text :meth:`Quantity.parse` reads."""
+
+    @staticmethod
+    def quantity(key):
+        return SWEEPS["detuning"].axes[0] if key == "detuning" else experiments.PARAMS[key]
+
+    @pytest.mark.parametrize("key", _QUOTED)
+    def test_text_parses_back_to_the_same_bits(self, key):
+        param, value = self.quantity(key), _QUOTED[key]
+        assert param.parse(param.text(value)).hex() == value.hex()
+
+    def test_every_quantity_and_unit_is_covered(self):
+        assert _QUOTED.keys() == {*experiments.PARAMS, "detuning"}
+        assert {self.quantity(key).unit for key in _QUOTED} == set(experiments.UNITS)
+        assert (3.3e6 * TWO_PI) / TWO_PI != 3.3e6
+
 
 class TestRunSweepDispatch:
     def test_point(self, base):
