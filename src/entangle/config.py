@@ -54,8 +54,9 @@ ParamsConfig = make_dataclass(
     "ParamsConfig",
     [(param.column, "float | None", field(default=param.default))
      for param in experiments.PARAMS.values()],
-    frozen=True, namespace={"__module__": __name__, "__post_init__": _check_params})
-ParamsConfig.__doc__ = """Parameter block in quoted units (Hz, mK, pi-multiples).
+    frozen=True, namespace={
+        "__module__": __name__, "__post_init__": _check_params,
+        "__doc__": """Parameter block in quoted units (Hz, mK, pi-multiples).
 
 One field per :data:`experiments.PARAMS` entry, named by its column.
 Exactly one of ``theta_pi`` or the explicit pair ``(g_hz, omega_c_hz)``
@@ -63,7 +64,7 @@ fixes the geometry; exactly one of ``g_minus_hz`` or
 ``drive_strength_hz2`` fixes the drive.  The block keeps the quoted
 values because the echo cannot be rebuilt from the baseline:
 ``(v * 2pi) / 2pi`` differs from ``v`` for about 14% of Hz values.
-"""
+"""})
 
 
 # -- entries ---------------------------------------------------------------

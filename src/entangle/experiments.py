@@ -71,7 +71,7 @@ class Unit(NamedTuple):
 UNITS = {
     "Hz": Unit({"": _times(1.0), "Hz": _times(1.0), "kHz": _times(1e3),
                 "MHz": _times(1e6), "GHz": _times(1e9), "mHz": _times(1e-3)},
-               "a frequency (Hz/kHz/MHz/GHz), got suffix", " Hz",
+               "a frequency (mHz/Hz/kHz/MHz/GHz), got suffix", " Hz",
                lambda v: v * TWO_PI),
     "Hz^2": Unit({"": _times(1.0)}, "a bare number, got suffix", "",
                  lambda v: v * TWO_PI * TWO_PI),
@@ -458,14 +458,6 @@ class SweepResult(NamedTuple):
     records: tuple[SweepRecord, ...]
     summary: dict
 
-    def argmax(self):
-        """Record with the largest polariton-polariton E_N, or None."""
-        best = None
-        for rec in self.records:
-            if rec.e_n_pp is not None and (best is None or rec.e_n_pp > best.e_n_pp):
-                best = rec
-        return best
-
 
 # -- sweep registry ---------------------------------------------------------
 
@@ -645,11 +637,12 @@ def run_sweep(base: Baseline, spec: SweepSpec) -> SweepResult:
         records = tuple(SweepRecord.from_columns(
             points, base.evaluate_all(kind.overrides(base, axes)(columns))))
         names = tuple(line.column for line in kind.axes)
-        result = SweepResult(spec.kind, names, records, {})
-        if names:
-            best = result.argmax()
-            result.summary["argmax"] = None if best is None else {
+        summary = {}
+        if names:  # the first record with the largest E_N(+,-); None: none stable
+            best = max((rec for rec in records if rec.e_n_pp is not None),
+                       key=lambda rec: rec.e_n_pp, default=None)
+            summary["argmax"] = None if best is None else {
                 **dict(zip(names, best.axis)), "e_n_pp": best.e_n_pp}
         if kind.summary is not None:
-            result.summary.update(kind.summary(base, axes, records))
-    return result
+            summary.update(kind.summary(base, axes, records))
+    return SweepResult(spec.kind, names, records, summary)

@@ -1,6 +1,7 @@
 """Sweep behaviors: optima, instability regions, robustness thresholds."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -410,12 +411,24 @@ class TestQuantityText:
         assert (3.3e6 * TWO_PI) / TWO_PI != 3.3e6
 
 
+@pytest.mark.parametrize("unit", list(experiments.UNITS))
+def test_wrong_suffix_message_names_every_accepted_suffix(unit):
+    param = next(p for p in experiments.PARAMS.values() if p.unit == unit)
+    with pytest.raises(ParameterError) as caught:
+        param.parse("1 THz")
+    message = str(caught.value)
+    assert message.endswith("'THz'")
+    named = set(re.findall(r"[A-Za-z]+", message.removesuffix("'THz'")))
+    assert {s for s in experiments.UNITS[unit].suffixes if s} - named == set()
+
+
 class TestRunSweepDispatch:
     def test_point(self, base):
         result = run_sweep(base, SweepSpec(kind="point"))
         assert result.kind == "point"
         assert len(result.records) == 1
         assert result.records[0].axis == ()
+        assert result.summary == {}  # no axes: no argmax
 
     def test_generic_requires_axis(self, base):
         with pytest.raises(ParameterError):
@@ -447,6 +460,36 @@ class TestRunSweepDispatch:
             SweepSpec(kind, **{name: (0.3, 0.4, 3)})
         assert str(caught.value) == (
             f"{name!r} must be a SweepAxis or None, got (0.3, 0.4, 3)")
+
+
+class TestSweepSummary:
+    """``summary["argmax"]``: the first record with the largest E_N(+,-),
+    None when no point is stable; the kind's summary entries follow it."""
+
+    @staticmethod
+    def first_largest(result):
+        stable = [rec for rec in result.records if rec.e_n_pp is not None]
+        peak = max(rec.e_n_pp for rec in stable)
+        best = next(rec for rec in stable if rec.e_n_pp == peak)
+        return {**dict(zip(result.axis_names, best.axis)), "e_n_pp": peak}
+
+    @pytest.mark.parametrize("sweep", ["theta_sweep", "detuning_sweep", "g_minus_sweep"])
+    def test_argmax_names_the_first_record_with_the_largest_e_n(self, sweep, request):
+        result = request.getfixturevalue(sweep)
+        assert result.summary["argmax"] == self.first_largest(result)
+        assert next(iter(result.summary)) == "argmax"
+
+    def test_a_tie_goes_to_the_first_record(self, base):
+        # undriven, every point is stable with E_N(+,-) = 0.0
+        result = run_sweep(replace(base, target_g_minus=0.0),
+                           SweepSpec("theta", SweepAxis(0.30, 0.45, 4)))
+        assert {rec.e_n_pp for rec in result.records} == {0.0}
+        assert result.summary == {"argmax": {"theta_pi": 0.30, "e_n_pp": 0.0}}
+
+    def test_argmax_is_none_when_no_point_is_stable(self, base):
+        result = run_sweep(base, SweepSpec("g_minus", SweepAxis(4.5e6, 6e6, 5)))
+        assert not any(rec.stable for rec in result.records)
+        assert result.summary == {"argmax": None, "first_unstable_g_minus_hz": 4.5e6}
 
 
 class TestDeterminism:

@@ -188,6 +188,35 @@ def test_only_the_evaluation_entry_points_set_numpys_error_state():
     assert calls == [(owner, "np.errstate(all='ignore')") for owner in ERRSTATE_OWNERS]
 
 
+#: the ``dict`` methods that change it in place
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _late_writes(tree):
+    """The source of every statement below ``tree`` that writes into a
+    ``summary`` attribute or sets a ``__doc__`` attribute."""
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            if (isinstance(target, ast.Attribute) and target.attr == "__doc__"
+                    or isinstance(target, ast.Subscript)
+                    and getattr(target.value, "attr", None) == "summary"):
+                yield ast.unparse(node)
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _DICT_WRITES
+                and getattr(node.func.value, "attr", None) == "summary"):
+            yield ast.unparse(node)
+
+
+def test_no_result_or_type_is_changed_after_it_is_built():
+    # a sweep's summary is complete when run_sweep builds its SweepResult,
+    # and a class gets its docstring when it is created
+    writes = [(module, source) for module, tree in TREES.items()
+              for source in _late_writes(tree)]
+    assert not writes, f"changed after it is built: {writes}"
+
+
 def _import_time_imports(tree):
     """The import statements that run when the module is imported: all
     but those inside a function body."""
