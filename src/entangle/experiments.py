@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import warnings
 from dataclasses import dataclass, replace
 from itertools import product
 from types import SimpleNamespace
@@ -171,9 +172,11 @@ class SweepAxis:
             raise ParameterError(fault[1])
 
     def values(self):
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        return _SPACES[self.scale](self.start, self.stop, self.count)
+
+
+#: the axis scales and the spacing of each
+_SPACES = {"linear": np.linspace, "log": np.geomspace}
 
 
 def axis_fault(start, stop, count, scale):
@@ -190,10 +193,12 @@ def axis_fault(start, stop, count, scale):
             return name, f"axis {name} must be finite, got {value!r}"
     if not start < stop:
         return "stop", f"axis start must be below stop, got [{start}, {stop}]"
-    if scale not in ("linear", "log"):
+    if scale not in _SPACES:
         return "scale", f"axis scale must be linear or log, got {scale!r}"
     if scale == "log" and start <= 0.0:
         return "start", "log-scaled axis requires positive endpoints"
+    if not (np.diff(_SPACES[scale](start, stop, count)) > 0.0).all():
+        return "count", f"axis of {count} points over [{start}, {stop}] repeats a value"
     return None
 
 
@@ -297,7 +302,7 @@ class Baseline:
         of one point.  A stack that raises is re-evaluated point by
         point, so the error is the one :meth:`evaluate` raises at its
         first failing point; that replay may walk the whole stack, but
-        runs only on the error path.
+        runs only on the error path, and emits no warning of its own.
         """
         overrides, columns = _columns(overrides)
         with np.errstate(all="ignore"):
@@ -305,10 +310,11 @@ class Baseline:
                 return run_pipelines(self.params(**overrides),
                                      overrides.get("target_g_minus", self.target_g_minus))
             except EntangleError:
-                # raises at the first failing point
-                for i in range(len(overrides[columns[0]]) if columns else 1):
-                    self.evaluate(**{name: value[i] if name in columns else value
-                                     for name, value in overrides.items()})
+                # raises at the first failing point; the stack gave the warnings
+                with warnings.catch_warnings(action="ignore"):
+                    for i in range(len(overrides[columns[0]]) if columns else 1):
+                        self.evaluate(**{name: value[i] if name in columns else value
+                                         for name, value in overrides.items()})
                 raise
 
 

@@ -6,8 +6,8 @@ evaluated on stacks of points at once by one kernel step
 drift matrices (``_spectra``) gives spectral stability as
 ``max Re lambda`` and the eigenbasis in which ``_solve_stacked``
 solves ``R V + V R^T = -D`` for the stable rows entrywise,
-``V = U [-(U^-1 D U^-H)_ij / (lambda_i + conj(lambda_j))] U^H``.  Every
-solution must meet the residual contract
+``V = U [-(U^-1 D U^-H)_ij / (lambda_i + conj(lambda_j))] U^H``, and
+checks that every row it returns meets the residual contract
 ``||R V + V R^T + D||_F <= 1e-9 ||D||_F``.  A row that misses it, or
 whose eigenvector matrix has a Frobenius condition number above 1e3
 (a defective or nearly defective drift, where eigenvalues coalesce), is
@@ -162,15 +162,25 @@ def _solve_stacked(R, D, spectra):
     V = (U @ X @ U.conj().swapaxes(1, 2)).real
     del X
     V = -0.5 * (V + V.swapaxes(1, 2))
-    RV = R @ V
-    resid = _frobenius(RV + RV.swapaxes(1, 2) + D)
     cond = math.sqrt(R.shape[1]) * _frobenius(U_inv.view(float))
-    accepted = ((resid <= _LYAPUNOV_RESIDUAL_RTOL * d_norm)
-                & (cond <= _EIGENBASIS_COND_MAX))
-    if not _COLUMN_MATH.all(accepted):
-        for i in np.flatnonzero(~accepted):
+    trusted = cond <= _EIGENBASIS_COND_MAX
+    bound = _LYAPUNOV_RESIDUAL_RTOL * d_norm
+    for dense in (False, True):  # the eigenbasis rows, then the dense ones too
+        RV = R @ V
+        resid = _frobenius(RV + RV.swapaxes(1, 2) + D)
+        missed = ~((resid <= bound) & trusted)  # a NaN residual misses too
+        if not _COLUMN_MATH.any(missed):
+            return V
+        if dense:
+            break
+        for i in np.flatnonzero(missed):
             V[i] = _solve_lyapunov_dense(R[i], D[i])
-    return V
+        trusted = True
+    i = missed.argmax()
+    raise NumericalError(
+        f"Lyapunov residual {resid[i]:.3e} exceeds {_LYAPUNOV_RESIDUAL_RTOL:g} * "
+        f"||D||_F = {bound[i]:.3e} (condition estimate "
+        f"{np.linalg.cond(_kronecker_sum(R[i])):.3e})")
 
 
 def _steady_states(R, D):
@@ -215,40 +225,25 @@ def _frobenius(x):
     return np.sqrt(np.add.reduce(x * x, axis=(1, 2)))
 
 
+def _kronecker_sum(R):
+    """The n^2 x n^2 matrix of the vectorized Lyapunov operator of ``R``."""
+    return np.kron(np.eye(len(R)), R) + np.kron(R, np.eye(len(R)))
+
+
 def _solve_lyapunov_dense(R, D):
     """Dense solve of the vectorized n^2-unknown Lyapunov system, under
-    the caller's ``np.errstate``.
-
-    One residual-refinement pass; the result is symmetrized and must
-    meet the residual contract or :class:`NumericalError` is raised, so
-    a nearly singular system that overflows or turns NaN is rejected.
-    """
-    n = R.shape[0]
-    eye = np.eye(n)
-    A = np.kron(eye, R) + np.kron(R, eye)
+    the caller's ``np.errstate``: one residual-refinement pass, then the
+    symmetrized result, whose residual :func:`_solve_stacked` checks."""
+    A = _kronecker_sum(R)
     try:
-        v = np.linalg.solve(A, -D.reshape(-1))
-        V = v.reshape(n, n)
+        V = np.linalg.solve(A, -D.reshape(-1)).reshape(D.shape)
         # one refinement pass tightens the residual near the stability
         # boundary, where the vectorized system is ill-conditioned
-        resid = R @ V + V @ R.T + D
-        V = V - np.linalg.solve(A, resid.reshape(-1)).reshape(n, n)
+        V -= np.linalg.solve(A, (R @ V + V @ R.T + D).reshape(-1)).reshape(D.shape)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "vectorized Lyapunov system is singular "
-            f"(condition estimate {np.linalg.cond(A):.3e})"
-        ) from exc
-    V = 0.5 * (V + V.T)
-    resid_norm = np.linalg.norm(R @ V + V @ R.T + D)
-    d_norm = np.linalg.norm(D)
-    if not resid_norm <= _LYAPUNOV_RESIDUAL_RTOL * d_norm:  # NaN fails too
-        raise NumericalError(
-            f"Lyapunov residual {resid_norm:.3e} exceeds "
-            f"{_LYAPUNOV_RESIDUAL_RTOL:g} * ||D||_F = "
-            f"{_LYAPUNOV_RESIDUAL_RTOL * d_norm:.3e} "
-            f"(condition estimate {np.linalg.cond(A):.3e})"
-        )
-    return V
+        raise NumericalError("vectorized Lyapunov system is singular "
+                             f"(condition estimate {np.linalg.cond(A):.3e})") from exc
+    return 0.5 * (V + V.T)
 
 
 def reduce_two_mode(cov, pair):
@@ -283,30 +278,12 @@ def _float_scale(v):
     return total if math.isnan(total) else max(1.0, *mags)
 
 
-#: (upper, lower) flat indices of the mirrored off-diagonal entries of a
-#: 4x4 matrix stored row by row
-_UPPER, _LOWER = zip(*((4 * i + j, 4 * j + i)
-                       for i in range(4) for j in range(i + 1, 4)))
-_UPPER_ENTRIES, _LOWER_ENTRIES = itemgetter(*_UPPER), itemgetter(*_LOWER)
-
-
-def _float_asymmetry(v):
-    """max |v_ij - v_ji| over Python floats: 0.0 at once where the mirrored
-    entries are equal as tuples, as the solve's symmetrized blocks are
-    (the scale check has already rejected a NaN or an infinity)."""
-    if _UPPER_ENTRIES(v) == _LOWER_ENTRIES(v):
-        return 0.0
-    return max(abs(v[i] - v[j]) for i, j in zip(_UPPER, _LOWER))
-
-
 #: the operations :func:`_log_negativity` runs on one matrix of floats
-_FLOAT_OPS = SimpleNamespace(
-    **vars(_FLOAT_MATH), scale=_float_scale, asymmetry=_float_asymmetry)
+_FLOAT_OPS = SimpleNamespace(**vars(_FLOAT_MATH), scale=_float_scale)
 
 #: the same operations on columns with one entry per matrix
 _COLUMN_OPS = SimpleNamespace(
-    **vars(_COLUMN_MATH), scale=lambda v: np.maximum(np.abs(v).max(axis=0), 1.0),
-    asymmetry=lambda v: np.abs(v[list(_UPPER)] - v[list(_LOWER)]).max(axis=0))
+    **vars(_COLUMN_MATH), scale=lambda v: np.maximum(np.abs(v).max(axis=0), 1.0))
 
 
 def _log_negativity(v, m):
@@ -330,8 +307,6 @@ def _log_negativity(v, m):
         raise NumericalError(
             f"covariance entries up to {m.max(scale):.3e} overflow the block "
             f"determinants (at most {_ENTRY_MAX:g})")
-    if m.any(m.asymmetry(v) > 1e-10 * scale):
-        raise NumericalError("two-mode covariance matrix is not symmetric")
 
     (v00, v01, v02, v03, v10, v11, v12, v13,
      v20, v21, v22, v23, v30, v31, v32, v33) = v
@@ -377,14 +352,29 @@ def _log_negativity(v, m):
     return m.where(two_eta >= 1.0 - _CLAMP_TOL, 0.0, -m.log(two_eta))
 
 
+def _check_symmetric(V):
+    """Refuse two-mode covariances (the last two axes of ``V``) not symmetric
+    to ``1e-10 max(1, |V_ij|)`` of their matrix.  Only unequal mirrored entries
+    are subtracted (no ``inf - inf``); a NaN or an infinity is the negativity's."""
+    V_T = V.swapaxes(-1, -2)
+    unequal = V != V_T
+    if _COLUMN_MATH.any(unequal):
+        scale = np.maximum(np.abs(V).max(axis=(-2, -1), keepdims=True), 1.0)
+        tol = np.broadcast_to(1e-10 * scale, V.shape)[unequal]
+        if _COLUMN_MATH.any(np.abs(V[unequal] - V_T[unequal]) > tol):
+            raise NumericalError("two-mode covariance matrix is not symmetric")
+
+
 def log_negativity_stacked(covs4):
     """Logarithmic negativities of a stack of two-mode covariance matrices.
 
-    The column instance of :func:`_log_negativity`: one entry per matrix.
+    The column instance of :func:`_log_negativity`: one entry per matrix,
+    after the symmetry check of :func:`log_negativity`.
     """
     V = np.asarray(covs4, dtype=float)
     if V.ndim != 3 or V.shape[1:] != (4, 4):
         raise ParameterError(f"expected 4x4 covariance matrices, got {V.shape}")
+    _check_symmetric(V)
     return _log_negativity(V.reshape(-1, 16).T, _COLUMN_OPS)
 
 
@@ -397,6 +387,7 @@ def log_negativity(cov4):
     V4 = np.asarray(cov4, dtype=float)
     if V4.shape != (4, 4):
         raise ParameterError(f"expected a 4x4 covariance matrix, got {V4.shape}")
+    _check_symmetric(V4)
     return _log_negativity(V4.ravel().tolist(), _FLOAT_OPS)
 
 
@@ -404,5 +395,6 @@ def pair_log_negativities(cov):
     """Negativities of the pairs :data:`PAIR_CHOICES` of one 6x6
     covariance given as its 36 Python floats, row by row
     (``cov.ravel().tolist()``): the float instance on each block, with no
-    array built per block."""
+    array built per block and no symmetry check, since the kernel step
+    returns every covariance exactly symmetric."""
     return [_log_negativity(block(cov), _FLOAT_OPS) for block in _PAIR_ENTRIES]

@@ -939,6 +939,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: line 4: ")
         assert not (tmp_path / "out").exists()
 
+    def test_axis_values_that_repeat_exit_2_naming_the_count(self, tmp_path, capsys):
+        # four kappa_a values within two float steps once wrote 12 records,
+        # two of them with one kappa_a, and a plot matrix of 3 rows
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sweep]\nkind = kappa_grid\nstart = 1000000 Hz\n"
+                       "stop = 1000000.0000000002 Hz\ncount = 4\nstart2 = 1e5 Hz\n"
+                       "stop2 = 1e6 Hz\ncount2 = 3\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 5: axis of 4 points over "
+            "[1000000.0, 1000000.0000000002] repeats a value\n")
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_noise_exits_3_naming_the_overflow(self, tmp_path, capsys):
         # a stable point whose thermal noise overflows ||D||_F once
         # wrote nan negativities with exit 0

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -125,6 +126,19 @@ class TestSweepAxis:
         with pytest.raises(ParameterError) as caught:
             SweepAxis(start, stop, 3)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("scale, count", [("linear", 4), ("log", 3)])
+    def test_values_that_round_to_a_repeat_are_refused(self, scale, count):
+        # points within two float steps of 1e6: two of four once both read
+        # 1000000.0000000001, and a 2-D grid's plot data dropped their rows
+        start, stop = 1e6, 1000000.0000000002
+        message = f"axis of {count} points over [{start}, {stop}] repeats a value"
+        assert experiments.axis_fault(start, stop, count, scale) == ("count", message)
+        with pytest.raises(ParameterError) as caught:
+            SweepAxis(start, stop, count, scale)
+        assert str(caught.value) == message
+        values = SweepAxis(start, stop, count - 1, scale).values()
+        assert (np.diff(values) > 0.0).all()
 
 
 class TestThetaSweep:
@@ -682,6 +696,17 @@ class TestStackedEvaluation:
         assert str(stack.value) == str(point.value)
         assert "[Lyapunov solve]" in str(point.value)
 
+    def test_replay_repeats_no_warning_of_the_stack(self, base):
+        # the stack warns of omega_b once, then its drive calibration
+        # overflows; the replayed first point raises that error again, and
+        # must not give the warning a second time
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError, match=r"^\[drive calibration\] .* overflows"):
+                base.evaluate_all({"omega_b": [1e300, 1e300]})
+        assert [(w.category, str(w.message).split(";")[0]) for w in caught] == [
+            (UserWarning, "omega_b is not small compared with omega_a")]
+
     def test_replay_without_a_failing_point_re_raises_the_stack_error(
             self, base, monkeypatch):
         # a kernel that fails only on stacks of more than one row: every
@@ -699,6 +724,15 @@ class TestStackedEvaluation:
         with pytest.raises(NumericalError, match=r"^\[Lyapunov solve\] stacks only$"):
             base.evaluate_all({"theta": np.array([0.35, 0.40]) * math.pi})
         assert replayed == [1, 1]
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="a row that misses the residual contract on the dense "
+                              "path too aborts the sweep (ROADMAP item 19a)")
+    def test_sweep_across_the_ill_conditioned_band_returns_every_record(self, base):
+        # 1e-7 to 1e-6 relative below the static stability boundary the
+        # solve is backward stable, but 1e-9 ||D||_F is out of reach
+        axis = SweepAxis(4256715.258 - 0.01, 4256715.258 + 0.01, 200)
+        assert len(run_sweep(base, SweepSpec("g_minus", axis)).records) == 200
 
     def test_kernel_calls_of_the_default_temp_kappa_b_run_are_bounded(
             self, base, monkeypatch, stack_sizes):

@@ -415,11 +415,12 @@ def gate_cases():
 
 class TestExactSymmetry:
     """The fill builds every diffusion and the solve returns every
-    covariance exactly symmetric, so each symmetry check (the diffusion's
-    and each pair block's) settles on its equality test.  A change that
-    broke this would keep every verdict but send every point down the
-    tolerance path.  The kernel step is a point's one covariance check:
-    what it returns is also finite and 6x6."""
+    covariance exactly symmetric, so the diffusion's symmetry check and
+    the stacked negativity's settle on their equality tests, and a point's
+    negativities need no symmetry check of their own.  A change that broke
+    this would keep every verdict but send every stack down the tolerance
+    path.  The kernel step is a point's one covariance check: what it
+    returns is also finite and 6x6."""
 
     def test_pipeline_diffusions_are_exactly_symmetric(self, pipeline_stacks):
         for _, D, _ in pipeline_stacks.solves:
@@ -431,10 +432,6 @@ class TestExactSymmetry:
         assert np.array_equal(covs, covs.swapaxes(1, 2))
         assert covs.shape[1:] == (6, 6)
         assert np.isfinite(covs).all()
-        for V in covs:
-            v = V.ravel().tolist()
-            for block in gaussian._PAIR_ENTRIES:
-                assert gaussian._UPPER_ENTRIES(block(v)) == gaussian._LOWER_ENTRIES(block(v))
 
 
 class TestEigenbasisGates:
@@ -468,12 +465,13 @@ class TestEigenbasisGates:
 
     @staticmethod
     def kernel_accepted(R, D, spectra, monkeypatch):
-        # a row the gates reject comes back as the dense solve's NaN stand-in
+        # a row the gates reject is one whose drift the dense solve is handed
+        handed, dense = [], gaussian._solve_lyapunov_dense
         monkeypatch.setattr(gaussian, "_solve_lyapunov_dense",
-                            lambda R, D: np.full(R.shape, np.nan))
+                            lambda R, D: handed.append(R) or dense(R, D))
         with np.errstate(all="ignore"):
-            V = gaussian._solve_stacked(R, D, spectra)
-        return ~np.isnan(V).any(axis=(1, 2))
+            gaussian._solve_stacked(R, D, spectra)
+        return np.array([not any(np.shares_memory(row, h) for h in handed) for row in R])
 
     def test_pipeline_rows_decide_as_the_defining_formulas(
             self, pipeline_stacks, monkeypatch):
@@ -547,15 +545,6 @@ class TestStackedKernelProperties:
         expected = [log_negativity(reduce_two_mode(V, pair))
                     for V in covs for pair in PAIR_CHOICES]
         assert e_n.tolist() == expected
-
-    @_PROPERTY_SETTINGS
-    @given(arrays(np.float64, (4, 4), elements=st.floats(-1.0, 1.0)), st.booleans())
-    def test_float_asymmetry_is_the_largest_mirrored_difference(self, V, mirror):
-        if mirror:
-            V = np.triu(V) + np.triu(V, 1).T
-        v = V.ravel().tolist()
-        expected = max(abs(v[i] - v[j]) for i, j in zip(gaussian._UPPER, gaussian._LOWER))
-        assert gaussian._FLOAT_OPS.asymmetry(v) == expected
 
     @pytest.mark.parametrize("V, message", [
         (1e100 * np.eye(4), "covariance entries up to 1.000e+100 overflow"),
@@ -861,6 +850,17 @@ class TestLogNegativity:
         V[1, 1] = np.nan
         with pytest.raises(NumericalError, match="has non-finite entries"):
             log_negativity(V)
+
+    def test_infinite_mirrored_entries_beside_an_asymmetry_warn_nothing(self):
+        # the symmetry check runs first and must not subtract the two equal
+        # infinities (inf - inf warns); the negativity names the infinity
+        V = 0.5 * np.eye(4)
+        V[0, 1] = V[1, 0] = np.inf
+        V[2, 3] = 1.0
+        with pytest.raises(NumericalError, match="has non-finite entries"):
+            log_negativity(V)
+        with pytest.raises(NumericalError, match="has non-finite entries"):
+            log_negativity_stacked(V[None])
 
     @pytest.mark.parametrize("delta, expected", [(5e-11, 0.0), (2e-10, 2e-10)])
     def test_clamp_boundary(self, delta, expected):

@@ -188,6 +188,25 @@ def test_only_the_evaluation_entry_points_set_numpys_error_state():
     assert calls == [(owner, "np.errstate(all='ignore')") for owner in ERRSTATE_OWNERS]
 
 
+def _users(name):
+    """``module.function`` of every package function that refers to
+    ``name``, as a name, an attribute or a string constant."""
+    return sorted(f"{module}.{node.name}" for module, tree in TREES.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  and name in _names([node], strings=True))
+
+
+def test_each_covariance_property_has_one_check():
+    # the residual contract is checked where the rows are solved, dense
+    # fallback included; a two-mode block's symmetry only where a block
+    # comes from outside, since the kernel step's covariances are exact
+    assert _users("_LYAPUNOV_RESIDUAL_RTOL") == ["gaussian._solve_stacked"]
+    assert _users("two-mode covariance matrix is not symmetric") == [
+        "gaussian._check_symmetric"]
+    assert _users("_check_symmetric") == ["gaussian.log_negativity",
+                                          "gaussian.log_negativity_stacked"]
+
+
 #: the ``dict`` methods that change it in place
 _DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear"}
 
