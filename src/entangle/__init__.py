@@ -9,7 +9,6 @@ from .dynamics import PipelineResult, build_diffusion, build_drift, run_pipeline
 from .experiments import (
     Baseline,
     SweepAxis,
-    SweepRecord,
     SweepResult,
     SweepSpec,
     default_baseline,
@@ -40,7 +39,6 @@ __all__ = [
     "PipelineResult",
     "PolaritonBasis",
     "SweepAxis",
-    "SweepRecord",
     "SweepResult",
     "SweepSpec",
     "SystemParams",

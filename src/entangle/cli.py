@@ -31,37 +31,34 @@ from . import __version__, experiments
 from .config import RunConfig, _split_key, echo_config, parse_config
 from .errors import ConfigError, EntangleError
 
-#: frozen record column order (after the per-sweep axis columns); the
-#: three negativities lead it, and they are the curves of the plot data
-RECORD_COLUMNS = experiments.SweepRecord._fields[1:]
+#: the output columns of ``records.csv`` after the per-sweep axis columns,
+#: in their frozen order; a result column not named here reaches no file.
+#: The three negativities lead, and they are the curves of the plot data.
+RECORD_COLUMNS = ("e_n_pp", "e_n_mb", "e_n_pb", "stable", "max_re_eig",
+                  "abs_g_plus", "abs_g_minus", "theta", "delta_plus", "delta_minus")
 CURVES = RECORD_COLUMNS[:3]
 
 
-def _fmt(value):
-    if type(value) is float:  # all cells but the stable flag and missing E_N
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(float(value))
-
-
-def _cells(result: experiments.SweepResult, text=_fmt, width=None):
+def _cells(result: experiments.SweepResult, text=repr, width=None):
     """The texts of each output column, the axis columns first, as far as
     ``width`` columns: by default the CSV cells, shortest round-trip
-    decimals, ``true``/``false``, and empty for a missing negativity.
-    A column renders each distinct non-zero float once, because equal
-    non-zero floats have the same bits (a NaN, equal to nothing, is found
-    again only as the same object); zeros (``0.0 == -0.0``), bools
-    (``True == 1.0``), None and other types are rendered per cell."""
-    values = list(zip(*result.records)) or [()] * (1 + len(RECORD_COLUMNS))
-    columns = (list(zip(*values[0])) or [()] * len(result.axis_names)) + values[1:]
+    decimals, ``true``/``false`` for ``stable``, and empty for a
+    negativity where ``stable`` is false.  A column renders each distinct
+    non-zero float once, because equal non-zero floats have the same bits
+    (a NaN, equal to nothing, is found again only as the same object);
+    zeros (``0.0 == -0.0``) are rendered per cell."""
+    stable = result.columns["stable"].tolist()
+    everywhere = [True] * len(stable)
     cells = []
-    for column in columns[:width]:
+    for name in (result.axis_names + RECORD_COLUMNS)[:width]:
+        values = result.columns[name].tolist()
+        if name == "stable":
+            cells.append(["true" if v else "false" for v in values])
+            continue
         memo = {}
-        cells.append([memo.get(v) or memo.setdefault(v, text(v))
-                      if type(v) is float and v else text(v) for v in column])
+        cells.append([(memo.get(v) or memo.setdefault(v, text(v)) if v else text(v))
+                      if shown else "" for v, shown
+                      in zip(values, stable if name in CURVES else everywhere)])
     return cells
 
 
@@ -81,13 +78,13 @@ def emit_records(result: experiments.SweepResult, cells=None) -> str:
 def emit_metadata(result: experiments.SweepResult, cfg: RunConfig,
                   elapsed=None) -> str:
     """Human-readable run summary plus the resolved config echo."""
+    stable = result.columns["stable"]
     lines = [
         f"entangle {__version__}",
         f"sweep kind: {result.kind}",
-        f"records: {len(result.records)}",
+        f"records: {len(stable)}",
+        f"stable points: {int(stable.sum())} / {len(stable)}",
     ]
-    stable = sum(1 for r in result.records if r.stable)
-    lines.append(f"stable points: {stable} / {len(result.records)}")
     for key, value in sorted(result.summary.items()):
         lines.append(f"{key}: {value}")
     if elapsed is not None:
@@ -112,32 +109,30 @@ def emit_plot_data(result: experiments.SweepResult, precision=None,
     """
     n = len(result.axis_names)
     if precision is None:
-        num = repr
         if cells is None:
             cells = _cells(result)
-    else:
-        num = lambda v: f"{v:.{precision}g}"  # noqa: E731
-        # laid out like the record columns, as far as the curves
-        cells = _cells(result, lambda v: "" if v is None else num(float(v)), n + 3)
+    else:  # laid out like the record columns, as far as the curves
+        cells = _cells(result, lambda v: f"{v:.{precision}g}", n + 3)
 
     blocks = []
     if n <= 1:
-        labels = [text or "0" for text in cells[0]] if n else ["0"] * len(result.records)
+        labels = cells[0] if n else ["0"] * len(cells[0])
         for curve, column in zip(CURVES, cells[n:]):
             rows = [f"# {result.kind}: {curve} vs {', '.join(result.axis_names) or 'point'}"]
             rows += [f"{label} {text or 'nan'}" for label, text in zip(labels, column)]
             blocks.append("\n".join(rows))
     else:
-        xs = sorted({rec.axis[0] for rec in result.records})
-        ys = sorted({rec.axis[1] for rec in result.records})
-        index = {rec.axis: k for k, rec in enumerate(result.records)}
+        # the grid runs row by row, its axes strictly increasing: each
+        # x holds one row of every y
+        x = result.columns[result.axis_names[0]]
+        size = int((x == x[0]).sum())
+        xs, ys = cells[0][::size], cells[1][:size]
         for curve, column in zip(CURVES, cells[n:]):
             rows = [f"# {result.kind}: {curve} matrix "
                     f"({result.axis_names[0]} down, {result.axis_names[1]} across)",
-                    " ".join([str(len(ys))] + [num(float(y)) for y in ys])]
-            for x in xs:
-                rows.append(" ".join([num(float(x))]
-                                     + [column[index[x, y]] or "nan" for y in ys]))
+                    " ".join([str(size), *ys])]
+            rows += [" ".join([label, *(text or "nan" for text in column[k:k + size])])
+                     for k, label in zip(range(0, len(column), size), xs)]
             blocks.append("\n".join(rows))
     return ("\n\n\n").join(blocks) + "\n"
 
@@ -191,14 +186,14 @@ def _execute(cfg: RunConfig) -> int:
               file=sys.stderr)
         return 4
     argmax = result.summary.get("argmax")
-    point = result.records[0] if result.kind == "point" else None
-    if point is not None:
-        print(f"stable: {point.stable}")
-        print(f"E_N(+,-): {_fmt(point.e_n_pp)}  E_N(-,b): {_fmt(point.e_n_mb)}"
-              f"  E_N(+,b): {_fmt(point.e_n_pb)}")
+    stable = result.columns["stable"]
+    if result.kind == "point":
+        print(f"stable: {bool(stable[0])}")
+        print("E_N(+,-): {}  E_N(-,b): {}  E_N(+,b): {}".format(
+            *(column[0] for column in _cells(result, width=len(CURVES)))))
     elif argmax is not None:
         print(f"argmax: {argmax}")
-    print(f"wrote {len(result.records)} records to {cfg.output.directory}")
+    print(f"wrote {len(stable)} records to {cfg.output.directory}")
     return 0
 
 

@@ -170,14 +170,21 @@ def _diffusion_entries(basis, kappa_b, n_b):
 def _fill(slots, entries, size=1, scale=1.0):
     """``(size, k, 6, 6)`` matrices, zero but for ``entries / scale`` at the
     flat indices ``slots`` of each point's k matrices (the last slot lies in
-    the last).  Entries are floats, columns of ``size``, or both mixed."""
-    try:
-        values = np.array(entries)
-    except ValueError:  # floats mixed with columns
-        values = np.array(np.broadcast_arrays(*entries))
+    the last).  Entries are floats, columns of ``size``, or both mixed;
+    ``scale`` is a float or a column."""
     count = slots[-1] // 36 + 1
     out = np.zeros((size, 36 * count))
-    out[:, slots] = (values / scale).T
+    try:
+        groups = [(slots, np.array(entries))]
+    except ValueError:  # floats mixed with columns: two groups, a shared
+        # entry being one value for every point
+        is_column = [getattr(entry, "ndim", 0) > 0 for entry in entries]
+        shared = [entry for entry, column in zip(entries, is_column) if not column]
+        columns = [entry for entry, column in zip(entries, is_column) if column]
+        groups = [(slots[np.logical_not(is_column)], np.array(shared)[:, None]),
+                  (slots[is_column], np.array(columns))]
+    for where, values in groups:
+        out[:, where] = (values / scale).T
     return out.reshape(size, count, 6, 6)
 
 

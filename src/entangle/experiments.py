@@ -13,16 +13,17 @@ grid, an optional point map and an optional summary hook.
 :func:`run_sweep` evaluates the grid as parameter columns (one array
 per varying :class:`Baseline` field) through
 :meth:`Baseline.evaluate_all`, which hands the whole stack to the
-stacked pipeline, and builds the records from its one result.
-Instability is recorded as data (not an error).  Records are the same
-bits whatever the kernels' slice size or the evaluation order, and
-agree with :meth:`Baseline.evaluate` of their point, which runs the
-model layer on Python floats, to rounding.
+stacked pipeline, and reads the output columns of
+:class:`SweepResult` from its one result.  Instability is recorded as
+data (not an error).  The columns are the same bits whatever the
+kernels' slice size or the evaluation order, and each row agrees with
+:meth:`Baseline.evaluate` of its point, which runs the model layer on
+Python floats, to rounding.
 
-Axis values and record diagnostics use reporting units: ordinary
+Axis values and output diagnostics use reporting units: ordinary
 frequency (Hz) for rates, couplings and detunings, and millikelvin for
 temperature.  A mixing-angle axis is in multiples of pi, the ``theta``
-diagnostic of a record in radians, and its ``max_re_eig`` in rad/s.
+diagnostic in radians, and ``max_re_eig`` in rad/s.
 The baseline parameter set itself is angular (rad/s), matching the
 model layer.
 """
@@ -34,7 +35,6 @@ import numbers
 import re
 import warnings
 from dataclasses import dataclass, replace
-from itertools import product
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -44,7 +44,7 @@ from .dynamics import PipelineColumns, PipelineResult, run_pipeline, run_pipelin
 from .errors import EntangleError, ParameterError
 from .model import TWO_PI, SystemParams, _require, solve_g_omega_c_from_theta
 
-#: records with E_N below this (or unstable) count as disentangled when
+#: rows with E_N below this (or unstable) count as disentangled when
 #: extracting robustness thresholds; absorbs the separability clamp
 EN_THRESHOLD = 1e-4
 
@@ -416,53 +416,41 @@ def default_baseline(**overrides) -> Baseline:
                                     for param in PARAMS.values()}), **overrides)
 
 
-class SweepRecord(NamedTuple):
-    """One emitted grid point, in reporting units (see module docstring).
-
-    ``theta`` is in radians and ``max_re_eig`` stays in rad/s as the raw
-    stability diagnostic; the negativities are None when the point is
-    unstable.
-    """
-
-    axis: tuple[float, ...]
-    e_n_pp: float | None
-    e_n_mb: float | None
-    e_n_pb: float | None
-    stable: bool
-    max_re_eig: float
-    abs_g_plus: float
-    abs_g_minus: float
-    theta: float
-    delta_plus: float
-    delta_minus: float
-
-    @classmethod
-    def from_columns(cls, points, result: PipelineColumns) -> list[SweepRecord]:
-        """The records of ``points`` (axis tuples, in order) from the
-        stacked result that evaluated them (:meth:`Baseline.evaluate_all`)."""
-        stable = result.stable.tolist()
-        e_n = [[v if ok else None for v, ok in zip(values.tolist(), stable)]
-               for values in (result.e_n_pp, result.e_n_mb, result.e_n_pb)]
-        return list(map(cls._make, zip(
-            points,
-            *e_n,
-            stable,
-            result.max_re_eig.tolist(),
-            (np.abs(result.couplings.g_plus) / TWO_PI).tolist(),
-            (np.abs(result.couplings.g_minus) / TWO_PI).tolist(),
-            result.basis.theta.tolist(),
-            (result.basis.delta_plus / TWO_PI).tolist(),
-            (result.basis.delta_minus / TWO_PI).tolist(),
-        )))
-
-
 class SweepResult(NamedTuple):
-    """Ordered records of one sweep plus a machine-readable summary."""
+    """The columns of one sweep plus a machine-readable summary.
+
+    ``columns`` maps each output name to a 1-d array with one entry per
+    grid point, in emission order and reporting units (see the module
+    docstring): the axis columns (``axis_names``), then ``e_n_pp``,
+    ``e_n_mb``, ``e_n_pb``, ``stable`` (bool), ``max_re_eig``,
+    ``abs_g_plus``, ``abs_g_minus``, ``theta``, ``delta_plus`` and
+    ``delta_minus``.  The negativities are NaN where ``stable`` is false.
+    """
 
     kind: str
     axis_names: tuple[str, ...]
-    records: tuple[SweepRecord, ...]
+    columns: dict[str, np.ndarray]
     summary: dict
+
+
+def _sweep_columns(names, axes, result: PipelineColumns) -> dict[str, np.ndarray]:
+    """The :attr:`SweepResult.columns` of the grid columns ``axes`` (one
+    per name of ``names``) from the stacked result that evaluated them
+    (:meth:`Baseline.evaluate_all`)."""
+    couplings, basis = result.couplings, result.basis
+    return {
+        **dict(zip(names, axes)),
+        "e_n_pp": result.e_n_pp,
+        "e_n_mb": result.e_n_mb,
+        "e_n_pb": result.e_n_pb,
+        "stable": result.stable,
+        "max_re_eig": result.max_re_eig,
+        "abs_g_plus": np.abs(couplings.g_plus) / TWO_PI,
+        "abs_g_minus": np.abs(couplings.g_minus) / TWO_PI,
+        "theta": basis.theta,
+        "delta_plus": basis.delta_plus / TWO_PI,
+        "delta_minus": basis.delta_minus / TWO_PI,
+    }
 
 
 # -- sweep registry ---------------------------------------------------------
@@ -476,7 +464,8 @@ class SweepKind(NamedTuple):
     columns for many) to overrides of :meth:`Baseline.evaluate` or
     :meth:`Baseline.evaluate_all`; without it each axis value, converted
     by :meth:`Quantity.angular`, overrides its line's field.
-    ``summary(base, axes, records)`` returns extra summary entries.
+    ``summary(base, axes, columns)`` returns extra summary entries, from
+    the :attr:`SweepResult.columns` of the grid.
     """
 
     axes: tuple[Quantity, ...] = ()
@@ -524,18 +513,19 @@ def _detuning_map(base, axes):
     return overrides
 
 
-def _first_unstable(base, axes, records):
-    unstable = [rec.axis[0] for rec in records if not rec.stable]
-    return {"first_unstable_g_minus_hz": min(unstable) if unstable else None}
+def _first_unstable(base, axes, columns):
+    g_minus, stable = columns[PARAMS["g_minus"].column], columns["stable"]
+    return {"first_unstable_g_minus_hz":
+            None if stable.all() else g_minus[~stable].min().item()}
 
 
-def _entangled_area(base, axes, records):
-    entangled = sum(1 for r in records
-                    if r.e_n_pp is not None and r.e_n_pp > EN_THRESHOLD)
-    return {"entangled_area_fraction": entangled / len(records)}
+def _entangled_area(base, axes, columns):
+    e_n_pp = columns["e_n_pp"]  # NaN: unstable
+    return {"entangled_area_fraction":
+            int(np.count_nonzero(e_n_pp > EN_THRESHOLD)) / len(e_n_pp)}
 
 
-def _thresholds(base, axes, records):
+def _thresholds(base, axes, columns):
     """Robustness thresholds, each from a dedicated line.
 
     ``t_crit_mk`` is the smallest temperature with E_N below
@@ -629,26 +619,27 @@ class SweepSpec:
 
 
 def grid(axes):
-    """Grid points of ``axes`` in emission order (last axis fastest)."""
-    return list(product(*(axis.values().tolist() for axis in axes)))
+    """The axis columns of the grid of ``axes``, one per axis, in emission
+    order (last axis fastest)."""
+    return tuple(column.ravel() for column in
+                 np.meshgrid(*(axis.values() for axis in axes), indexing="ij"))
 
 
 def run_sweep(base: Baseline, spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point of ``spec`` in order, then summarize it."""
     kind = spec.sweep_kind()
     axes = spec.resolved_axes()
+    names = tuple(line.column for line in kind.axes)
     points = grid(axes)
-    columns = tuple(np.array(column) for column in zip(*points))
     with np.errstate(all="ignore"):  # the point map and the summary too
-        records = tuple(SweepRecord.from_columns(
-            points, base.evaluate_all(kind.overrides(base, axes)(columns))))
-        names = tuple(line.column for line in kind.axes)
+        columns = _sweep_columns(
+            names, points, base.evaluate_all(kind.overrides(base, axes)(points)))
         summary = {}
-        if names:  # the first record with the largest E_N(+,-); None: none stable
-            best = max((rec for rec in records if rec.e_n_pp is not None),
-                       key=lambda rec: rec.e_n_pp, default=None)
-            summary["argmax"] = None if best is None else {
-                **dict(zip(names, best.axis)), "e_n_pp": best.e_n_pp}
+        if names:  # the first stable row with the largest E_N(+,-); None: none stable
+            stable = columns["stable"]
+            best = np.where(stable, columns["e_n_pp"], -np.inf).argmax()
+            summary["argmax"] = ({name: columns[name][best].item()
+                                  for name in (*names, "e_n_pp")} if stable[best] else None)
         if kind.summary is not None:
-            summary.update(kind.summary(base, axes, records))
-    return SweepResult(spec.kind, names, records, summary)
+            summary.update(kind.summary(base, axes, columns))
+    return SweepResult(spec.kind, names, columns, summary)

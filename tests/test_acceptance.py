@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from entangle import experiments
 from entangle.cli import emit_records, main
 from entangle.experiments import (
     EN_THRESHOLD,
     SWEEPS,
     SweepAxis,
-    SweepRecord,
     SweepResult,
     SweepSpec,
     default_baseline,
@@ -27,7 +27,7 @@ from entangle.gaussian import log_negativity, solve_lyapunov, stability
 from entangle.model import TWO_PI, solve_g_omega_c_from_theta
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
-from column_bounds import assert_record_close, point_record
+from column_bounds import assert_record_close, axis_points, point_record
 from oracles import (
     characteristic_polynomial,
     min_physicality_eig,
@@ -112,27 +112,27 @@ def test_criterion_1_theta_optimum(theta_sweep_timed):
 
 
 def test_criterion_2_instability_regions(wide_theta_sweep, theta_sweep_timed):
-    sweep = wide_theta_sweep
-    low = [rec for rec in sweep.records if rec.axis[0] <= 0.25]
-    low_ok = len(low) > 10 and all(not rec.stable for rec in low)
-    default_sweep, _ = theta_sweep_timed
-    tail_ok = all(not rec.stable for rec in default_sweep.records[-3:])
-    flags_ok = all(rec.stable == (rec.max_re_eig < 0.0)
-                   for rec in sweep.records + default_sweep.records)
+    sweep = wide_theta_sweep.columns
+    low = sweep["theta_pi"] <= 0.25
+    low_ok = low.sum() > 10 and not sweep["stable"][low].any()
+    default_sweep = theta_sweep_timed[0].columns
+    tail_ok = not default_sweep["stable"][-3:].any()
+    flags_ok = all((columns["stable"] == (columns["max_re_eig"] < 0.0)).all()
+                   for columns in (sweep, default_sweep))
     ok = low_ok and tail_ok and flags_ok
     report(2, "instability regions", ok,
-           f"{len(low)} low-angle points all unstable: {low_ok}, "
+           f"{low.sum()} low-angle points all unstable: {low_ok}, "
            f"high-theta tail unstable: {tail_ok}, flags consistent: {flags_ok}")
     assert low_ok and tail_ok and flags_ok
 
 
 def test_criterion_3_detuning_optimum(detuning_sweep):
-    axis = [rec.axis[0] for rec in detuning_sweep.records]
+    axis = detuning_sweep.columns["delta_abs_hz"].tolist()
     step = axis[1] - axis[0]
     argmax = detuning_sweep.summary["argmax"]["delta_abs_hz"]
     on_sideband = abs(argmax - 10e6) <= step + 1e-9
-    values = [rec.e_n_pp for rec in detuning_sweep.records]
-    peak = int(np.argmax([v if v is not None else -1.0 for v in values]))
+    values = detuning_sweep.columns["e_n_pp"].tolist()
+    peak = int(np.argmax(np.nan_to_num(values, nan=-1.0)))
     rising = all(values[i] < values[i + 1]
                  for i in range(max(peak - 4, 0), peak))
     falling = all(values[i] > values[i + 1]
@@ -146,8 +146,9 @@ def test_criterion_3_detuning_optimum(detuning_sweep):
 
 
 def test_criterion_4_coupling_maximum_inside_stable_region(g_minus_sweep):
-    zero_rec = g_minus_sweep.records[0]
-    zero_ok = zero_rec.axis[0] == 0.0 and zero_rec.e_n_pp == 0.0
+    zero_axis, zero_e_n = (g_minus_sweep.columns[name][0]
+                           for name in ("g_minus_hz", "e_n_pp"))
+    zero_ok = zero_axis == 0.0 and zero_e_n == 0.0
     argmax = g_minus_sweep.summary["argmax"]["g_minus_hz"]
     first_unstable = g_minus_sweep.summary["first_unstable_g_minus_hz"]
     interior_ok = first_unstable is not None and argmax < first_unstable
@@ -155,7 +156,7 @@ def test_criterion_4_coupling_maximum_inside_stable_region(g_minus_sweep):
     report(4, "coupling sweep maximum strictly inside stable region", ok,
            f"argmax {argmax / 1e6:.3f} MHz < first unstable "
            f"{(first_unstable or float('nan')) / 1e6:.3f} MHz, E_N(0) = "
-           f"{zero_rec.e_n_pp}")
+           f"{zero_e_n}")
     assert zero_ok and interior_ok
 
 
@@ -167,19 +168,21 @@ def test_criterion_5_robustness_thresholds(base, temp_sweep, kappa_b_line_sweep)
     # [5e4, 2e5] Hz kappa_b window and E_N only shrinks with kappa_b; the
     # E_N < EN_THRESHOLD crossing lies far above the window and is pinned
     # to the bare-mode oracle on the same axis.
-    line = [rec for rec in kappa_b_line_sweep.records if rec.axis[0] == 10.0]
-    window = [rec for rec in line if rec.axis[1] <= 2e5]
-    survival_ok = all(rec.stable and rec.e_n_pp >= EN_THRESHOLD for rec in window)
-    decreasing_ok = (all(rec.stable for rec in line)
-                     and all(a.e_n_pp > b.e_n_pp for a, b in zip(line, line[1:])))
+    columns = kappa_b_line_sweep.columns
+    line = columns["temperature_mk"] == 10.0
+    kappa_b, e_n_pp = columns["kappa_b_hz"][line], columns["e_n_pp"][line]
+    window = kappa_b <= 2e5
+    survival_ok = bool((e_n_pp[window] >= EN_THRESHOLD).all())  # NaN: unstable
+    decreasing_ok = (bool(columns["stable"][line].all())
+                     and bool((np.diff(e_n_pp) < 0.0).all()))
     kb_crit = kappa_b_line_sweep.summary["kappa_b_crit_hz"]
     oracle_crit = bare_mode_kappa_b_crossing(base, KAPPA_B_LINE.values())
     kb_ok = kb_crit is not None and kb_crit == oracle_crit
-    edge = window[-1]
+    edge = np.flatnonzero(window)[-1]
     ok = t_ok and survival_ok and decreasing_ok and kb_ok
     report(5, "temperature and mechanical-damping thresholds", ok,
            f"T_crit = {t_crit} mK (window [165, 275]); at 10 mK E_N = "
-           f"{edge.e_n_pp:.4g} at kappa_b = {edge.axis[1]:.4g} Hz, "
+           f"{e_n_pp[edge]:.4g} at kappa_b = {kappa_b[edge]:.4g} Hz, "
            f">= {EN_THRESHOLD} through the [5e4, 2e5] Hz window: "
            f"{survival_ok}, strictly decreasing: {decreasing_ok}; "
            f"kappa_b_crit = {kb_crit} Hz, bare-mode oracle {oracle_crit} Hz")
@@ -323,9 +326,9 @@ def test_criterion_8_entanglement_measure_suite(
                   g_minus_sweep, temp_sweep):
         kind = SWEEPS[sweep.kind]
         overrides = kind.overrides(base, kind.defaults)
-        for rec in sweep.records:
-            if rec.stable:
-                res = base.evaluate(**overrides(rec.axis))
+        for point, stable in zip(axis_points(sweep), sweep.columns["stable"]):
+            if stable:
+                res = base.evaluate(**overrides(point))
                 worst_phys = min(worst_phys, min_physicality_eig(res.state.cov))
                 checked += 1
     phys_ok = worst_phys >= -1e-8
@@ -350,18 +353,18 @@ def test_criterion_9_evaluation_order_determinism(base, tmp_path):
     theta = SWEEPS["theta"]
     overrides = theta.overrides(base, theta.defaults)
     backwards = theta.defaults[0].values()[::-1]
-    records = SweepRecord.from_columns([(v,) for v in backwards.tolist()],
-                                       base.evaluate_all(overrides((backwards,))))
     names = tuple(line.column for line in theta.axes)
-    result = SweepResult("theta", names, tuple(reversed(records)), {})
+    columns = experiments._sweep_columns(names, (backwards,),
+                                         base.evaluate_all(overrides((backwards,))))
+    result = SweepResult("theta", names,
+                         {name: column[::-1] for name, column in columns.items()}, {})
     rec_rev = emit_records(result).encode()
 
     # and point by point through Baseline.evaluate, to the column bound
     # (the point path runs the model layer on math instead of numpy)
-    points = grid(theta.defaults)
-    for point, rec in zip(points, result.records):
-        reference = point_record(point, base.evaluate(**overrides(point)))
-        assert_record_close(rec, reference, base.omega_b)
+    for row, point in enumerate(zip(*grid(theta.defaults))):
+        reference = point_record(names, point, base.evaluate(**overrides(point)))
+        assert_record_close(result.columns, row, reference, base.omega_b)
 
     ok = rec_a == rec_b == rec_rev
     report(9, "byte-identical records across runs and evaluation order", ok,

@@ -31,7 +31,6 @@ from entangle.experiments import (
     PARAMS,
     SWEEPS,
     SweepAxis,
-    SweepRecord,
     SweepResult,
     SweepSpec,
     UNITS,
@@ -762,7 +761,7 @@ class TestWriteOutputs:
             entries = entries + [("output.precision", str(precision))]
         cfg = parse_config("", entries + [("output.dir", str(tmp_path))])
         result = run_sweep(cfg.baseline(), cfg.sweep)
-        assert {rec.stable for rec in result.records} == {True, False}
+        assert set(result.columns["stable"].tolist()) == {True, False}
         write_outputs(result, cfg)
         files = {
             "records.csv": emit_records(result),
@@ -773,6 +772,24 @@ class TestWriteOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
         for name, text in files.items():
             assert (tmp_path / name).read_bytes() == text.encode(), name
+
+    @pytest.mark.parametrize("kind", ["theta", "kappa_grid"])
+    def test_a_column_beyond_the_record_columns_reaches_no_file(self, kind):
+        # a diagnostic column is one more entry of a result's columns; the
+        # files name their columns, so it changes no byte of them
+        axes = {"theta": (SweepAxis(0.1, 0.44, 9),),
+                "kappa_grid": (SweepAxis(1e5, 1e7, 3, "log"), SweepAxis(1e5, 1e7, 4, "log"))}
+        result = run_sweep(default_baseline(target_g_minus=TWO_PI * 4.5e6),
+                           SweepSpec(kind, *axes[kind]))
+        rows = len(result.columns["stable"])
+        wider = result._replace(columns={**result.columns,
+                                         "residual": np.linspace(-1.0, 1.0, rows)})
+        assert set(result.columns["stable"].tolist()) == {True, False}
+        assert emit_records(wider) == emit_records(result)
+        for precision in (None, 3):
+            assert emit_plot_data(wider, precision) == emit_plot_data(result, precision)
+        cfg = parse_config("", [("sweep.kind", kind)])
+        assert emit_metadata(wider, cfg) == emit_metadata(result, cfg)
 
     def test_files_land_where_the_echoed_config_says(self, tmp_path, monkeypatch):
         # an API caller once passed a directory beside the config's own
@@ -786,26 +803,24 @@ class TestWriteOutputs:
         assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
-def _cell(value):
-    """One record cell as a per-cell renderer gives it: the oracle of the
+def _cell(name, value, stable, num=repr):
+    """One output cell as a per-cell renderer gives it: the oracle of the
     column renderer."""
-    if type(value) is float:
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
+    if name == "stable":
         return "true" if value else "false"
-    return repr(float(value))
+    return "" if name in cli.CURVES and not stable else num(value)
 
 
 def _oracle_rows(result, precision):
-    """Each record's texts, its axis values first, one render per cell;
-    with ``precision``, the plot data's axis and curve texts."""
-    if precision is None:
-        return [[_cell(a) for a in rec.axis] + [_cell(v) for v in rec[1:]]
-                for rec in result.records]
-    return [[f"{float(v):.{precision}g}" if v is not None else ""
-             for v in rec[0] + rec[1:4]] for rec in result.records]
+    """Each row's texts, its axis values first, one render per cell; with
+    ``precision``, the plot data's axis and curve texts."""
+    names = result.axis_names + cli.RECORD_COLUMNS
+    num = repr
+    if precision is not None:
+        names, num = names[:len(result.axis_names) + 3], lambda v: f"{v:.{precision}g}"
+    stable = result.columns["stable"].tolist()
+    return [[_cell(name, result.columns[name][row].item(), ok, num) for name in names]
+            for row, ok in enumerate(stable)]
 
 
 def _oracle_records(result):
@@ -825,9 +840,10 @@ def _oracle_plot_data(result, precision):
             rows += [f"{label} {row[i] or 'nan'}" for label, row in zip(labels, rows_of)]
             blocks.append("\n".join(rows))
     else:
-        xs = sorted({rec.axis[0] for rec in result.records})
-        ys = sorted({rec.axis[1] for rec in result.records})
-        row_at = {rec.axis: row for rec, row in zip(result.records, rows_of)}
+        axis = list(zip(*(result.columns[name].tolist() for name in result.axis_names)))
+        xs = sorted({x for x, _ in axis})
+        ys = sorted({y for _, y in axis})
+        row_at = dict(zip(axis, rows_of))
         for i, curve in enumerate(cli.CURVES, n):
             rows = [f"# {result.kind}: {curve} matrix "
                     f"({result.axis_names[0]} down, {result.axis_names[1]} across)",
@@ -839,34 +855,42 @@ def _oracle_plot_data(result, precision):
     return "\n\n\n".join(blocks) + "\n"
 
 
-#: cell values whose texts a value-keyed memo could mix up: equal floats
-#: as distinct objects, both zeros, bools beside 0 and 1, NaN and the
-#: infinities, None, numpy floats and ints
+#: column values a value-keyed memo could mix up: repeated values, both
+#: zeros, NaN and the infinities
 _NUMBERS = st.one_of(
-    st.sampled_from([0.1, -2.5, 1.0, 0.0, -0.0, 1e-300, 3e8]).map(
-        lambda v: float(repr(v))),
-    st.sampled_from([math.inf, -math.inf, True, False, 0, 1, -3]),
-    st.just("nan").map(float),  # a new NaN object each time
-    st.sampled_from([0.1, 1.0, -0.0, 0.0, math.nan]).map(np.float64),
+    st.sampled_from([0.1, -2.5, 1.0, 0.0, -0.0, 1e-300, 3e8]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
     st.floats(allow_nan=True, allow_infinity=True))
-_CELLS = st.one_of(_NUMBERS, st.none())
+
+
+def _increasing(values):
+    """The distinct non-NaN ``values`` in increasing order (one of the
+    equal zeros), as the axis of a grid."""
+    return sorted({v for v in values if v == v})
 
 
 @st.composite
 def _results(draw):
-    """A sweep result of 0, 1 or 2 axes whose cells mix every kind of
-    value; the 2-D axes form a full grid, as the matrix blocks need."""
+    """A sweep result of 0, 1 or 2 axes: float columns that mix every kind
+    of value, a ``stable`` mask unrelated to them, and for 2-D a full grid
+    of strictly increasing axes, as every run's grid is."""
     n = draw(st.integers(0, 2))
-    if n < 2:
-        axes = draw(st.lists(st.tuples(*[_CELLS] * n), min_size=int(n == 0),
-                             max_size=1 if n == 0 else 12))
+    if n == 0:
+        axes = ()
+    elif n == 1:
+        axes = (draw(st.lists(_NUMBERS, max_size=12)),)
     else:
-        xs = draw(st.lists(_NUMBERS.filter(lambda v: v == v), min_size=1, max_size=4))
-        ys = draw(st.lists(_NUMBERS.filter(lambda v: v == v), min_size=1, max_size=4))
-        axes = [(x, y) for x in xs for y in ys]
-    records = tuple(SweepRecord(axis, *draw(st.lists(_CELLS, min_size=10, max_size=10)))
-                    for axis in axes)
-    return SweepResult("made", ("x", "y")[:n], records, {})
+        xs, ys = (_increasing(draw(st.lists(_NUMBERS, min_size=1, max_size=4)))
+                  for _ in range(2))
+        xs, ys = xs or [0.0], ys or [1.0]
+        axes = ([x for x in xs for _ in ys], [y for _ in xs for y in ys])
+    rows = len(axes[0]) if axes else 1
+    columns = {name: np.array(axis, dtype=float) for name, axis in zip("xy", axes)}
+    for name in cli.RECORD_COLUMNS:
+        values = st.booleans() if name == "stable" else _NUMBERS
+        columns[name] = np.array(draw(st.lists(values, min_size=rows, max_size=rows)),
+                                 dtype=bool if name == "stable" else float)
+    return SweepResult("made", ("x", "y")[:n], columns, {})
 
 
 class TestColumnRendering:
@@ -886,12 +910,12 @@ class TestColumnRendering:
                                                                   monkeypatch):
         cfg = parse_config("")
         result = run_sweep(cfg.baseline(), cfg.sweep)
-        columns = zip(*(rec.axis + rec[1:] for rec in result.records))
-        distinct = sum(len({v for v in column if type(v) is float and v})
-                       for column in columns)
+        distinct = sum(len({v for v in column.tolist() if type(v) is float and v and v == v})
+                       for column in result.columns.values())
         rendered = []
-        monkeypatch.setattr(cli, "repr", lambda v: rendered.append(v) or repr(v),
-                            raising=False)
+        cells = cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda result, text=repr, width=None: cells(
+            result, lambda v: rendered.append(v) or text(v), width))
         assert main(["run", "/dev/null", "--out", str(tmp_path)]) == 0
         floats = [v for v in rendered if type(v) is float and v]
         # one per cell would be about 1.5 times as many

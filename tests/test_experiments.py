@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle import dynamics, experiments, gaussian
+from entangle import cli, dynamics, experiments, gaussian
 from entangle.cli import emit_records
 from entangle.config import parse_config
 from entangle.errors import EntangleError, NumericalError, ParameterError
@@ -20,7 +20,7 @@ from entangle.experiments import (
     EN_THRESHOLD,
     SWEEPS,
     SweepAxis,
-    SweepRecord,
+    SweepResult,
     SweepSpec,
     default_baseline,
     grid,
@@ -29,7 +29,7 @@ from entangle.experiments import (
 from entangle.model import TWO_PI, solve_g_omega_c_from_theta
 
 from bare_mode_oracle import KAPPA_B_LINE, bare_mode_kappa_b_crossing
-from column_bounds import assert_record_close, assert_row_close, point_record
+from column_bounds import assert_record_close, assert_row_close, axis_points, point_record
 
 
 @pytest.fixture(scope="module")
@@ -143,36 +143,34 @@ class TestSweepAxis:
 
 class TestThetaSweep:
     def test_record_count_and_monotone_axis(self, theta_sweep):
-        assert len(theta_sweep.records) == 200
-        axis = [r.axis[0] for r in theta_sweep.records]
-        assert all(b > a for a, b in zip(axis, axis[1:]))
+        assert len(theta_sweep.columns["stable"]) == 200
+        assert (np.diff(theta_sweep.columns["theta_pi"]) > 0.0).all()
 
     def test_argmax_at_optimal_angle(self, theta_sweep):
         argmax = theta_sweep.summary["argmax"]
         assert abs(argmax["theta_pi"] - 0.40) <= 0.02
 
     def test_small_angles_unstable(self, base):
-        sweep = run_sweep(base, SweepSpec("theta", SweepAxis(0.06, 0.49, 100)))
-        for rec in sweep.records:
-            if rec.axis[0] <= 0.25:
-                assert not rec.stable, f"theta = {rec.axis[0]} pi"
+        sweep = run_sweep(base, SweepSpec("theta", SweepAxis(0.06, 0.49, 100))).columns
+        low = sweep["theta_pi"] <= 0.25
+        assert low.any()
+        assert not sweep["stable"][low].any(), sweep["theta_pi"][low & sweep["stable"]]
 
     def test_high_theta_unstable_tail(self, theta_sweep):
-        tail = theta_sweep.records[-5:]
-        assert all(not rec.stable for rec in tail)
+        assert not theta_sweep.columns["stable"][-5:].any()
 
     def test_stability_flag_matches_spectrum(self, theta_sweep):
-        for rec in theta_sweep.records:
-            assert rec.stable == (rec.max_re_eig < 0.0)
+        columns = theta_sweep.columns
+        assert (columns["stable"] == (columns["max_re_eig"] < 0.0)).all()
 
     def test_pinned_coupling_constant_across_sweep(self, theta_sweep):
-        for rec in theta_sweep.records:
-            assert rec.abs_g_minus == pytest.approx(2e6, rel=1e-9)
+        assert theta_sweep.columns["abs_g_minus"] == pytest.approx(
+            np.full(200, 2e6), rel=1e-9)
 
     def test_detunings_sideband_matched(self, theta_sweep):
-        for rec in theta_sweep.records[:20]:
-            assert rec.delta_plus == pytest.approx(10e6, rel=1e-6)
-            assert rec.delta_minus == pytest.approx(-10e6, rel=1e-6)
+        columns = theta_sweep.columns
+        assert columns["delta_plus"][:20] == pytest.approx(np.full(20, 10e6), rel=1e-6)
+        assert columns["delta_minus"][:20] == pytest.approx(np.full(20, -10e6), rel=1e-6)
 
     def test_refinement_moves_argmax_at_most_one_coarse_step(self, base):
         coarse = run_sweep(base, SweepSpec("theta", SweepAxis(0.30, 0.46, 50)))
@@ -185,14 +183,14 @@ class TestThetaSweep:
 
 class TestDetuningSweep:
     def test_argmax_on_sideband_within_one_step(self, detuning_sweep):
-        axis = [r.axis[0] for r in detuning_sweep.records]
+        axis = detuning_sweep.columns["delta_abs_hz"].tolist()
         step = axis[1] - axis[0]
         argmax = detuning_sweep.summary["argmax"]["delta_abs_hz"]
         assert abs(argmax - 10e6) <= step + 1e-9
 
     def test_monotone_decrease_around_peak(self, detuning_sweep):
-        values = [r.e_n_pp for r in detuning_sweep.records]
-        peak = int(np.argmax([v if v is not None else -1 for v in values]))
+        values = detuning_sweep.columns["e_n_pp"].tolist()
+        peak = int(np.argmax(np.nan_to_num(values, nan=-1.0)))
         for i in range(max(peak - 4, 0), peak):
             assert values[i] < values[i + 1]
         for i in range(peak, min(peak + 4, len(values) - 1)):
@@ -202,12 +200,12 @@ class TestDetuningSweep:
         # the low-detuning end of the default axis sits well below half
         # the peak value
         peak = detuning_sweep.summary["argmax"]["e_n_pp"]
-        assert detuning_sweep.records[0].e_n_pp < 0.5 * peak
+        assert detuning_sweep.columns["e_n_pp"][0] < 0.5 * peak
 
     def test_large_detuning_unstable_tail(self, base):
         wide = run_sweep(base, SweepSpec("detuning", SweepAxis(6e6, 35e6, 59)))
-        assert not wide.records[-1].stable
-        assert any(not rec.stable for rec in wide.records[-8:])
+        assert not wide.columns["stable"][-1]
+        assert not wide.columns["stable"][-8:].all()
 
     def test_axis_below_splitting_floor_rejected(self, base):
         with pytest.raises(ParameterError):
@@ -222,24 +220,25 @@ class TestDetuningSweep:
         spec = SweepSpec("detuning", SweepAxis(9.5e6, 10.5e6, 5))
         sweep = run_sweep(pinned, spec)
         reference = run_sweep(base, spec)
-        assert sweep.records == reference.records
+        assert sweep.columns.keys() == reference.columns.keys()
+        for name, column in sweep.columns.items():
+            assert column.tobytes() == reference.columns[name].tobytes(), name
 
     def test_symmetric_detunings(self, detuning_sweep):
-        for rec in detuning_sweep.records[::8]:
-            assert rec.delta_plus == pytest.approx(-rec.delta_minus, rel=1e-9)
-            assert rec.delta_plus == pytest.approx(rec.axis[0], rel=1e-9)
+        columns = {name: column[::8] for name, column in detuning_sweep.columns.items()}
+        assert columns["delta_plus"] == pytest.approx(-columns["delta_minus"], rel=1e-9)
+        assert columns["delta_plus"] == pytest.approx(columns["delta_abs_hz"], rel=1e-9)
 
 
 class TestGMinusSweep:
     def test_zero_drive_zero_entanglement(self, g_minus_sweep):
-        first = g_minus_sweep.records[0]
-        assert first.axis[0] == 0.0
-        assert first.stable
-        assert first.e_n_pp == 0.0
+        first = {name: column[0] for name, column in g_minus_sweep.columns.items()}
+        assert first["g_minus_hz"] == 0.0
+        assert first["stable"]
+        assert first["e_n_pp"] == 0.0
 
     def test_initial_rise_monotone(self, g_minus_sweep):
-        values = [r.e_n_pp for r in g_minus_sweep.records[:30]]
-        assert all(b > a for a, b in zip(values, values[1:]))
+        assert (np.diff(g_minus_sweep.columns["e_n_pp"][:30]) > 0.0).all()
 
     def test_maximum_strictly_inside_stable_region(self, g_minus_sweep):
         argmax = g_minus_sweep.summary["argmax"]["g_minus_hz"]
@@ -248,8 +247,9 @@ class TestGMinusSweep:
         assert argmax < first_unstable
 
     def test_reduces_before_instability(self, g_minus_sweep):
-        stable = [r for r in g_minus_sweep.records if r.stable]
-        assert stable[-1].e_n_pp < g_minus_sweep.summary["argmax"]["e_n_pp"]
+        columns = g_minus_sweep.columns
+        last_stable = columns["e_n_pp"][columns["stable"]][-1]
+        assert last_stable < g_minus_sweep.summary["argmax"]["e_n_pp"]
 
 
 class TestKappaGridSweep:
@@ -259,21 +259,20 @@ class TestKappaGridSweep:
         kappa = SweepAxis(1e5, 1e7, 21, "log")
         grid = run_sweep(base, SweepSpec("kappa_grid", kappa, kappa))
         theta = run_sweep(base, SweepSpec("theta", SweepAxis(0.26, 0.49, 24)))
-        at_balanced = [r for r in grid.records
-                       if r.axis[0] == pytest.approx(1e6, rel=1e-12)
-                       and r.axis[1] == pytest.approx(1e6, rel=1e-12)]
+        at_balanced = grid.columns["e_n_pp"][
+            np.isclose(grid.columns["kappa_a_hz"], 1e6, rtol=1e-12, atol=1e-12)
+            & np.isclose(grid.columns["kappa_c_hz"], 1e6, rtol=1e-12, atol=1e-12)]
         assert len(at_balanced) == 1
-        at_theta = [r for r in theta.records
-                    if r.axis[0] == pytest.approx(0.40, rel=1e-12)]
+        at_theta = theta.columns["e_n_pp"][
+            np.isclose(theta.columns["theta_pi"], 0.40, rtol=1e-12, atol=1e-12)]
         assert len(at_theta) == 1
-        assert at_balanced[0].e_n_pp == pytest.approx(
-            at_theta[0].e_n_pp, rel=1e-12)
+        assert at_balanced[0] == pytest.approx(at_theta[0], rel=1e-12)
 
     def test_wide_entangled_area(self, base):
         kappa = SweepAxis(1e5, 1e7, 12, "log")
         grid = run_sweep(base, SweepSpec("kappa_grid", kappa, kappa))
         assert grid.summary["entangled_area_fraction"] > 0.5
-        assert len(grid.records) == 144
+        assert len(grid.columns["stable"]) == 144
 
     def test_axes_not_symmetric(self, base):
         a = base.evaluate(kappa_a=TWO_PI * 3e5, kappa_c=TWO_PI * 3e6)
@@ -288,13 +287,13 @@ class TestKappaGridSweep:
 
 class TestTempKappaBSweep:
     def test_baseline_corner_entangled(self, temp_sweep):
-        coldest = temp_sweep.records[0]
-        assert coldest.axis == (1.0, 1e2)
-        assert coldest.e_n_pp > 0.1
+        coldest = {name: column[0] for name, column in temp_sweep.columns.items()}
+        assert (coldest["temperature_mk"], coldest["kappa_b_hz"]) == (1.0, 1e2)
+        assert coldest["e_n_pp"] > 0.1
 
     def test_grid_shape_and_order(self, temp_sweep):
-        assert len(temp_sweep.records) == 40 * 25
-        temps = [r.axis[0] for r in temp_sweep.records]
+        assert len(temp_sweep.columns["stable"]) == 40 * 25
+        temps = temp_sweep.columns["temperature_mk"].tolist()
         assert temps == sorted(temps)
 
     def test_temperature_threshold_in_reported_window(self, temp_sweep):
@@ -314,18 +313,20 @@ class TestTempKappaBSweep:
         # line long enough to reach it.
         sweep = run_sweep(base, SweepSpec("temp_kappa_b", SweepAxis(10.0, 500.0, 2),
                                           KAPPA_B_LINE))
-        line = [r for r in sweep.records if r.axis[0] == 10.0]
-        assert len(line) == KAPPA_B_LINE.count
-        assert all(r.stable for r in line)
-        assert all(r.e_n_pp >= EN_THRESHOLD for r in line if r.axis[1] <= 2e5)
-        assert all(a.e_n_pp > b.e_n_pp for a, b in zip(line, line[1:]))
+        line = {name: column[sweep.columns["temperature_mk"] == 10.0]
+                for name, column in sweep.columns.items()}
+        assert len(line["stable"]) == KAPPA_B_LINE.count
+        assert line["stable"].all()
+        assert (line["e_n_pp"][line["kappa_b_hz"] <= 2e5] >= EN_THRESHOLD).all()
+        assert (np.diff(line["e_n_pp"]) < 0.0).all()
         kb_crit = sweep.summary["kappa_b_crit_hz"]
         assert kb_crit is not None
         assert kb_crit == bare_mode_kappa_b_crossing(base, KAPPA_B_LINE.values())
 
     def test_entanglement_monotone_in_temperature_at_low_kappa_b(self, temp_sweep):
-        line = [r for r in temp_sweep.records if r.axis[1] == pytest.approx(1e2)]
-        values = [r.e_n_pp if r.e_n_pp is not None else 0.0 for r in line]
+        columns = temp_sweep.columns
+        line = np.isclose(columns["kappa_b_hz"], 1e2, rtol=1e-6, atol=1e-12)
+        values = np.nan_to_num(columns["e_n_pp"][line], nan=0.0).tolist()
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     @staticmethod
@@ -373,9 +374,9 @@ class TestGenericSweep:
         axis = SweepAxis(1e2, 1e5, 7, "log")
         sweep = run_sweep(base, SweepSpec("generic", axis, param="kappa_b"))
         assert sweep.axis_names == ("kappa_b_hz",)
-        for rec in sweep.records:
-            direct = base.evaluate(kappa_b=TWO_PI * rec.axis[0])
-            assert rec.e_n_pp == direct.e_n_pp
+        for kappa_b, e_n_pp in zip(*(sweep.columns[name].tolist()
+                                     for name in ("kappa_b_hz", "e_n_pp"))):
+            assert e_n_pp == base.evaluate(kappa_b=TWO_PI * kappa_b).e_n_pp
 
     def test_unknown_param_rejected(self, base):
         with pytest.raises(ParameterError):
@@ -440,8 +441,9 @@ class TestRunSweepDispatch:
     def test_point(self, base):
         result = run_sweep(base, SweepSpec(kind="point"))
         assert result.kind == "point"
-        assert len(result.records) == 1
-        assert result.records[0].axis == ()
+        assert result.axis_names == ()
+        assert list(result.columns) == list(cli.RECORD_COLUMNS)
+        assert all(column.shape == (1,) for column in result.columns.values())
         assert result.summary == {}  # no axes: no argmax
 
     def test_generic_requires_axis(self, base):
@@ -482,10 +484,11 @@ class TestSweepSummary:
 
     @staticmethod
     def first_largest(result):
-        stable = [rec for rec in result.records if rec.e_n_pp is not None]
-        peak = max(rec.e_n_pp for rec in stable)
-        best = next(rec for rec in stable if rec.e_n_pp == peak)
-        return {**dict(zip(result.axis_names, best.axis)), "e_n_pp": peak}
+        e_n_pp = result.columns["e_n_pp"].tolist()
+        stable = [row for row, ok in enumerate(result.columns["stable"]) if ok]
+        peak = max(e_n_pp[row] for row in stable)
+        best = next(row for row in stable if e_n_pp[row] == peak)
+        return {**dict(zip(result.axis_names, axis_points(result)[best])), "e_n_pp": peak}
 
     @pytest.mark.parametrize("sweep", ["theta_sweep", "detuning_sweep", "g_minus_sweep"])
     def test_argmax_names_the_first_record_with_the_largest_e_n(self, sweep, request):
@@ -497,12 +500,27 @@ class TestSweepSummary:
         # undriven, every point is stable with E_N(+,-) = 0.0
         result = run_sweep(replace(base, target_g_minus=0.0),
                            SweepSpec("theta", SweepAxis(0.30, 0.45, 4)))
-        assert {rec.e_n_pp for rec in result.records} == {0.0}
+        assert set(result.columns["e_n_pp"].tolist()) == {0.0}
         assert result.summary == {"argmax": {"theta_pi": 0.30, "e_n_pp": 0.0}}
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("theta", SweepAxis(0.26, 0.49, 23)),
+        SweepSpec("g_minus", SweepAxis(0.0, 6e6, 19)),
+        SweepSpec("g_minus", SweepAxis(4.5e6, 6e6, 5)),
+        SweepSpec("kappa_grid", SweepAxis(1e5, 1e7, 5, "log"), SweepAxis(1e5, 1e7, 4, "log")),
+        SweepSpec("temp_kappa_b", SweepAxis(1.0, 500.0, 5), SweepAxis(1e2, 1e6, 4, "log")),
+    ], ids=["theta", "g_minus", "g_minus-unstable", "kappa_grid", "temp_kappa_b"])
+    def test_summary_values_are_python_numbers(self, base, spec):
+        # read from numpy columns; a numpy scalar would print into
+        # metadata.txt as np.float64(...)
+        summary = run_sweep(base, spec).summary
+        values = [leaf for value in summary.values()
+                  for leaf in (value.values() if isinstance(value, dict) else [value])]
+        assert all(value is None or type(value) in (float, int) for value in values), summary
 
     def test_argmax_is_none_when_no_point_is_stable(self, base):
         result = run_sweep(base, SweepSpec("g_minus", SweepAxis(4.5e6, 6e6, 5)))
-        assert not any(rec.stable for rec in result.records)
+        assert not result.columns["stable"].any()
         assert result.summary == {"argmax": None, "first_unstable_g_minus_hz": 4.5e6}
 
 
@@ -511,20 +529,28 @@ class TestDeterminism:
         spec = SweepSpec("theta", SweepAxis(0.30, 0.45, 40))
         first = run_sweep(base, spec)
         second = run_sweep(base, spec)
-        assert first.records == second.records
+        assert column_bits(first) == column_bits(second)
         assert first.summary == second.summary
 
         # the same points backwards through the column path: the same bits
         overrides = SWEEPS["theta"].overrides(base, (spec.axis,))
         backwards = spec.axis.values()[::-1]
-        records = SweepRecord.from_columns([(v,) for v in backwards.tolist()],
-                                           base.evaluate_all(overrides((backwards,))))
-        assert first.records == tuple(reversed(records))
+        columns = experiments._sweep_columns(first.axis_names, (backwards,),
+                                             base.evaluate_all(overrides((backwards,))))
+        reversed_back = SweepResult("theta", first.axis_names, {
+            name: column[::-1] for name, column in columns.items()}, {})
+        assert column_bits(first) == column_bits(reversed_back)
 
         # point by point through Baseline.evaluate, to the column bound
-        for rec in first.records:
-            point = point_record(rec.axis, base.evaluate(**overrides(rec.axis)))
-            assert_record_close(rec, point, base.omega_b)
+        for row, axis in enumerate(axis_points(first)):
+            point = point_record(first.axis_names, axis, base.evaluate(**overrides(axis)))
+            assert_record_close(first.columns, row, point, base.omega_b)
+
+
+def column_bits(result):
+    """The name, dtype and bytes of every column of a sweep result."""
+    return [(name, column.dtype, column.tobytes())
+            for name, column in result.columns.items()]
 
 
 #: small grids of every kind whose records depend on the stacked path;
@@ -579,7 +605,7 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", SMALL_GRIDS)
     def test_records_csv_independent_of_chunk_size(self, base, kind, monkeypatch):
         spec = SMALL_GRIDS[kind]
-        size = len(grid(spec.resolved_axes()))
+        size = len(grid(spec.resolved_axes())[0])
         outputs = set()
         for chunk in (1, 7, size + 1):
             monkeypatch.setattr(dynamics, "CHUNK_SIZE", chunk)
@@ -591,7 +617,7 @@ class TestStackedEvaluation:
         # the drift and diffusion of the whole stack are filled once, before
         # it is cut into slices; the kernels see at most CHUNK_SIZE rows
         spec = SMALL_GRIDS["g_minus"]
-        size = len(grid(spec.resolved_axes()))
+        size = len(grid(spec.resolved_axes())[0])
         fills, slices = [], []
         fill, spectra = dynamics._fill, gaussian._spectra
         monkeypatch.setattr(dynamics, "_fill",
@@ -610,8 +636,7 @@ class TestStackedEvaluation:
         # theta and the rates are shared on a g_minus line, and still every
         # model-layer field of the result is one entry per point
         axes = SweepSpec("g_minus").resolved_axes()
-        columns = tuple(np.array(column) for column in zip(*grid(axes)))
-        result = base.evaluate_all(SWEEPS["g_minus"].overrides(base, axes)(columns))
+        result = base.evaluate_all(SWEEPS["g_minus"].overrides(base, axes)(grid(axes)))
         size = axes[0].count
         assert len(result.stable) == size
         for part in (result.basis, result.couplings):
@@ -625,11 +650,11 @@ class TestStackedEvaluation:
         spec = SMALL_GRIDS["g_minus"]
         sweep = run_sweep(base, spec)
         overrides = SWEEPS["g_minus"].overrides(base, spec.resolved_axes())
-        assert any(not rec.stable for rec in sweep.records)
-        for rec in sweep.records:
-            point = base.evaluate(**overrides(rec.axis))
-            assert_record_close(rec, point_record(rec.axis, point),
-                                base.omega_b)
+        assert not sweep.columns["stable"].all()
+        for row, axis in enumerate(axis_points(sweep)):
+            point = base.evaluate(**overrides(axis))
+            assert_record_close(sweep.columns, row,
+                                point_record(sweep.axis_names, axis, point), base.omega_b)
 
     def test_stacked_results_agree_with_point_results(self, base, monkeypatch):
         monkeypatch.setattr(dynamics, "CHUNK_SIZE", 4)
@@ -728,11 +753,17 @@ class TestStackedEvaluation:
     @pytest.mark.xfail(strict=True, raises=NumericalError,
                        reason="a row that misses the residual contract on the dense "
                               "path too aborts the sweep (ROADMAP item 19a)")
-    def test_sweep_across_the_ill_conditioned_band_returns_every_record(self, base):
+    @pytest.mark.parametrize("spec", [
         # 1e-7 to 1e-6 relative below the static stability boundary the
         # solve is backward stable, but 1e-9 ||D||_F is out of reach
-        axis = SweepAxis(4256715.258 - 0.01, 4256715.258 + 0.01, 200)
-        assert len(run_sweep(base, SweepSpec("g_minus", axis)).records) == 200
+        SweepSpec("g_minus", SweepAxis(4256715.258 - 0.01, 4256715.258 + 0.01, 200)),
+        # unlike the g_minus band, at the parametric (Hopf) edge 2 Re(lambda)
+        # goes to 0 and the Lyapunov operator is nearly singular (condition
+        # estimate near 2e13), so these rows are not just marginal misses
+        SweepSpec("theta", SweepAxis(0.2491922456 - 1e-9, 0.2491922456 + 1e-9, 200)),
+    ], ids=["g_minus", "theta"])
+    def test_sweep_across_the_ill_conditioned_band_returns_every_record(self, base, spec):
+        assert len(run_sweep(base, spec).columns["stable"]) == 200
 
     def test_kernel_calls_of_the_default_temp_kappa_b_run_are_bounded(
             self, base, monkeypatch, stack_sizes):
@@ -882,7 +913,8 @@ class TestStackedEvaluation:
         assert len(stack.stable) == 0
         assert stack.covs.shape == (0, 6, 6)
         assert stack.stable.shape == stack.max_re_eig.shape == stack.e_n_pb.shape == (0,)
-        assert SweepRecord.from_columns([], stack) == []
+        columns = experiments._sweep_columns(("theta_pi",), (np.array([]),), stack)
+        assert all(column.shape == (0,) for column in columns.values())
         direct = dynamics.run_pipelines(base.params(theta=np.array([])),
                                         base.target_g_minus)
         assert len(direct.stable) == 0 and direct.covs.shape == (0, 6, 6)
@@ -1257,14 +1289,15 @@ class TestPlatformInvariance:
         # the three negativities of a point share one covariance, so their
         # rounding is measured against the point's largest one
         spec = SweepSpec("theta", SweepAxis(0.30, 0.47, 12))
-        reference = run_sweep(base, spec).records
-        scaled = run_sweep(self.scaled(base, factor), spec).records
-        assert [r.stable for r in scaled] == [r.stable for r in reference]
-        for rec, ref in zip(scaled, reference):
-            if ref.stable:
-                scale = max(ref.e_n_pp, ref.e_n_mb, ref.e_n_pb)
-                for name in ("e_n_pp", "e_n_mb", "e_n_pb"):
-                    assert abs(getattr(rec, name) - getattr(ref, name)) <= 1e-12 * scale
+        reference = run_sweep(base, spec).columns
+        scaled = run_sweep(self.scaled(base, factor), spec).columns
+        negativities = ("e_n_pp", "e_n_mb", "e_n_pb")
+        assert (scaled["stable"] == reference["stable"]).all()
+        stable = reference["stable"]
+        scale = np.max([reference[name][stable] for name in negativities], axis=0)
+        for name in negativities:
+            assert (abs(scaled[name][stable] - reference[name][stable])
+                    <= 1e-12 * scale).all(), name
 
 
 OVERFLOWING_DENOMINATOR = ("[drive calibration] steady-state denominator (dm - i km)"

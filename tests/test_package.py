@@ -120,7 +120,7 @@ def test_only_a_validating_type_is_a_dataclass():
 
 @pytest.mark.parametrize("carrier", [
     entangle.PolaritonBasis, entangle.EffectiveCouplings, entangle.GaussianState,
-    dynamics.PipelineColumns, entangle.SweepRecord, entangle.SweepResult,
+    dynamics.PipelineColumns, entangle.SweepResult,
 ], ids=lambda carrier: carrier.__name__)
 def test_result_carriers_are_named_tuples(carrier):
     # a result checks nothing that the step computing it has not checked
